@@ -11,11 +11,12 @@ import numpy as np
 from .heis import HPoint
 
 
-def as_points(points) -> np.ndarray:
-    """Coerce a list of HPoint (or an (n,3) array) to a float64 (n,3) array."""
-    if isinstance(points, np.ndarray):
-        return np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return np.array([p.as_tuple() for p in points], dtype=np.float64).reshape(-1, 3)
+def finite_points(pts) -> np.ndarray:
+    """Coerce to a float64 (n, 3) array, rejecting NaN and inf coordinates."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must have finite coordinates")
+    return pts
 
 
 def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -42,29 +43,17 @@ def norm(p: np.ndarray) -> np.ndarray:
     return norm4(p) ** 0.25
 
 
-def left_translate_points(g: HPoint, pts: np.ndarray) -> np.ndarray:
-    garr = np.array(g.as_tuple(), dtype=np.float64)
-    return mul(garr, pts)
-
-
-def core_distance_batch(
-    center: HPoint,
-    dir_a: float,
-    dir_b: float,
-    pts: np.ndarray,
-    seeds: int = 64,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Gauge distance from each point to the unit core segment of a tube.
-
-    The core is {center * (s*e) : s in [-1/2, 1/2]}.  For a fixed point the
-    fourth power of the distance to the core point at parameter s is an
-    explicit quartic in s, so the 1-D minimization evaluates that quartic on
-    `seeds` uniform values of s and refines the best bracket by ternary
-    search down to an s-width of `tol`.
-    """
-    carr = np.array(center.as_tuple(), dtype=np.float64)
-    return core_distance_elementwise(carr, dir_a, dir_b, pts, seeds=seeds, tol=tol)
+def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
+    """Uniform points of the gauge ball B(0, delta), by rejection from its box."""
+    out = np.empty((0, 3))
+    while out.shape[0] < n:
+        m = max(2 * (n - out.shape[0]), 64)
+        z = rng.random((m, 3)) * 2.0 - 1.0
+        z[:, :2] *= delta
+        z[:, 2] *= 0.25 * delta * delta
+        keep = norm4(z) <= delta ** 4
+        out = np.vstack([out, z[keep]])
+    return out[:n]
 
 
 def core_distance_elementwise(
@@ -72,12 +61,18 @@ def core_distance_elementwise(
     dir_a: float,
     dir_b: float,
     pts: np.ndarray,
-    seeds: int = 64,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """core_distance_batch with one center per point (centers broadcastable
-    against the (n, 3) point array)."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    """Gauge distance from each point to the unit core segment of a tube.
+
+    The core is {center * (s*e) : s in [-1/2, 1/2]}; `centers` is one center
+    or one per point (broadcastable against the (n, 3) point array).  For a
+    fixed point the fourth power of the distance to the core point at
+    parameter s is an explicit quartic in s, so the 1-D minimization
+    evaluates that quartic on 64 uniform values of s and refines the best
+    bracket by ternary search down to an s-width of `tol`.
+    """
+    pts = finite_points(pts)
     u = mul(inv(np.asarray(centers, dtype=np.float64)), pts)  # center^{-1} * p
     u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
 
@@ -93,7 +88,7 @@ def core_distance_elementwise(
     def quartic(s):
         return (((s + c3) * s + c2) * s + c1) * s + c0
 
-    grid = np.linspace(-0.5, 0.5, seeds)
+    grid = np.linspace(-0.5, 0.5, 64)
     best_val = np.full(pts.shape[0], np.inf)
     best_idx = np.zeros(pts.shape[0], dtype=np.int64)
     for i, s in enumerate(grid):

@@ -80,24 +80,24 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # defaults and config handling
 
-DEFAULTS = {
-    "delta-exps": None,  # per-experiment default below
-    "rho": None,
-    "alpha": None,
-    "p": None,
-    "mu": 16,
-    "nu": 4,
-    "n": 256,
-    "t": 2.0 ** -4,
-    "seed": 0,
-    "samples": None,
-    "grid-res": None,
-    "out": None,
-    "workers": 1,
+# name -> (type, default, help); None defaults are chosen per experiment.
+# `run` takes every option as a flag and `dump` the DUMP_OPTIONS subset; a
+# config file may set any of them.
+OPTIONS = {
+    "delta-exps": (str, None, "dyadic ladder A..B meaning 2^-A .. 2^-B"),
+    "rho": (float, None, "curvature scale of the planar families"),
+    "alpha": (float, None, "extra broadness exponent (clamshell-alpha)"),
+    "mu": (int, 16, "clamshell richness in F"),
+    "nu": (int, 4, "clamshell richness in G"),
+    "n": (int, 256, "clamshell family size #F"),
+    "t": (float, 2.0 ** -4, "clamshell tangency scale"),
+    "seed": (int, 0, "random seed"),
+    "samples": (int, None, "Monte Carlo samples or randomized cases"),
+    "grid-res": (float, None, "grid spacing of the planar integrals"),
+    "out": (str, None, "output CSV path"),
+    "workers": (int, 1, "Monte Carlo worker threads"),
 }
-
-_FLOAT_KEYS = {"rho", "alpha", "p", "t", "grid-res"}
-_INT_KEYS = {"mu", "nu", "n", "seed", "samples", "workers"}
+DUMP_OPTIONS = ("delta-exps", "rho", "mu", "nu", "n", "t", "out")
 
 
 def parse_delta_exps(text: str) -> list[int]:
@@ -124,21 +124,25 @@ def read_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
-        if key not in DEFAULTS:
+        if key not in OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[key] = value
     return cfg
 
 
 def coerce(cfg: dict) -> dict:
+    """Convert option values to their table types.  Numeric options must be
+    finite and positive, except the seed, which may also be 0."""
     out = dict(cfg)
     for k, v in cfg.items():
-        if v is None or not isinstance(v, str):
+        kind = OPTIONS[k][0]
+        if v is None or kind is str:
             continue
-        if k in _FLOAT_KEYS:
-            out[k] = float(v)
-        elif k in _INT_KEYS:
-            out[k] = int(v)
+        v = out[k] = kind(v)
+        in_range = v >= 0 if k == "seed" else v > 0
+        if not (math.isfinite(v) and in_range):
+            bound = "nonnegative" if k == "seed" else "positive"
+            raise ValueError(f"{k} must be a finite {bound} number, got {v}")
     return out
 
 
@@ -375,7 +379,7 @@ def _exp_net(cfg) -> ExperimentResult:
             SampleSpec(samples=samples, seed=seed),
             workers,
         )
-        probes = _gauge_ball_points(1000, [seed, k, 3])
+        probes = _bulk.sample_gauge_ball(np.random.default_rng([seed, k, 3]), 1.0, 1000)
         m1 = net_multiplicity(spec, probes, 1)
         m2 = net_multiplicity(spec, probes, 2)
         m_lo = min(m_lo, int(m1.min()), int(m2.min()))
@@ -397,16 +401,6 @@ def _exp_net(cfg) -> ExperimentResult:
         checks,
         {} if slope is None else {"lhs_slope": slope},
     )
-
-
-def _gauge_ball_points(n, seed):
-    rng = np.random.default_rng(seed)
-    out = np.empty((0, 3))
-    while len(out) < n:
-        z = rng.random((2 * n, 3)) * 2.0 - 1.0
-        z[:, 2] *= 0.25
-        out = np.vstack([out, z[_bulk.norm4(z) <= 1.0]])
-    return out[:n]
 
 
 @experiment("projection-containment")
@@ -595,42 +589,47 @@ def _rect_rows(rects):
     ]
 
 
+def _tube_file(t1, t2):
+    return [("", TUBE_COLUMNS, _tube_rows(t1) + _tube_rows(t2))]
+
+
+def _quad_file(pair):
+    return [("", QUAD_COLUMNS, _quad_rows(pair.F) + _quad_rows(pair.G))]
+
+
+def _clamshell_files(d, cfg):
+    F, G, R = build_clamshell(d, cfg["t"], cfg["mu"], cfg["nu"], cfg["n"])
+    return [("", QUAD_COLUMNS, _quad_rows(F) + _quad_rows(G)),
+            (".rects", RECT_COLUMNS, _rect_rows(R))]
+
+
+# generator name -> (delta, cfg) -> [(file suffix, columns, rows)]
+GENERATORS = {
+    "bush": lambda d, cfg: _tube_file(*build_bush(d)),
+    "opposed-pair": lambda d, cfg: _quad_file(build_opposed_pair(d, cfg.get("rho") or 1.0)),
+    "bipartite-balls": lambda d, cfg: _quad_file(
+        build_bipartite_balls(d, cfg.get("rho") or 0.25)),
+    "clamshell": _clamshell_files,
+    "parabolic-net": lambda d, cfg: _tube_file(*net_tubes(parabolic_net_spec(d))),
+}
+
+
 def dump_family(generator: str, cfg: dict, out: str) -> list[str]:
     """Write the family as CSV; returns the list of files written.
 
     Tube and quadratic parts share one file; the clamshell's rectangles go to
-    `<stem>.rects.csv` since their schema differs.
+    `<stem>.rects.csv` since their schema differs.  An unknown generator
+    raises KeyError.
     """
-    outp = Path(out)
-    written = []
+    make = GENERATORS[generator]
     exps = cfg.get("delta-exps")
     k = parse_delta_exps(exps)[0] if isinstance(exps, str) else (exps or [8])[0]
-    d = 2.0 ** -k
-    if generator == "bush":
-        t1, t2 = build_bush(d)
-        _write_csv(outp, TUBE_COLUMNS, _tube_rows(t1) + _tube_rows(t2))
-        written.append(str(outp))
-    elif generator == "opposed-pair":
-        pair = build_opposed_pair(d, cfg.get("rho") or 1.0)
-        _write_csv(outp, QUAD_COLUMNS, _quad_rows(pair.F) + _quad_rows(pair.G))
-        written.append(str(outp))
-    elif generator == "bipartite-balls":
-        pair = build_bipartite_balls(d, cfg.get("rho") or 0.25)
-        _write_csv(outp, QUAD_COLUMNS, _quad_rows(pair.F) + _quad_rows(pair.G))
-        written.append(str(outp))
-    elif generator == "clamshell":
-        F, G, R = build_clamshell(d, cfg["t"], cfg["mu"], cfg["nu"], cfg["n"])
-        _write_csv(outp, QUAD_COLUMNS, _quad_rows(F) + _quad_rows(G))
-        written.append(str(outp))
-        rect_path = outp.with_name(outp.stem + ".rects.csv")
-        _write_csv(rect_path, RECT_COLUMNS, _rect_rows(R))
-        written.append(str(rect_path))
-    elif generator == "parabolic-net":
-        t1, t2 = net_tubes(parabolic_net_spec(d))
-        _write_csv(outp, TUBE_COLUMNS, _tube_rows(t1) + _tube_rows(t2))
-        written.append(str(outp))
-    else:
-        raise KeyError(generator)
+    outp = Path(out)
+    written = []
+    for suffix, columns, rows in make(2.0 ** -k, cfg):
+        path = outp.with_name(outp.stem + suffix + ".csv") if suffix else outp
+        _write_csv(path, columns, rows)
+        written.append(str(path))
     return written
 
 
@@ -711,6 +710,11 @@ def run_experiment(name: str, cfg: dict) -> int:
     return 0 if ok else 1
 
 
+def _add_options(parser, names, required=()):
+    for name in names:
+        parser.add_argument(f"--{name}", help=OPTIONS[name][2], required=name in required)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heislab",
@@ -720,30 +724,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a named experiment")
     run.add_argument("experiment")
-    run.add_argument("--delta-exps", help="dyadic ladder A..B meaning 2^-A .. 2^-B")
-    run.add_argument("--rho", type=float)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--p", type=float)
-    run.add_argument("--mu", type=int)
-    run.add_argument("--nu", type=int)
-    run.add_argument("--n", type=int)
-    run.add_argument("--t", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--samples", type=int)
-    run.add_argument("--grid-res", type=float)
-    run.add_argument("--out")
-    run.add_argument("--workers", type=int)
-    run.add_argument("--config")
+    _add_options(run, OPTIONS)
+    run.add_argument("--config", help="file of 'key = value' option lines")
 
     dump = sub.add_parser("dump", help="dump a generated family as CSV")
     dump.add_argument("generator")
-    dump.add_argument("--delta-exps")
-    dump.add_argument("--rho", type=float)
-    dump.add_argument("--mu", type=int)
-    dump.add_argument("--nu", type=int)
-    dump.add_argument("--n", type=int)
-    dump.add_argument("--t", type=float)
-    dump.add_argument("--out", required=True)
+    _add_options(dump, DUMP_OPTIONS, required=("out",))
     return parser
 
 
@@ -751,22 +737,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        try:
-            cfg.update(read_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    for key in DEFAULTS:
-        flag = key.replace("-", "_")
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = value
+    cfg = {key: default for key, (_, default, _) in OPTIONS.items()}
     try:
+        if getattr(args, "config", None):
+            cfg.update(read_config(args.config))
+        for key in OPTIONS:
+            value = getattr(args, key.replace("-", "_"), None)
+            if value is not None:
+                cfg[key] = value
         cfg = coerce(cfg)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"option error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "run":
@@ -776,15 +757,14 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.command == "dump":
-        try:
-            files = dump_family(args.generator, cfg, cfg["out"])
-        except KeyError:
+        if args.generator not in GENERATORS:
             print(
-                f"unknown generator {args.generator!r}; available: bush, opposed-pair, "
-                "bipartite-balls, clamshell, parabolic-net",
+                f"unknown generator {args.generator!r}; available: {', '.join(GENERATORS)}",
                 file=sys.stderr,
             )
             return 2
+        try:
+            files = dump_family(args.generator, cfg, cfg["out"])
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -288,7 +288,7 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     the nearest grid point is exhaustive; each candidate is then checked with
     the exact core-distance test.
     """
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    pts = _bulk.finite_points(pts)
     if family == 2:
         return net_multiplicity(spec, _swap_xy(pts), family=1)
     if family != 1:

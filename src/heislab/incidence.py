@@ -26,7 +26,7 @@ from .quadratics import (
     rect_t_scale,
     validate_bipartite,
 )
-from .tubes import BroadnessReport, ProbeSpec
+from .tubes import BroadnessReport, ProbeSpec, _dyadic_down
 
 __all__ = [
     "Richness",
@@ -236,18 +236,10 @@ def quad_broadness(
     qc = coeff_array(Q)
     n = len(Q)
 
-    def dyadic(top, bottom):
-        vals = []
-        v = top
-        while v >= bottom * (1.0 - 1e-12):
-            vals.append(v)
-            v *= 0.5
-        return vals or [top]
-
     worst = 0.0
     witness = "no probe exceeded zero"
-    for sigma in dyadic(1.0, delta):
-        for t in dyadic(1.0, sigma):
+    for sigma in _dyadic_down(1.0, delta):
+        for t in _dyadic_down(1.0, sigma):
             length = math.sqrt(sigma / t)
             mids = _anchor_grid(domain, length)
             if len(mids) > probes.max_anchor_midpoints:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _bulk
 from .quadratics import Quadratic, coeff_array
-from .tubes import HTube, MCEstimate, tube_bounding_box
+from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box
 
 __all__ = [
     "SampleSpec",
@@ -36,14 +36,14 @@ _SHARD = 65536
 @dataclass(frozen=True)
 class SampleSpec:
     """How to sample an integral: 'grid' with a spacing, or 'monte_carlo' with
-    a sample count and seed.  `region` optionally overrides the integration
-    box as ((xlo, xhi), (ylo, yhi), (tlo, thi))."""
+    a sample count and seed.  The integration box is not part of the spec:
+    each estimator derives it from its families, or takes it as an argument
+    (`bilinear_integral_from_multiplicity`)."""
 
     mode: str = "monte_carlo"
     resolution: float | None = None
     samples: int | None = None
     seed: int = 0
-    region: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.mode not in ("grid", "monte_carlo"):
@@ -126,15 +126,15 @@ def _seg_dist2d(tube: HTube, pts: np.ndarray) -> np.ndarray:
 
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
     """Number of tubes containing each point (exact membership test)."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    pts = _bulk.finite_points(pts)
     m = np.zeros(pts.shape[0], dtype=np.int64)
     for tube in tubes:
         near = _seg_dist2d(tube, pts) <= tube.delta
         if not near.any():
             continue
         sub = pts[near]
-        dist = _bulk.core_distance_batch(
-            tube.center, tube.dir.a, tube.dir.b, sub, tol=tube.delta * 1e-3
+        dist = _bulk.core_distance_elementwise(
+            tube.center.as_tuple(), tube.dir.a, tube.dir.b, sub, tol=tube.delta * 1e-3
         )
         idx = np.nonzero(near)[0][dist <= tube.delta]
         m[idx] += 1
@@ -152,15 +152,11 @@ def _family_box(tubes: list[HTube]) -> np.ndarray:
 def _default_tube_region(t1: list[HTube], t2: list[HTube]) -> np.ndarray | None:
     """Intersection of the two families' bounding boxes (the support of the
     multiplicity product), clipped to the box of the gauge ball B(0, 2)."""
-    ball2 = np.array([[-2.0, 2.0], [-2.0, 2.0], [-1.0, 1.0]])
-    box = ball2
+    box = np.array([[-2.0, 2.0], [-2.0, 2.0], [-1.0, 1.0]])
     for fam in (t1, t2):
-        fb = _family_box(fam)
-        lo = np.maximum(box[:, 0], fb[:, 0])
-        hi = np.minimum(box[:, 1], fb[:, 1])
-        if np.any(lo >= hi):
+        box = _intersect_boxes(box, _family_box(fam))
+        if box is None:
             return None
-        box = np.stack([lo, hi], axis=1)
     return box
 
 
@@ -231,7 +227,7 @@ def bilinear_tube_integral(
 ) -> MCEstimate:
     """Integral of (sum of t1 indicators)^p * (sum of t2 indicators)^p.
 
-    The default region is the intersection of the two families' bounding
+    The region is the intersection of the two families' bounding
     boxes clipped to the ball of gauge radius 2; the integrand vanishes
     outside it.
     """
@@ -239,13 +235,9 @@ def bilinear_tube_integral(
         raise ValueError(f"exponent p must be positive, got {p}")
     if not t1 or not t2:
         raise ValueError("tube families must be nonempty")
-    if spec.region is not None:
-        region = np.asarray(spec.region, dtype=np.float64)
-    else:
-        maybe = _default_tube_region(t1, t2)
-        if maybe is None:
-            return MCEstimate(0.0, 0.0, 0)
-        region = maybe
+    region = _default_tube_region(t1, t2)
+    if region is None:
+        return MCEstimate(0.0, 0.0, 0)
     return bilinear_integral_from_multiplicity(
         lambda pts: tube_multiplicity(t1, pts),
         lambda pts: tube_multiplicity(t2, pts),

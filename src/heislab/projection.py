@@ -43,10 +43,6 @@ class PlanePoint:
     theta: float
     height: float
 
-    def embed(self) -> HPoint:
-        """The group point (theta, theta, height) this plane point stands for."""
-        return HPoint(self.theta, self.theta, self.height)
-
 
 @dataclass(frozen=True)
 class ProjectedCurve:
@@ -105,24 +101,11 @@ def tube_to_curve(tube: HTube) -> ProjectedCurve:
     )
 
 
-def _sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
-    """Uniform points of the gauge ball B(0, delta), by rejection from its box."""
-    out = np.empty((0, 3))
-    while out.shape[0] < n:
-        m = max(2 * (n - out.shape[0]), 64)
-        z = rng.random((m, 3)) * 2.0 - 1.0
-        z[:, :2] *= delta
-        z[:, 2] *= 0.25 * delta * delta
-        keep = _bulk.norm4(z) <= delta ** 4
-        out = np.vstack([out, z[keep]])
-    return out[:n]
-
-
 def tube_points_sample(tube: HTube, n: int, seed: int = 0) -> np.ndarray:
     """n points of the tube: core(s) * z with s uniform, z uniform in the ball."""
     rng = np.random.default_rng([seed, 17])
     s = rng.random(n) - 0.5
-    z = _sample_gauge_ball(rng, tube.delta, n)
+    z = _bulk.sample_gauge_ball(rng, tube.delta, n)
     cores = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, s)
     return _bulk.mul(cores, z)
 
@@ -184,5 +167,5 @@ def fiber_length(tube: HTube, w: PlanePoint, resolution: float) -> float:
     pts[:, 0] = X + s
     pts[:, 1] = X - s
     pts[:, 2] = w.height - X * s
-    d = _bulk.core_distance_batch(c, a, b, pts, tol=tube.delta * 1e-3)
+    d = _bulk.core_distance_elementwise(c.as_tuple(), a, b, pts, tol=tube.delta * 1e-3)
     return float(np.count_nonzero(d <= tube.delta)) * resolution

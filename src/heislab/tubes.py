@@ -33,8 +33,6 @@ __all__ = [
     "line_broadness",
 ]
 
-_CONTAINS_SEEDS = 64
-
 
 @dataclass(frozen=True)
 class HTube:
@@ -116,17 +114,10 @@ class MCEstimate:
 
 def core_distance(tube: HTube, p: HPoint) -> float:
     """Min over s in [-1/2, 1/2] of the gauge distance from p to the core."""
-    arr = np.array([p.as_tuple()], dtype=np.float64)
-    return float(
-        _bulk.core_distance_batch(
-            tube.center,
-            tube.dir.a,
-            tube.dir.b,
-            arr,
-            seeds=_CONTAINS_SEEDS,
-            tol=tube.delta * 1e-3,
-        )[0]
+    d = _bulk.core_distance_elementwise(
+        tube.center.as_tuple(), tube.dir.a, tube.dir.b, p.as_tuple(), tol=tube.delta * 1e-3
     )
+    return float(d[0])
 
 
 def tube_contains(tube: HTube, p: HPoint) -> bool:
@@ -135,13 +126,8 @@ def tube_contains(tube: HTube, p: HPoint) -> bool:
 
 def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, 3) array of points."""
-    d = _bulk.core_distance_batch(
-        tube.center,
-        tube.dir.a,
-        tube.dir.b,
-        pts,
-        seeds=_CONTAINS_SEEDS,
-        tol=tube.delta * 1e-3,
+    d = _bulk.core_distance_elementwise(
+        tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts, tol=tube.delta * 1e-3
     )
     return d <= tube.delta
 
@@ -181,6 +167,8 @@ def tube_intersection_volume(
     support of the indicator product), in fixed-size shards with
     shard-indexed substreams, so the result depends only on the seed.
     """
+    if samples <= 0:
+        raise ValueError(f"sample count must be positive, got {samples}")
     box = _intersect_boxes(tube_bounding_box(t1), tube_bounding_box(t2))
     if box is None:
         return MCEstimate(0.0, 0.0, 0)
@@ -263,7 +251,9 @@ def line_broadness(
     # distance matrix: lines x centers, min gauge distance from center to core
     dist = np.empty((len(cores), len(centers)))
     for j, (p, e) in enumerate(cores):
-        dist[j] = _bulk.core_distance_batch(p, e.a, e.b, centers, tol=delta * 1e-3)
+        dist[j] = _bulk.core_distance_elementwise(
+            p.as_tuple(), e.a, e.b, centers, tol=delta * 1e-3
+        )
 
     min_half = probes.min_arc_half if probes.min_arc_half is not None else delta * delta
     halves = _dyadic_down(math.pi, min(min_half, math.pi))

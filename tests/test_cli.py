@@ -1,12 +1,16 @@
 """CLI harness: flags, config files, exits, CSV schema, dump round-trips."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from heislab.cli import (
     EXPERIMENTS,
+    GENERATORS,
+    coerce,
     dump_family,
     load_family,
     main,
@@ -161,3 +165,69 @@ def test_console_entry_runs():
     proc = run_cli("run", "fiber-length", "--samples", "30", "--out", "/tmp/_cli_fiber.csv")
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--rho", "0"],
+        ["--grid-res", "0"],
+        ["--t", "-0.5"],
+        ["--workers", "0"],
+        ["--alpha", "nan"],
+        ["--seed", "-1"],
+    ],
+)
+def test_nonpositive_option_flag_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert main(["run", "lemma-rect-structure", *flags, "--out", str(out)]) == 2
+    assert flags[0][2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["samples = 0", "rho = -1", "seed = -3", "n = 0"])
+def test_nonpositive_option_config_exits_2(tmp_path, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "lemma-rect-structure", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_coerce_types_and_zero_seed():
+    cfg = coerce({"seed": "0", "samples": "7", "rho": "0.5", "out": "x.csv", "alpha": None})
+    assert cfg == {"seed": 0, "samples": 7, "rho": 0.5, "out": "x.csv", "alpha": None}
+
+
+def test_removed_p_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "clamshell-alpha", "--p", "0.5", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+def test_config_rejects_p_key(tmp_path):
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text("p = 0.5\n")
+    with pytest.raises(ValueError, match="unknown key 'p'"):
+        read_config(str(cfg_path))
+
+
+def test_unknown_generator_message_lists_every_generator(tmp_path, capsys):
+    assert main(["dump", "nonsense", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(GENERATORS) == 5
+    for name in ("bush", "opposed-pair", "bipartite-balls", "clamshell", "parabolic-net"):
+        assert name in GENERATORS
+        assert name in err
+
+
+def test_batch_script_quick_table_names_registered_experiments():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.EXPERIMENTS is EXPERIMENTS
+    assert set(script.QUICK_ARGS) <= set(EXPERIMENTS)
+    assert all(script.QUICK_ARGS.values())

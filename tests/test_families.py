@@ -282,3 +282,13 @@ def test_net_build_contract():
     assert all((t.dir.a, t.dir.b) == (0.0, 1.0) for t in t2[:50])
     with pytest.raises(ValueError):
         build_parabolic_net(0.25)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", [1, 2])
+def test_net_multiplicity_rejects_nonfinite_points(bad, family):
+    spec = parabolic_net_spec(2.0 ** -4)
+    pts = np.zeros((3, 3))
+    pts[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        net_multiplicity(spec, pts, family)

@@ -196,3 +196,12 @@ def test_sample_spec_validation():
         SampleSpec(mode="grid", resolution=-1.0)
     with pytest.raises(ValueError):
         SampleSpec(mode="monte_carlo", samples=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tube_multiplicity_rejects_nonfinite_points(bad):
+    tubes = [HTube(HPoint(0.0, 0.0, 0.0), E1, 0.1)]
+    pts = np.zeros((3, 3))
+    pts[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tube_multiplicity(tubes, pts)

@@ -209,3 +209,22 @@ def test_fan_lines_stay_broad():
         delta = 2.0 ** -k
         rep = line_broadness(fan_cores(delta), delta, 1.0)
         assert rep.worst_ratio <= 4.0
+
+
+def test_volume_rejects_nonpositive_samples():
+    t1 = HTube(HPoint(0.0, 0.0, 0.0), E1, 0.1)
+    t2 = HTube(HPoint(0.0, 0.0, 0.0), E2, 0.1)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="sample count"):
+            tube_intersection_volume(t1, t2, samples=samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_core_distance_rejects_nonfinite_points(bad):
+    tube = HTube(HPoint(0.0, 0.0, 0.0), E1, 0.1)
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _bulk.core_distance_elementwise((0.0, 0.0, 0.0), 1.0, 0.0, pts)
+    with pytest.raises(ValueError, match="finite"):
+        tube_contains(tube, HPoint(bad, 0.0, 0.0))
