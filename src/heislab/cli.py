@@ -2,14 +2,19 @@
 integral estimators, with CSV output and a reproducibility manifest.
 
 Every experiment writes `<out>` (CSV, header row always emitted) and
-`<out>.manifest` (plain text: parameters, seed, versions, wall time, and one
+`<out>.manifest` (plain text: versions, wall time, the options read, and one
 PASS/FAIL line per in-experiment check).  Identical invocations produce
 byte-identical CSV bodies; the timestamp lives only in the manifest.
+
+Experiments and generators declare the options they read as keyword-only
+parameters; `run` and `dump` reject any other option (exit 2), except
+RUN_OPTIONS and DUMP_SHARED.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 import time
@@ -78,13 +83,40 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# defaults and config handling
+# options and config handling
 
-# name -> (type, default, help); None defaults are chosen per experiment.
-# `run` takes every option as a flag and `dump` the DUMP_OPTIONS subset; a
-# config file may set any of them.
+
+def parse_delta_exps(text: str) -> list[int]:
+    """'A..B' -> [A, A+1, ..., B] (dyadic exponents, delta = 2^-k), 1 <= A <= B."""
+    parts = text.split("..")
+    if len(parts) > 2:
+        raise ValueError(f"bad delta-exps {text!r}, want A..B")
+    a, b = int(parts[0]), int(parts[-1])
+    if b < a:
+        raise ValueError(f"bad delta-exps {text!r}: descending range")
+    if a < 1:
+        raise ValueError(f"bad delta-exps {text!r}: exponents must be >= 1 (delta <= 1/2)")
+    return list(range(a, b + 1))
+
+
+def _ladder_text(exps) -> str:
+    return f"{exps[0]}..{exps[-1]}" if len(exps) > 1 else str(exps[0])
+
+
+def _one_rung(exps) -> int:
+    """The exponent of a one-rung ladder, for consumers of a single delta."""
+    if len(exps) != 1:
+        raise ValueError(f"delta-exps {_ladder_text(exps)} has {len(exps)} rungs, "
+                         "but a single delta is used; give one exponent")
+    return exps[0]
+
+
+# name -> (type, default, help).  The defaults here are shared; a default in
+# an experiment's or generator's signature takes precedence.  `run` takes
+# every option as a flag, `dump` the options its generators read plus
+# DUMP_SHARED, and a config file may set any of them.
 OPTIONS = {
-    "delta-exps": (str, None, "dyadic ladder A..B meaning 2^-A .. 2^-B"),
+    "delta-exps": (parse_delta_exps, None, "dyadic ladder A..B meaning 2^-A .. 2^-B"),
     "rho": (float, None, "curvature scale of the planar families"),
     "alpha": (float, None, "extra broadness exponent (clamshell-alpha)"),
     "mu": (int, 16, "clamshell richness in F"),
@@ -97,20 +129,49 @@ OPTIONS = {
     "out": (str, None, "output CSV path"),
     "workers": (int, 1, "Monte Carlo worker threads"),
 }
-DUMP_OPTIONS = ("delta-exps", "rho", "mu", "nu", "n", "t", "out")
+# every experiment accepts these, whether it reads them or not
+RUN_OPTIONS = ("seed", "workers", "out")
+# every generator accepts these; dump reads them itself
+DUMP_SHARED = ("delta-exps", "out")
 
 
-def parse_delta_exps(text: str) -> list[int]:
-    """'A..B' -> [A, A+1, ..., B] (dyadic exponents, delta = 2^-k)."""
-    parts = text.split("..")
-    if len(parts) == 1:
-        return [int(parts[0])]
-    if len(parts) != 2:
-        raise ValueError(f"bad delta-exps {text!r}, want A..B")
-    a, b = int(parts[0]), int(parts[1])
-    if b < a:
-        raise ValueError(f"bad delta-exps {text!r}: descending range")
-    return list(range(a, b + 1))
+class OptionError(ValueError):
+    """A set option that the experiment or generator does not read."""
+
+
+def reads(fn) -> list[str]:
+    """The options an experiment or generator reads: its keyword-only
+    parameters, with dashes for underscores."""
+    params = inspect.signature(fn).parameters.values()
+    return [p.name.replace("_", "-") for p in params if p.kind is p.KEYWORD_ONLY]
+
+
+def _flags(keys) -> str:
+    return ", ".join(f"--{k}" for k in keys)
+
+
+def bind_options(name: str, fn, cfg: dict, accepted=()) -> dict:
+    """Keyword arguments for `fn` from the options set in `cfg`.
+
+    Each option `fn` reads takes its value from `cfg`, else from the default
+    in the signature of `fn`, else from the shared default in OPTIONS.  A set
+    option that `fn` does not read and `accepted` does not list raises
+    OptionError."""
+    names = reads(fn)
+    unread = sorted(k for k, v in cfg.items()
+                    if v is not None and k not in names and k not in accepted)
+    if unread:
+        takes = names + [k for k in accepted if k not in names]
+        raise OptionError(f"{name} does not read {_flags(unread)}; it takes {_flags(takes)}")
+    params = inspect.signature(fn).parameters
+    kwargs = {}
+    for key in names:
+        p = params[key.replace("-", "_")]
+        if cfg.get(key) is not None:
+            kwargs[p.name] = cfg[key]
+        else:
+            kwargs[p.name] = OPTIONS[key][1] if p.default is p.empty else p.default
+    return kwargs
 
 
 def read_config(path: str) -> dict:
@@ -131,12 +192,16 @@ def read_config(path: str) -> dict:
 
 
 def coerce(cfg: dict) -> dict:
-    """Convert option values to their table types.  Numeric options must be
-    finite and positive, except the seed, which may also be 0."""
+    """Convert option values to their table types; a ladder given as text goes
+    through parse_delta_exps.  Numeric options must be finite and positive,
+    except the seed, which may also be 0."""
     out = dict(cfg)
     for k, v in cfg.items():
         kind = OPTIONS[k][0]
         if v is None or kind is str:
+            continue
+        if kind is parse_delta_exps:
+            out[k] = parse_delta_exps(v) if isinstance(v, str) else v
             continue
         v = out[k] = kind(v)
         in_range = v >= 0 if k == "seed" else v > 0
@@ -146,21 +211,13 @@ def coerce(cfg: dict) -> dict:
     return out
 
 
-def _ladder(cfg, default_lo, default_hi):
-    text = cfg.get("delta-exps")
-    if text is None:
-        return list(range(default_lo, default_hi + 1))
-    if isinstance(text, str):
-        return parse_delta_exps(text)
-    return list(text)
-
-
-def _slope_check(name, points, predicate, detail_fmt):
-    """Slope assertion that degrades to a skip on ladders too short to fit."""
+def _slope_check(name, points, predicate, extras, key):
+    """Slope assertion that degrades to a skip on ladders too short to fit; a
+    fitted slope is also recorded as extras[key]."""
     if len(points) < 3:
-        return None, (name, True, "skipped: ladder shorter than 3 points")
-    slope = fit_exponent(points).slope
-    return slope, (name, predicate(slope), detail_fmt(slope))
+        return (name, True, "skipped: ladder shorter than 3 points")
+    slope = extras[key] = fit_exponent(points).slope
+    return (name, predicate(slope), f"slope {slope:.4f}")
 
 
 def _fmt(v) -> str:
@@ -206,13 +263,10 @@ def _near_contact_pair(rng, delta):
 
 
 @experiment("bush-refutes-naive")
-def _exp_bush(cfg) -> ExperimentResult:
-    samples = cfg.get("samples") or 400_000
-    seed = cfg["seed"]
-    workers = cfg["workers"]
+def _exp_bush(*, delta_exps=range(4, 9), samples=400_000, seed, workers) -> ExperimentResult:
     rows = []
     ratios_bush, ratios_naive = [], []
-    for k in _ladder(cfg, 4, 8):
+    for k in delta_exps:
         d = 2.0 ** -k
         t1, t2 = build_bush(d)
         est = bilinear_tube_integral(
@@ -237,57 +291,43 @@ def _exp_bush(cfg) -> ExperimentResult:
         extras["naive_ratio_slope"] = fit_exponent(ratios_naive).slope
     return ExperimentResult(
         ["delta", "n_t1", "n_t2", "lhs", "stderr", "ratio_bush", "ratio_naive"],
-        rows,
-        checks,
-        extras,
+        rows, checks, extras,
     )
 
 
 @experiment("opposed-pair-scaling")
-def _exp_opposed(cfg) -> ExperimentResult:
-    rho = cfg.get("rho") or 1.0
-    res = cfg.get("grid-res")
-    rows, dpts, rpts = [], [], []
-    for k in _ladder(cfg, 4, 10):
-        d = 2.0 ** -k
-        pair = build_opposed_pair(d, rho)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), d, 0.75, SampleSpec(mode="grid", resolution=res)
-        )
-        dpts.append((d, est.value))
-        rows.append(["delta", d, rho, est.value])
-    for j in (1, 2, 3, 4):
-        r = 2.0 ** -j
-        d = 2.0 ** -8
+def _exp_opposed(*, delta_exps=range(4, 11), rho=1.0, grid_res=None) -> ExperimentResult:
+    def lhs(d, r):
         pair = build_opposed_pair(d, r)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), d, 0.75, SampleSpec(mode="grid", resolution=res)
-        )
-        rpts.append((r, est.value))
-        rows.append(["rho", d, r, est.value])
-    slope_d, check_d = _slope_check(
-        "delta slope = 1.5 +- 0.1", dpts, lambda s: abs(s - 1.5) <= 0.1,
-        lambda s: f"slope {s:.4f}")
-    slope_r, check_r = _slope_check(
-        "rho slope = -0.5 +- 0.1", rpts, lambda s: abs(s + 0.5) <= 0.1,
-        lambda s: f"slope {s:.4f}")
+        spec = SampleSpec(mode="grid", resolution=grid_res)
+        return bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75, spec).value
+
+    rows, dpts, rpts = [], [], []
+    for k in delta_exps:
+        d = 2.0 ** -k
+        v = lhs(d, rho)
+        dpts.append((d, v))
+        rows.append(["delta", d, rho, v])
+    for j in (1, 2, 3, 4):
+        r, d = 2.0 ** -j, 2.0 ** -8
+        v = lhs(d, r)
+        rpts.append((r, v))
+        rows.append(["rho", d, r, v])
     extras = {}
-    if slope_d is not None:
-        extras["delta_slope"] = slope_d
-    if slope_r is not None:
-        extras["rho_slope"] = slope_r
-    return ExperimentResult(
-        ["sweep", "delta", "rho", "lhs"], rows, [check_d, check_r], extras
-    )
+    checks = [
+        _slope_check("delta slope = 1.5 +- 0.1", dpts, lambda s: abs(s - 1.5) <= 0.1,
+                     extras, "delta_slope"),
+        _slope_check("rho slope = -0.5 +- 0.1", rpts, lambda s: abs(s + 0.5) <= 0.1,
+                     extras, "rho_slope"),
+    ]
+    return ExperimentResult(["sweep", "delta", "rho", "lhs"], rows, checks, extras)
 
 
 @experiment("bipartite-ball-sharpness")
-def _exp_balls(cfg) -> ExperimentResult:
-    rho = cfg.get("rho") or 0.25
-    seed = cfg["seed"]
+def _exp_balls(*, delta_exps=range(5, 8), rho=0.25, seed) -> ExperimentResult:
     rows, norm_pts = [], []
     m_ok = True
-    for k in _ladder(cfg, 5, 7):
+    for k in delta_exps:
         d = 2.0 ** -k
         pair = build_bipartite_balls(d, rho)
         est = bilinear_curve_integral(
@@ -305,27 +345,20 @@ def _exp_balls(cfg) -> ExperimentResult:
         m_ok = m_ok and (m.min() >= scale / 8) and (m.max() <= scale * 8)
         rows.append([d, len(pair.F), len(pair.G), est.value, norm,
                      int(m.min()), float(np.median(m)), int(m.max())])
-    slope, slope_chk = _slope_check(
-        "normalized LHS flat (|slope| <= 0.2)", norm_pts,
-        lambda s: abs(s) <= 0.2, lambda s: f"slope {s:.4f}")
+    extras = {}
     checks = [
         ("pointwise multiplicity within 8x of (rho/delta)^2", m_ok, ""),
-        slope_chk,
+        _slope_check("normalized LHS flat (|slope| <= 0.2)", norm_pts,
+                     lambda s: abs(s) <= 0.2, extras, "normalized_slope"),
     ]
     return ExperimentResult(
-        ["delta", "n_f", "n_g", "lhs", "lhs_norm", "m_min", "m_med", "m_max"],
-        rows,
-        checks,
-        {} if slope is None else {"normalized_slope": slope},
+        ["delta", "n_f", "n_g", "lhs", "lhs_norm", "m_min", "m_med", "m_max"], rows, checks, extras
     )
 
 
 @experiment("clamshell-alpha")
-def _exp_clamshell(cfg) -> ExperimentResult:
-    exps = _ladder(cfg, 8, 8)
-    d = 2.0 ** -exps[0]
-    t = cfg["t"]
-    mu, nu, n = cfg["mu"], cfg["nu"], cfg["n"]
+def _exp_clamshell(*, delta_exps=range(8, 9), t, mu, nu, n, alpha=None) -> ExperimentResult:
+    d = 2.0 ** -_one_rung(delta_exps)
     F, G, R = build_clamshell(d, t, mu, nu, n)
     rich = [richness_of(r, F, G) for r in R]
     counts_ok = (
@@ -335,14 +368,14 @@ def _exp_clamshell(cfg) -> ExperimentResult:
     )
     rich_ok = all(x.mu == mu and x.nu == nu for x in rich)
     alphas = [0.2, 0.5]
-    if cfg.get("alpha") is not None and cfg["alpha"] not in alphas:
-        alphas.append(cfg["alpha"])
+    if alpha is not None and alpha not in alphas:
+        alphas.append(alpha)
     rows = []
     worst = {}
-    for alpha in alphas:
-        rep = quad_broadness(F, d, alpha)
-        worst[alpha] = rep.worst_ratio
-        rows.append([alpha, rep.worst_ratio, rep.witness])
+    for a in alphas:
+        rep = quad_broadness(F, d, a)
+        worst[a] = rep.worst_ratio
+        rows.append([a, rep.worst_ratio, rep.witness])
     checks = [
         ("exact counts #F, #G, #R", counts_ok, f"{len(F)}, {len(G)}, {len(R)}"),
         ("exact richness (mu, nu) at every subdivision", rich_ok, ""),
@@ -354,21 +387,16 @@ def _exp_clamshell(cfg) -> ExperimentResult:
     ]
     return ExperimentResult(
         ["alpha", "worst_ratio", "witness"],
-        rows,
-        checks,
-        {"n_f": len(F), "n_g": len(G), "n_r": len(R)},
+        rows, checks, {"n_f": len(F), "n_g": len(G), "n_r": len(R)},
     )
 
 
 @experiment("parabolic-net-p23")
-def _exp_net(cfg) -> ExperimentResult:
-    samples = cfg.get("samples") or 100_000
-    seed = cfg["seed"]
-    workers = cfg["workers"]
+def _exp_net(*, delta_exps=range(4, 7), samples=100_000, seed, workers) -> ExperimentResult:
     region = np.array([[-1.1, 1.1], [-1.1, 1.1], [-0.3, 0.3]])
     rows, pts_l = [], []
     m_lo, m_hi = math.inf, 0
-    for k in _ladder(cfg, 4, 6):
+    for k in delta_exps:
         d = 2.0 ** -k
         spec = parabolic_net_spec(d)
         est = bilinear_integral_from_multiplicity(
@@ -387,28 +415,22 @@ def _exp_net(cfg) -> ExperimentResult:
         pts_l.append((d, est.value))
         rows.append([d, net_family_size(spec), est.value, est.stderr,
                      int(min(m1.min(), m2.min())), int(max(m1.max(), m2.max()))])
-    slope, slope_chk = _slope_check(
-        "LHS(p=2/3) flat (|slope| <= 0.2)", pts_l,
-        lambda s: abs(s) <= 0.2, lambda s: f"slope {s:.4f}")
+    extras = {}
     checks = [
         ("multiplicity within [1, 8] on the unit ball", m_lo >= 1 and m_hi <= 8,
          f"range [{m_lo}, {m_hi}]"),
-        slope_chk,
+        _slope_check("LHS(p=2/3) flat (|slope| <= 0.2)", pts_l,
+                     lambda s: abs(s) <= 0.2, extras, "lhs_slope"),
     ]
     return ExperimentResult(
-        ["delta", "n_tubes", "lhs", "stderr", "m_min", "m_max"],
-        rows,
-        checks,
-        {} if slope is None else {"lhs_slope": slope},
+        ["delta", "n_tubes", "lhs", "stderr", "m_min", "m_max"], rows, checks, extras
     )
 
 
 @experiment("projection-containment")
-def _exp_projection(cfg) -> ExperimentResult:
-    samples = cfg.get("samples") or 100_000
-    seed = cfg["seed"]
+def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> ExperimentResult:
     rows, maxima = [], []
-    for k in _ladder(cfg, 4, 8):
+    for k in delta_exps:
         d = 2.0 ** -k
         rng = np.random.default_rng([seed, k])
         n_tubes = 20
@@ -422,30 +444,24 @@ def _exp_projection(cfg) -> ExperimentResult:
         maxima.append((d, worst))
         rows.append([d, worst])
     worst_all = max(r for _, r in maxima)
-    slope, slope_chk = _slope_check(
-        "no growth trend (|slope| <= 0.15)", maxima,
-        lambda s: abs(s) <= 0.15, lambda s: f"slope {s:.4f}")
+    extras = {}
     checks = [
         ("max vertical distance / delta^2 <= 8", worst_all <= 8.0, f"max {worst_all:.3f}"),
-        slope_chk,
+        _slope_check("no growth trend (|slope| <= 0.15)", maxima,
+                     lambda s: abs(s) <= 0.15, extras, "ratio_slope"),
     ]
-    return ExperimentResult(
-        ["delta", "max_ratio"], rows, checks,
-        {} if slope is None else {"ratio_slope": slope},
-    )
+    return ExperimentResult(["delta", "max_ratio"], rows, checks, extras)
 
 
 @experiment("fiber-length")
-def _exp_fiber(cfg) -> ExperimentResult:
-    seed = cfg["seed"]
-    n_pairs = cfg.get("samples") or 1000
+def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResult:
     rows = []
     worst_all = 0.0
-    for k in _ladder(cfg, 6, 6):
+    for k in delta_exps:
         d = 2.0 ** -k
         rng = np.random.default_rng([seed, k])
         worst, total = 0.0, 0.0
-        for i in range(n_pairs):
+        for i in range(samples):
             tube = _random_tube(rng, d, min_axis_sum=1 / math.sqrt(2))
             q = tube_points_sample(tube, 1, seed=seed * 1000 + i)[0]
             w = project_W_batch(q.reshape(1, 3))[0]
@@ -453,7 +469,7 @@ def _exp_fiber(cfg) -> ExperimentResult:
             worst = max(worst, length / d)
             total += length / d
         worst_all = max(worst_all, worst)
-        rows.append([d, n_pairs, worst, total / n_pairs])
+        rows.append([d, samples, worst, total / samples])
     checks = [("max fiber length / delta <= 8", worst_all <= 8.0, f"max {worst_all:.3f}")]
     return ExperimentResult(
         ["delta", "n_pairs", "max_ratio", "mean_ratio"], rows, checks, {}
@@ -461,17 +477,15 @@ def _exp_fiber(cfg) -> ExperimentResult:
 
 
 @experiment("lemma-rect-structure")
-def _exp_rect(cfg) -> ExperimentResult:
-    seed = cfg["seed"]
-    n_cases = cfg.get("samples") or 10_000
+def _exp_rect(*, delta_exps=range(6, 7), samples=10_000, seed) -> ExperimentResult:
     window = PLANAR_DOMAIN.shrink(4.0)
     rows = []
-    for k in _ladder(cfg, 6, 6):
+    for k in delta_exps:
         d = 2.0 ** -k
         rng = np.random.default_rng([seed, k])
         max_pieces = 0
         max_factor, min_factor = 0.0, math.inf
-        for _ in range(n_cases):
+        for _ in range(samples):
             f, g, theta0 = _near_contact_pair(rng, d)
             pieces = near_intersection_intervals(f, g, d, window)
             max_pieces = max(max_pieces, len(pieces))
@@ -481,7 +495,7 @@ def _exp_rect(cfg) -> ExperimentResult:
             home = [p for p in pieces if p.contains(theta0, slack=1e-12)]
             if home:
                 min_factor = min(min_factor, home[0].length / x)
-        rows.append([d, n_cases, max_pieces, max_factor, min_factor])
+        rows.append([d, samples, max_pieces, max_factor, min_factor])
     checks = [
         ("never more than 2 intervals", all(r[2] <= 2 for r in rows), ""),
         (
@@ -491,18 +505,13 @@ def _exp_rect(cfg) -> ExperimentResult:
         ),
     ]
     return ExperimentResult(
-        ["delta", "n_cases", "max_pieces", "max_len_factor", "min_len_factor"],
-        rows,
-        checks,
-        {},
+        ["delta", "n_cases", "max_pieces", "max_len_factor", "min_len_factor"], rows, checks, {}
     )
 
 
 @experiment("wolff-bound-check")
-def _exp_wolff(cfg) -> ExperimentResult:
-    seed = cfg["seed"]
+def _exp_wolff(*, rho=0.25, t, mu, nu, n, seed) -> ExperimentResult:
     d = 2.0 ** -5
-    rho = cfg.get("rho") or 0.25
     pair = build_bipartite_balls(d, rho)
     F, G = list(pair.F), list(pair.G)
     rng = np.random.default_rng([seed, 41])
@@ -516,8 +525,8 @@ def _exp_wolff(cfg) -> ExperimentResult:
         all_ok = all_ok and chk.ok
         rows.append([f"random-{i}", len(Fs), len(Gs), 1, 1, chk.count, chk.bound,
                      chk.ok, chk.bipartite_ok])
-    dc, tc, mu, nu, n = 2.0 ** -8, cfg["t"], cfg["mu"], cfg["nu"], cfg["n"]
-    Fc, Gc, _ = build_clamshell(dc, tc, mu, nu, n)
+    dc = 2.0 ** -8
+    Fc, Gc, _ = build_clamshell(dc, t, mu, nu, n)
     chk = wolff_bound_check(Fc, Gc, dc, 1.0, mu, nu)
     all_ok = all_ok and chk.ok
     rows.append(["clamshell", len(Fc), len(Gc), mu, nu, chk.count, chk.bound,
@@ -525,34 +534,31 @@ def _exp_wolff(cfg) -> ExperimentResult:
     checks = [("count <= 64 * bound on every instance", all_ok, "")]
     return ExperimentResult(
         ["instance", "n_f", "n_g", "mu", "nu", "count", "bound", "ok", "bipartite_ok"],
-        rows,
-        checks,
-        {},
+        rows, checks, {},
     )
 
 
 @experiment("broadness-scan")
-def _exp_broadness(cfg) -> ExperimentResult:
+def _exp_broadness(*, delta_exps=range(5, 9), t, mu, nu, n) -> ExperimentResult:
     rows = []
     bush_worst = fan_worst = 0.0
-    exps = _ladder(cfg, 5, 8)
-    for k in exps:
+    for k in delta_exps:
         d = 2.0 ** -k
         t1, _ = build_bush(d)
         rep = line_broadness(tube_cores(t1), d, 1.0)
         rows.append(["bush-lines", d, 1.0, rep.worst_ratio])
         bush_worst = max(bush_worst, rep.worst_ratio)
-    for k in exps[: max(1, len(exps) - 1)]:
+    for k in delta_exps[: max(1, len(delta_exps) - 1)]:
         d = 2.0 ** -k
         rep = line_broadness(fan_cores(d), d, 1.0)
         rows.append(["fan-lines", d, 1.0, rep.worst_ratio])
         fan_worst = max(fan_worst, rep.worst_ratio)
-    dc, tc = 2.0 ** -exps[-1], cfg["t"]
-    F, _, _ = build_clamshell(dc, tc, cfg["mu"], cfg["nu"], cfg["n"])
+    dc = 2.0 ** -delta_exps[-1]
+    F, _, _ = build_clamshell(dc, t, mu, nu, n)
     for alpha in (0.2, 0.5, 1.0):
         rep = quad_broadness(F, dc, alpha)
         rows.append(["clamshell-F", dc, alpha, rep.worst_ratio])
-    t1_top, _ = build_bush(2.0 ** -exps[-1])
+    t1_top, _ = build_bush(2.0 ** -delta_exps[-1])
     checks = [
         (
             "bush concentration is a large share of the family",
@@ -597,36 +603,38 @@ def _quad_file(pair):
     return [("", QUAD_COLUMNS, _quad_rows(pair.F) + _quad_rows(pair.G))]
 
 
-def _clamshell_files(d, cfg):
-    F, G, R = build_clamshell(d, cfg["t"], cfg["mu"], cfg["nu"], cfg["n"])
+def _clamshell_files(d, *, t, mu, nu, n):
+    F, G, R = build_clamshell(d, t, mu, nu, n)
     return [("", QUAD_COLUMNS, _quad_rows(F) + _quad_rows(G)),
             (".rects", RECT_COLUMNS, _rect_rows(R))]
 
 
-# generator name -> (delta, cfg) -> [(file suffix, columns, rows)]
+# generator name -> (delta, *, <options it reads>) -> [(file suffix, columns, rows)]
 GENERATORS = {
-    "bush": lambda d, cfg: _tube_file(*build_bush(d)),
-    "opposed-pair": lambda d, cfg: _quad_file(build_opposed_pair(d, cfg.get("rho") or 1.0)),
-    "bipartite-balls": lambda d, cfg: _quad_file(
-        build_bipartite_balls(d, cfg.get("rho") or 0.25)),
+    "bush": lambda d: _tube_file(*build_bush(d)),
+    "opposed-pair": lambda d, *, rho=1.0: _quad_file(build_opposed_pair(d, rho)),
+    "bipartite-balls": lambda d, *, rho=0.25: _quad_file(build_bipartite_balls(d, rho)),
     "clamshell": _clamshell_files,
-    "parabolic-net": lambda d, cfg: _tube_file(*net_tubes(parabolic_net_spec(d))),
+    "parabolic-net": lambda d: _tube_file(*net_tubes(parabolic_net_spec(d))),
 }
 
 
 def dump_family(generator: str, cfg: dict, out: str) -> list[str]:
     """Write the family as CSV; returns the list of files written.
 
-    Tube and quadratic parts share one file; the clamshell's rectangles go to
-    `<stem>.rects.csv` since their schema differs.  An unknown generator
-    raises KeyError.
+    `cfg` holds the options set, as for `coerce`; its ladder must have one
+    rung (default 8).  Tube and quadratic parts share one file; the
+    clamshell's rectangles go to `<stem>.rects.csv` since their schema
+    differs.  An unknown generator raises KeyError, an option it does not
+    read OptionError, and a longer ladder ValueError.
     """
     make = GENERATORS[generator]
-    exps = cfg.get("delta-exps")
-    k = parse_delta_exps(exps)[0] if isinstance(exps, str) else (exps or [8])[0]
+    cfg = coerce(cfg)
+    kwargs = bind_options(generator, make, cfg, DUMP_SHARED)
+    k = _one_rung(cfg.get("delta-exps") or [8])
     outp = Path(out)
     written = []
-    for suffix, columns, rows in make(2.0 ** -k, cfg):
+    for suffix, columns, rows in make(2.0 ** -k, **kwargs):
         path = outp.with_name(outp.stem + suffix + ".csv") if suffix else outp
         _write_csv(path, columns, rows)
         written.append(str(path))
@@ -665,7 +673,11 @@ def _write_csv(path: Path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(path: Path, experiment_name, cfg, result, walltime):
+def _check_line(name, passed, detail) -> str:
+    return f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" ({detail})" if detail else "")
+
+
+def _write_manifest(path: Path, experiment_name, params, result, walltime):
     lines = [
         f"experiment = {experiment_name}",
         f"heislab_version = {__version__}",
@@ -674,40 +686,43 @@ def _write_manifest(path: Path, experiment_name, cfg, result, walltime):
         f"timestamp = {datetime.now(timezone.utc).isoformat()}",
         f"walltime_seconds = {walltime:.3f}",
     ]
-    for key in sorted(cfg):
-        if cfg[key] is not None:
-            lines.append(f"param {key} = {_fmt(cfg[key])}")
+    # the options read, as config lines; a None default has no spelling
+    for arg in sorted(params):
+        value = params[arg]
+        if value is not None:
+            text = _ladder_text(value) if arg == "delta_exps" else _fmt(value)
+            lines.append(f"param {arg.replace('_', '-')} = {text}")
     for key in sorted(result.extras):
         lines.append(f"result {key} = {_fmt(result.extras[key])}")
-    for name, passed, detail in result.checks:
-        status = "PASS" if passed else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        lines.append(f"check [{status}] {name}{suffix}")
+    lines += [f"check {_check_line(*check)}" for check in result.checks]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_experiment(name: str, cfg: dict) -> int:
-    """Execute one named experiment; returns a process exit code."""
+    """Execute one named experiment with the options set in `cfg` (coerced);
+    returns a process exit code.  A set option that the experiment does not
+    read, other than RUN_OPTIONS, is a usage error: exit 2, no file written."""
     if name not in EXPERIMENTS:
         print(
             f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}",
             file=sys.stderr,
         )
         return 2
+    try:
+        params = bind_options(name, EXPERIMENTS[name], cfg, RUN_OPTIONS)
+    except OptionError as exc:
+        print(f"option error: {exc}", file=sys.stderr)
+        return 2
     out = cfg.get("out") or f"{name}.csv"
-    t0 = time.time()
-    result = EXPERIMENTS[name](cfg)
-    walltime = time.time() - t0
+    t0 = time.perf_counter()
+    result = EXPERIMENTS[name](**params)
+    walltime = time.perf_counter() - t0
     _write_csv(Path(out), result.columns, result.rows)
-    _write_manifest(Path(out + ".manifest"), name, cfg, result, walltime)
-    ok = True
-    for check_name, passed, detail in result.checks:
-        status = "PASS" if passed else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{status}] {check_name}{suffix}")
-        ok = ok and passed
+    _write_manifest(Path(out + ".manifest"), name, params, result, walltime)
+    for check in result.checks:
+        print(_check_line(*check))
     print(f"wrote {out} and {out}.manifest in {walltime:.1f}s")
-    return 0 if ok else 1
+    return 0 if all(passed for _, passed, _ in result.checks) else 1
 
 
 def _add_options(parser, names, required=()):
@@ -729,15 +744,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump = sub.add_parser("dump", help="dump a generated family as CSV")
     dump.add_argument("generator")
-    _add_options(dump, DUMP_OPTIONS, required=("out",))
+    dump_keys = {k for make in GENERATORS.values() for k in reads(make)} | set(DUMP_SHARED)
+    _add_options(dump, [k for k in OPTIONS if k in dump_keys], required=("out",))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    cfg = {key: default for key, (_, default, _) in OPTIONS.items()}
+    args = build_parser().parse_args(argv)
+    cfg = {}  # the options set, by config file or flag
     try:
         if getattr(args, "config", None):
             cfg.update(read_config(args.config))
@@ -749,29 +763,24 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"option error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "run":
-        try:
+    if args.command == "dump" and args.generator not in GENERATORS:
+        print(
+            f"unknown generator {args.generator!r}; available: {', '.join(GENERATORS)}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        if args.command == "run":
             return run_experiment(args.experiment, cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if args.command == "dump":
-        if args.generator not in GENERATORS:
-            print(
-                f"unknown generator {args.generator!r}; available: {', '.join(GENERATORS)}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            files = dump_family(args.generator, cfg, cfg["out"])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for f in files:
+        for f in dump_family(args.generator, cfg, cfg["out"]):
             print(f"wrote {f}")
         return 0
-    return 2
+    except OptionError as exc:
+        print(f"option error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

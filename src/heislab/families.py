@@ -64,14 +64,14 @@ def tube_cores(tubes: list[HTube]) -> list[tuple[HPoint, HDirection]]:
     return [(t.center, t.dir) for t in tubes]
 
 
-def fan_cores(delta: float, spacing: float | None = None) -> list[tuple[HPoint, HDirection]]:
+def fan_cores(delta: float) -> list[tuple[HPoint, HDirection]]:
     """Quarter-circle fan of lines through the origin, directions on a
-    spacing-separated net of the arc [pi/8, 3*pi/8] (default spacing delta^2).
+    delta^2-separated net of the arc [pi/8, 3*pi/8].
 
     The arc keeps a + b >= 1.3 for every direction, so all fan lines project
     to parabolas.
     """
-    step = spacing if spacing is not None else delta * delta
+    step = delta * delta
     n = int(math.floor((math.pi / 4) / step)) + 1
     origin = HPoint(0.0, 0.0, 0.0)
     return [

@@ -16,7 +16,6 @@ import numpy as np
 from .quadratics import (
     PLANAR_DOMAIN,
     CurviRect,
-    Interval,
     Quadratic,
     BipartitePair,
     coeff_array,
@@ -65,8 +64,12 @@ class TangencyScale:
             raise ValueError(f"need 0 < sigma <= t <= 1, got ({self.sigma}, {self.t})")
 
 
+# jet-window constant of every tangency count here, as in is_tangent_jet
+_C_JET = 4.0
+
+
 def _jet_tangent_mask(
-    coeffs: np.ndarray, center: Quadratic, theta: float, delta: float, t: float, c_jet: float
+    coeffs: np.ndarray, center: Quadratic, theta: float, delta: float, t: float
 ) -> np.ndarray:
     """Vectorized jet tangency of many curves against one rectangle."""
     da = coeffs[:, 0] - center.a
@@ -75,36 +78,32 @@ def _jet_tangent_mask(
     hv = (0.5 * da * theta + db) * theta + dc
     hd = da * theta + db
     return (
-        (np.abs(hv) <= c_jet * delta)
-        & (np.abs(hd) <= c_jet * math.sqrt(delta * t))
-        & (np.abs(da) <= c_jet * t)
+        (np.abs(hv) <= _C_JET * delta)
+        & (np.abs(hd) <= _C_JET * math.sqrt(delta * t))
+        & (np.abs(da) <= _C_JET * t)
     )
 
 
-def richness_of(
-    rect: CurviRect,
-    F: list[Quadratic],
-    G: list[Quadratic],
-    c_jet: float = 4.0,
-) -> Richness:
+def richness_of(rect: CurviRect, F: list[Quadratic], G: list[Quadratic]) -> Richness:
     """Counts of jet-tangent curves from each family."""
     delta = rect.thickness
     t = rect_t_scale(rect)
     theta = rect.base.mid
     mu = nu = 0
     if F:
-        mu = int(_jet_tangent_mask(coeff_array(F), rect.center, theta, delta, t, c_jet).sum())
+        mu = int(_jet_tangent_mask(coeff_array(F), rect.center, theta, delta, t).sum())
     if G:
-        nu = int(_jet_tangent_mask(coeff_array(G), rect.center, theta, delta, t, c_jet).sum())
+        nu = int(_jet_tangent_mask(coeff_array(G), rect.center, theta, delta, t).sum())
     return Richness(mu, nu)
 
 
-def _anchor_grid(domain: Interval, length: float) -> np.ndarray:
-    """Base midpoints spaced at half the base length, rectangles kept inside."""
-    lo = domain.lo + 0.5 * length
-    hi = domain.hi - 0.5 * length
+def _anchor_grid(length: float) -> np.ndarray:
+    """Base midpoints spaced at half the base length, rectangles kept inside
+    the planar domain."""
+    lo = PLANAR_DOMAIN.lo + 0.5 * length
+    hi = PLANAR_DOMAIN.hi - 0.5 * length
     if hi < lo:
-        return np.array([domain.mid])
+        return np.array([PLANAR_DOMAIN.mid])
     n = int(math.floor((hi - lo) / (0.5 * length))) + 1
     return lo + 0.5 * length * np.arange(n)
 
@@ -116,9 +115,6 @@ def max_incomparable_rich(
     t: float,
     mu: int,
     nu: int,
-    domain: Interval = PLANAR_DOMAIN,
-    c_jet: float = 4.0,
-    c_cmp: float = 10.0,
 ) -> list[CurviRect]:
     """Greedy family of pairwise incomparable (mu, nu)-rich (delta, t)-rectangles.
 
@@ -133,7 +129,7 @@ def max_incomparable_rich(
     if not F:
         return []
     length = math.sqrt(delta / t)
-    mids = _anchor_grid(domain, length)
+    mids = _anchor_grid(length)
     fc = coeff_array(F)
     gc = coeff_array(G) if G else np.zeros((0, 3))
     root_dt = math.sqrt(delta * t)
@@ -148,16 +144,16 @@ def max_incomparable_rich(
     chosen: list[CurviRect] = []
     for i in range(len(F)):
         mu_mask = (
-            (np.abs(fvals - fvals[i]) <= c_jet * delta)
-            & (np.abs(fders - fders[i]) <= c_jet * root_dt)
-            & (np.abs(fc[:, 0:1] - fc[i, 0]) <= c_jet * t)
+            (np.abs(fvals - fvals[i]) <= _C_JET * delta)
+            & (np.abs(fders - fders[i]) <= _C_JET * root_dt)
+            & (np.abs(fc[:, 0:1] - fc[i, 0]) <= _C_JET * t)
         )
         mu_counts = mu_mask.sum(axis=0)
         if len(gc):
             nu_mask = (
-                (np.abs(gvals - fvals[i]) <= c_jet * delta)
-                & (np.abs(gders - fders[i]) <= c_jet * root_dt)
-                & (np.abs(gc[:, 0:1] - fc[i, 0]) <= c_jet * t)
+                (np.abs(gvals - fvals[i]) <= _C_JET * delta)
+                & (np.abs(gders - fders[i]) <= _C_JET * root_dt)
+                & (np.abs(gc[:, 0:1] - fc[i, 0]) <= _C_JET * t)
             )
             nu_counts = nu_mask.sum(axis=0)
         else:
@@ -165,7 +161,7 @@ def max_incomparable_rich(
         good = np.nonzero((mu_counts >= mu) & (nu_counts >= nu))[0]
         for m in good:
             cand = dt_rectangle(F[i], float(mids[m]), delta, t)
-            if all(not comparable(cand, r, c_cmp) for r in chosen):
+            if all(not comparable(cand, r) for r in chosen):
                 chosen.append(cand)
     return chosen
 
@@ -186,26 +182,24 @@ def wolff_bound_check(
     t: float,
     mu: int,
     nu: int,
-    eps: float = 0.1,
     k_eps: float = 64.0,
-    domain: Interval = PLANAR_DOMAIN,
 ) -> WolffCheck:
     """Check the incidence bound for pairwise incomparable rich rectangles.
 
     count comes from the greedy construction; the bound is
-    (#F #G)^eps * [ (#F #G / (mu nu))^(3/4) + #F/mu + #G/nu ] scaled by the
-    calibration constant k_eps.  The t-bipartite hypothesis is validated and
-    a failure is reported in the result (the count and bound are still
-    computed; the bound is only guaranteed under the hypothesis).
+    (#F #G)^eps * [ (#F #G / (mu nu))^(3/4) + #F/mu + #G/nu ] with eps = 0.1,
+    scaled by the calibration constant k_eps.  The t-bipartite hypothesis is
+    validated and a failure is reported in the result (the count and bound
+    are still computed; the bound is only guaranteed under the hypothesis).
     """
     if not F or not G:
         raise ValueError("both families must be nonempty")
     if mu < 1 or nu < 1:
         raise ValueError("richness thresholds must be positive integers")
-    report = validate_bipartite(BipartitePair(tuple(F), tuple(G), t), domain)
-    count = len(max_incomparable_rich(F, G, delta, t, mu, nu, domain))
+    report = validate_bipartite(BipartitePair(tuple(F), tuple(G), t))
+    count = len(max_incomparable_rich(F, G, delta, t, mu, nu))
     nf, ng = len(F), len(G)
-    bound = (nf * ng) ** eps * ((nf * ng / (mu * nu)) ** 0.75 + nf / mu + ng / nu)
+    bound = (nf * ng) ** 0.1 * ((nf * ng / (mu * nu)) ** 0.75 + nf / mu + ng / nu)
     return WolffCheck(
         count=count,
         bound=bound,
@@ -220,8 +214,6 @@ def quad_broadness(
     delta: float,
     alpha: float,
     probes: ProbeSpec | None = None,
-    domain: Interval = PLANAR_DOMAIN,
-    c_jet: float = 4.0,
 ) -> BroadnessReport:
     """Worst rectangle-concentration ratio of a quadratic family.
 
@@ -241,7 +233,7 @@ def quad_broadness(
     for sigma in _dyadic_down(1.0, delta):
         for t in _dyadic_down(1.0, sigma):
             length = math.sqrt(sigma / t)
-            mids = _anchor_grid(domain, length)
+            mids = _anchor_grid(length)
             if len(mids) > probes.max_anchor_midpoints:
                 step = len(mids) / probes.max_anchor_midpoints
                 mids = mids[(np.arange(probes.max_anchor_midpoints) * step).astype(int)]
@@ -263,9 +255,9 @@ def quad_broadness(
                 for i in anchor_rows:
                     count = int(
                         (
-                            (np.abs(v - v[i]) <= c_jet * sigma)
-                            & (np.abs(d - d[i]) <= c_jet * root_st)
-                            & (np.abs(qc[:, 0] - qc[i, 0]) <= c_jet * t)
+                            (np.abs(v - v[i]) <= _C_JET * sigma)
+                            & (np.abs(d - d[i]) <= _C_JET * root_st)
+                            & (np.abs(qc[:, 0] - qc[i, 0]) <= _C_JET * t)
                         ).sum()
                     )
                     ratio = count / (1.0 + (t ** alpha) * n)
@@ -278,13 +270,7 @@ def quad_broadness(
     return BroadnessReport(alpha, worst, witness)
 
 
-def classify_broad_narrow(
-    S: CurviRect,
-    G: list[Quadratic],
-    K: float,
-    domain: Interval = PLANAR_DOMAIN,
-    c_jet: float = 4.0,
-) -> tuple[bool, int, int]:
+def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[bool, int, int]:
     """Classify a (sigma, t)-rectangle by the transversality of its tangent pairs.
 
     Counts ordered pairs (g1, g2) of tangent curves with
@@ -297,7 +283,7 @@ def classify_broad_narrow(
     t = rect_t_scale(S)
     tangent: list[Quadratic] = []
     if G:
-        mask = _jet_tangent_mask(coeff_array(G), S.center, S.base.mid, sigma, t, c_jet)
+        mask = _jet_tangent_mask(coeff_array(G), S.center, S.base.mid, sigma, t)
         tangent = [g for g, m in zip(G, mask) if m]
     n = len(tangent)
     total = n * n
@@ -309,7 +295,7 @@ def classify_broad_narrow(
         for j in range(n):
             if i == j:
                 continue
-            dv = delta_gauge(tangent[i], tangent[j], domain)
+            dv = delta_gauge(tangent[i], tangent[j])
             if lo <= dv <= hi:
                 transverse += 1
     return (transverse >= total / 2.0, transverse, total)

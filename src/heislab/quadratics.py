@@ -149,18 +149,20 @@ def _quadratic_roots(da: float, db: float, dc: float) -> list[float]:
     return roots
 
 
-def _jet_candidates(h: Quadratic, domain: Interval) -> list[float]:
+def _jet_candidates(h: Quadratic) -> list[float]:
     """Candidate arguments where |h| + |h'| (+ const) can attain sup or inf.
 
-    These are the domain endpoints, the sign changes of h and h', and the
-    interior critical points of the four smooth pieces +-h +- h' (each piece
-    is a quadratic whose derivative +-h' +- h'' vanishes at a single s).
+    These are the endpoints of the planar domain, the sign changes of h and
+    h', and the interior critical points of the four smooth pieces +-h +- h'
+    (each piece is a quadratic whose derivative +-h' +- h'' vanishes at a
+    single s).
     """
-    cands = [domain.lo, domain.hi]
+    lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
+    cands = [lo, hi]
     da, db, dc = h.a, h.b, h.c
 
     def add(s):
-        if domain.lo <= s <= domain.hi:
+        if lo <= s <= hi:
             cands.append(s)
 
     for r in _quadratic_roots(da, db, dc):
@@ -172,23 +174,23 @@ def _jet_candidates(h: Quadratic, domain: Interval) -> list[float]:
     return cands
 
 
-def tau(f: Quadratic, g: Quadratic, domain: Interval = PLANAR_DOMAIN) -> float:
-    """sup over the domain of |h| + |h'| + |h''| for h = f - g."""
+def tau(f: Quadratic, g: Quadratic) -> float:
+    """sup over the planar domain of |h| + |h'| + |h''| for h = f - g."""
     h = f.sub(g)
     best = 0.0
-    for s in _jet_candidates(h, domain):
+    for s in _jet_candidates(h):
         v = abs(h(s)) + abs(h.deriv(s))
         if v > best:
             best = v
     return best + abs(h.a)
 
 
-def delta_gauge(f: Quadratic, g: Quadratic, domain: Interval = PLANAR_DOMAIN) -> float:
-    """inf over the domain of |h| + |h'| for h = f - g; 0 iff graphs share a
-    point with a common tangent line (inside the domain)."""
+def delta_gauge(f: Quadratic, g: Quadratic) -> float:
+    """inf over the planar domain of |h| + |h'| for h = f - g; 0 iff graphs
+    share a point with a common tangent line (inside the domain)."""
     h = f.sub(g)
     best = math.inf
-    for s in _jet_candidates(h, domain):
+    for s in _jet_candidates(h):
         v = abs(h(s)) + abs(h.deriv(s))
         if v < best:
             best = v
@@ -356,14 +358,10 @@ def _pair_sample(n1: int, n2: int, max_pairs: int, seed: int):
     yield from zip(ii.tolist(), jj.tolist())
 
 
-def validate_bipartite(
-    pair: BipartitePair,
-    domain: Interval = PLANAR_DOMAIN,
-    separation: float | None = None,
-    max_pairs: int = 200_000,
-    seed: int = 0,
-) -> BipartiteReport:
-    """Check the bipartite window, exhaustively when small, sampled when large.
+def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> BipartiteReport:
+    """Check the bipartite window, exhaustively when small, sampled when large:
+    up to 200,000 cross pairs and 100,000 pairs per family are all checked,
+    beyond that a seeded sample of as many.
 
     If `separation` is given, also checks that each family is that separated
     in tau (on the same pair sample).
@@ -374,16 +372,16 @@ def validate_bipartite(
     checked = 0
     for fam in (F, G):
         n = len(fam)
-        for i, j in _pair_sample(n, n, max_pairs // 2, seed):
+        for i, j in _pair_sample(n, n, 100_000, 0):
             if i >= j:
                 continue
-            tv = tau(fam[i], fam[j], domain)
+            tv = tau(fam[i], fam[j])
             within_max = max(within_max, tv)
             sep_min = min(sep_min, tv)
             checked += 1
     cross_min, cross_max = math.inf, 0.0
-    for i, j in _pair_sample(len(F), len(G), max_pairs, seed + 1):
-        tv = tau(F[i], G[j], domain)
+    for i, j in _pair_sample(len(F), len(G), 200_000, 1):
+        tv = tau(F[i], G[j])
         cross_min = min(cross_min, tv)
         cross_max = max(cross_max, tv)
         checked += 1

@@ -82,13 +82,11 @@ class ProbeSpec:
 
     Scales run over dyadic values; ball centers are drawn from core midpoints
     (capped at max_centers, evenly subsampled); arcs are centered on the
-    directions present in the family at dyadic half-lengths down to
-    min_arc_half (default: the smallest relevant separation, delta^2).
+    directions present in the family at dyadic half-lengths down to the
+    smallest relevant separation, delta^2.
     """
 
     max_centers: int = 64
-    min_arc_half: float | None = None
-    ball_constant: float = 4.0
     max_anchor_midpoints: int = 512
 
 
@@ -255,9 +253,8 @@ def line_broadness(
             p.as_tuple(), e.a, e.b, centers, tol=delta * 1e-3
         )
 
-    min_half = probes.min_arc_half if probes.min_arc_half is not None else delta * delta
-    halves = _dyadic_down(math.pi, min(min_half, math.pi))
-    c_ball = probes.ball_constant
+    halves = _dyadic_down(math.pi, min(delta * delta, math.pi))
+    c_ball = 4.0  # C in B(z, C*sigma)
 
     worst = 0.0
     witness = "no probe exceeded zero"

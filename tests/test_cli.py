@@ -10,12 +10,17 @@ import pytest
 from heislab.cli import (
     EXPERIMENTS,
     GENERATORS,
+    OPTIONS,
+    RUN_OPTIONS,
+    OptionError,
+    bind_options,
     coerce,
     dump_family,
     load_family,
     main,
     parse_delta_exps,
     read_config,
+    reads,
 )
 from heislab.families import build_bush, build_clamshell
 
@@ -231,3 +236,216 @@ def test_batch_script_quick_table_names_registered_experiments():
     assert script.EXPERIMENTS is EXPERIMENTS
     assert set(script.QUICK_ARGS) <= set(EXPERIMENTS)
     assert all(script.QUICK_ARGS.values())
+
+
+# --- every option has a reader ---------------------------------------------
+
+# a valid value for every option that is not a run option
+OPTION_VALUES = {
+    "delta-exps": "5",
+    "rho": "0.5",
+    "alpha": "0.3",
+    "mu": "4",
+    "nu": "2",
+    "n": "16",
+    "t": "0.25",
+    "samples": "10",
+    "grid-res": "0.01",
+}
+
+UNREAD_RUN_PAIRS = [
+    (name, key)
+    for name, fn in EXPERIMENTS.items()
+    for key in OPTION_VALUES
+    if key not in reads(fn)
+]
+
+UNREAD_DUMP_PAIRS = [
+    (gen, key)
+    for gen, make in GENERATORS.items()
+    for key in ("rho", "mu", "nu", "n", "t")
+    if key not in reads(make)
+]
+
+
+def _load_script(path):
+    # registered first: a dataclass module must be importable while it runs
+    spec = importlib.util.spec_from_file_location(f"_heislab_test_{path.stem}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_option_has_a_reader():
+    read = {key for fn in EXPERIMENTS.values() for key in reads(fn)}
+    assert read <= set(OPTIONS)
+    assert read | set(RUN_OPTIONS) == set(OPTIONS)
+
+
+@pytest.mark.parametrize("name,key", UNREAD_RUN_PAIRS)
+def test_run_rejects_unread_option(tmp_path, capsys, name, key):
+    out = tmp_path / "x.csv"
+    assert main(["run", name, f"--{key}", OPTION_VALUES[key], "--out", str(out)]) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_unread_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "w.cfg"
+    cfg_path.write_text("samples = 5\nseed = 2\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "wolff-bound-check", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "--seed" not in err.split(";")[0]
+    assert not out.exists()
+
+
+def test_wolff_repro_names_every_unread_flag(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["run", "wolff-bound-check", "--delta-exps", "9", "--samples", "5",
+            "--alpha", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for flag in ("--delta-exps", "--samples", "--alpha"):
+        assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_run_options_accepted_by_every_experiment(name):
+    fn = EXPERIMENTS[name]
+    kwargs = bind_options(name, fn, {"seed": 4, "workers": 2, "out": "x.csv"}, RUN_OPTIONS)
+    assert sorted(kwargs) == sorted(k.replace("-", "_") for k in reads(fn))
+
+
+@pytest.mark.parametrize("gen,key", UNREAD_DUMP_PAIRS)
+def test_dump_rejects_unread_option(tmp_path, capsys, gen, key):
+    out = tmp_path / "x.csv"
+    assert main(["dump", gen, f"--{key}", OPTION_VALUES[key], "--out", str(out)]) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_bush_rho_exits_2(tmp_path):
+    proc = run_cli("dump", "bush", "--rho", "0.5", "--out", str(tmp_path / "b.csv"))
+    assert proc.returncode == 2
+    assert "--rho" in proc.stderr
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_dump_family_rejects_unread_option(tmp_path):
+    with pytest.raises(OptionError, match="--rho"):
+        dump_family("bush", {"delta-exps": "8", "rho": 0.5}, str(tmp_path / "b.csv"))
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_descending_ladder_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["run", "fiber-length", "--delta-exps", "8..4", "--out", str(out)]) == 2
+    assert "descending" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- ladder range and one-delta consumers ----------------------------------
+
+
+@pytest.mark.parametrize("text", ["0", "0..5", "-2", "-3..4"])
+def test_parse_delta_exps_rejects_exponents_below_one(text):
+    with pytest.raises(ValueError, match=">= 1"):
+        parse_delta_exps(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "opposed-pair-scaling", "--delta-exps", "0..5"],
+        ["run", "fiber-length", "--delta-exps", "-2"],
+        ["dump", "bush", "--delta-exps", "0"],
+    ],
+)
+def test_ladder_below_one_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "delta-exps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coerce_parses_ladders():
+    assert coerce({"delta-exps": "4..6"}) == {"delta-exps": [4, 5, 6]}
+    assert coerce({"delta-exps": [7]}) == {"delta-exps": [7]}
+    with pytest.raises(ValueError, match="descending"):
+        coerce({"delta-exps": "6..4"})
+
+
+def test_clamshell_alpha_rejects_a_multi_rung_ladder(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["run", "clamshell-alpha", "--delta-exps", "6..8", "--out", str(out)]) == 1
+    assert "6..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_rejects_a_multi_rung_ladder(tmp_path):
+    out = tmp_path / "b.csv"
+    with pytest.raises(ValueError, match="4..8"):
+        dump_family("bush", {"delta-exps": "4..8"}, str(out))
+    proc = run_cli("dump", "bush", "--delta-exps", "4..8", "--out", str(out))
+    assert proc.returncode == 1
+    assert "4..8" in proc.stderr
+    assert not out.exists()
+
+
+# --- honest manifest --------------------------------------------------------
+
+
+def _params(manifest: Path) -> dict:
+    lines = manifest.read_text().splitlines()
+    return dict(line[len("param "):].split(" = ", 1) for line in lines if line.startswith("param "))
+
+
+@pytest.mark.parametrize(
+    "name,flags,expected",
+    [
+        ("opposed-pair-scaling", ["--delta-exps", "4..6", "--seed", "3", "--workers", "2"],
+         {"delta-exps": "4..6", "rho": "1.0"}),
+        ("fiber-length", ["--samples", "20", "--seed", "3"],
+         {"delta-exps": "6", "samples": "20", "seed": "3"}),
+        ("clamshell-alpha", ["--delta-exps", "6", "--t", "0.25", "--n", "32", "--alpha", "0.7"],
+         {"delta-exps": "6", "t": "0.25", "mu": "16", "nu": "4", "n": "32", "alpha": "0.7"}),
+        ("wolff-bound-check", ["--n", "16"],
+         {"rho": "0.25", "t": "0.0625", "mu": "16", "nu": "4", "n": "16", "seed": "0"}),
+    ],
+)
+def test_manifest_params_reproduce_the_csv(tmp_path, name, flags, expected):
+    first = tmp_path / "first.csv"
+    assert main(["run", name, *flags, "--out", str(first)]) == 0
+    params = _params(tmp_path / "first.csv.manifest")
+    assert params == expected
+    assert set(params) <= set(reads(EXPERIMENTS[name]))
+
+    cfg_path = tmp_path / "params.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+    again = tmp_path / "again.csv"
+    assert main(["run", name, "--config", str(cfg_path), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert _params(tmp_path / "again.csv.manifest") == params
+
+
+# --- callers pass only options that are read -------------------------------
+
+
+def test_batch_script_quick_flags_are_read():
+    root = Path(__file__).resolve().parents[1]
+    script = _load_script(root / "scripts" / "run_all_experiments.py")
+    for name, args in script.QUICK_ARGS.items():
+        keys = [a[2:] for a in args if a.startswith("--")]
+        assert set(keys) <= set(reads(EXPERIMENTS[name])), name
+
+
+def test_benchmark_workload_flags_are_read():
+    root = Path(__file__).resolve().parents[1]
+    workloads = _load_script(root / "perfbench" / "workloads.py")
+    for workload in workloads.WORKLOADS.values():
+        for name, args in workload.experiments:
+            keys = [a[2:] for a in args if a.startswith("--")]
+            assert set(keys) <= set(reads(EXPERIMENTS[name])), name
