@@ -57,59 +57,45 @@ def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndar
 
 
 def core_distance_elementwise(
-    centers: np.ndarray,
-    dir_a: float,
-    dir_b: float,
-    pts: np.ndarray,
-    tol: float = 1e-9,
+    centers: np.ndarray, dir_a: float, dir_b: float, pts: np.ndarray
 ) -> np.ndarray:
-    """Gauge distance from each point to the unit core segment of a tube.
+    """Exact gauge distance from each point to the unit core segment of a tube.
 
     The core is {center * (s*e) : s in [-1/2, 1/2]}; `centers` is one center
-    or one per point (broadcastable against the (n, 3) point array).  For a
-    fixed point the fourth power of the distance to the core point at
-    parameter s is an explicit quartic in s, so the 1-D minimization
-    evaluates that quartic on 64 uniform values of s and refines the best
-    bracket by ternary search down to an s-width of `tol`.
+    or one per point (broadcastable against the (n, 3) point array).
+
+    With u = center^{-1} * p, beta = a*u0 + b*u1, gamma = b*u0 - a*u1,
+    w = u2 + gamma*beta/2 and x = s - beta, a unit direction gives
+    beta^2 + gamma^2 = u0^2 + u1^2, so the fourth power of the distance to
+    the core point at s is the quartic
+
+        q(x) = (x^2 + gamma^2)^2 + (4*w + 2*gamma*x)^2,
+        q'(x) = 4*(x^3 + 3*gamma^2*x + 4*gamma*w).
+
+    The cubic has p = 3*gamma^2 >= 0, hence exactly one real root x*: q falls
+    and then rises, and its minimum over the segment is at
+    s* = clip(beta + x*, -1/2, 1/2).  Cardano's formula in the form that
+    avoids cancellation gives x* = T - gamma^2/T with
+    T = cbrt(-2*gamma*w - copysign(sqrt(4*gamma^2*w^2 + gamma^6), gamma*w));
+    T = 0 only when gamma = 0, and then x* = 0.  The quartic is evaluated in
+    these centred coordinates, where no expanded coefficient cancels.  Every
+    step is elementwise, so a point's distance does not depend on its batch.
     """
     pts = finite_points(pts)
     u = mul(inv(np.asarray(centers, dtype=np.float64)), pts)  # center^{-1} * p
     u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
 
-    # ||(-s*e) * u||^4 = (s^2 - 2*beta*s + r2)^2 + 16*(u2 + gamma*s/2)^2
     beta = dir_a * u0 + dir_b * u1
     gamma = dir_b * u0 - dir_a * u1
-    r2 = u0 * u0 + u1 * u1
-    c3 = -4.0 * beta
-    c2 = 4.0 * beta * beta + 2.0 * r2 + 4.0 * gamma * gamma
-    c1 = -4.0 * beta * r2 + 16.0 * u2 * gamma
-    c0 = r2 * r2 + 16.0 * u2 * u2
-
-    def quartic(s):
-        return (((s + c3) * s + c2) * s + c1) * s + c0
-
-    grid = np.linspace(-0.5, 0.5, 64)
-    best_val = np.full(pts.shape[0], np.inf)
-    best_idx = np.zeros(pts.shape[0], dtype=np.int64)
-    for i, s in enumerate(grid):
-        v = quartic(s)
-        better = v < best_val
-        best_val = np.where(better, v, best_val)
-        best_idx = np.where(better, i, best_idx)
-
-    step = grid[1] - grid[0]
-    lo = np.maximum(grid[best_idx] - step, -0.5)
-    hi = np.minimum(grid[best_idx] + step, 0.5)
-    while np.max(hi - lo) > tol:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        right_smaller = quartic(m2) < quartic(m1)
-        lo = np.where(right_smaller, m1, lo)
-        hi = np.where(right_smaller, hi, m2)
-
-    val = np.minimum(best_val, quartic(0.5 * (lo + hi)))
-    return np.maximum(val, 0.0) ** 0.25
+    w = u2 + 0.5 * gamma * beta
+    g2 = gamma * gamma
+    gw = gamma * w
+    t = np.cbrt(-2.0 * gw - np.copysign(np.sqrt(4.0 * gw * gw + g2 * g2 * g2), gw))
+    root = t - np.divide(g2, t, out=np.zeros_like(t), where=t != 0.0)
+    x = np.clip(beta + root, -0.5, 0.5) - beta
+    h = x * x + g2
+    v = 4.0 * w + 2.0 * gamma * x
+    return (h * h + v * v) ** 0.25
 
 
 def core_points(center: HPoint, dir_a: float, dir_b: float, s: np.ndarray) -> np.ndarray:

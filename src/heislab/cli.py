@@ -89,9 +89,13 @@ class ExperimentResult:
 def parse_delta_exps(text: str) -> list[int]:
     """'A..B' -> [A, A+1, ..., B] (dyadic exponents, delta = 2^-k), 1 <= A <= B."""
     parts = text.split("..")
+    bad = f"bad delta-exps {text!r}, want A..B"
     if len(parts) > 2:
-        raise ValueError(f"bad delta-exps {text!r}, want A..B")
-    a, b = int(parts[0]), int(parts[-1])
+        raise ValueError(bad)
+    try:
+        a, b = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(bad) from None
     if b < a:
         raise ValueError(f"bad delta-exps {text!r}: descending range")
     if a < 1:
@@ -203,7 +207,11 @@ def coerce(cfg: dict) -> dict:
         if kind is parse_delta_exps:
             out[k] = parse_delta_exps(v) if isinstance(v, str) else v
             continue
-        v = out[k] = kind(v)
+        try:
+            v = out[k] = kind(v)
+        except ValueError:
+            want = "an integer" if kind is int else "a number"
+            raise ValueError(f"{k} must be {want}, got {v!r}") from None
         in_range = v >= 0 if k == "seed" else v > 0
         if not (math.isfinite(v) and in_range):
             bound = "nonnegative" if k == "seed" else "positive"

@@ -315,9 +315,7 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
                 centers = np.stack(
                     [np.full_like(yi, x0), yi, tk], axis=1
                 )
-                dist = _bulk.core_distance_elementwise(
-                    centers[ok], 1.0, 0.0, pts[ok], tol=d * 1e-3
-                )
+                dist = _bulk.core_distance_elementwise(centers[ok], 1.0, 0.0, pts[ok])
                 hits = dist <= d
                 idx = np.nonzero(ok)[0][hits]
                 mult[idx] += 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _bulk
 from .quadratics import Quadratic, coeff_array
-from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box
+from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box, tube_contains_batch
 
 __all__ = [
     "SampleSpec",
@@ -51,7 +51,7 @@ class SampleSpec:
         if self.mode == "grid" and self.resolution is not None and self.resolution <= 0:
             raise ValueError("grid resolution must be positive")
         if self.mode == "monte_carlo" and self.samples is not None and self.samples <= 0:
-            raise ValueError("sample count must be positive")
+            raise ValueError(f"sample count must be positive, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -111,33 +111,12 @@ def rhs_bilinear(
 # multiplicity kernels
 
 
-def _seg_dist2d(tube: HTube, pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance from the xy-shadow of each point to the xy-shadow of
-    the core segment; a lower bound for the gauge distance to the core."""
-    ends = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
-    a2, b2 = ends[0, :2], ends[1, :2]
-    d = b2 - a2
-    denom = float(d @ d)
-    rel = pts[:, :2] - a2
-    s = np.clip((rel @ d) / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(pts))
-    closest = a2 + s[:, None] * d
-    return np.hypot(pts[:, 0] - closest[:, 0], pts[:, 1] - closest[:, 1])
-
-
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
     """Number of tubes containing each point (exact membership test)."""
     pts = _bulk.finite_points(pts)
     m = np.zeros(pts.shape[0], dtype=np.int64)
     for tube in tubes:
-        near = _seg_dist2d(tube, pts) <= tube.delta
-        if not near.any():
-            continue
-        sub = pts[near]
-        dist = _bulk.core_distance_elementwise(
-            tube.center.as_tuple(), tube.dir.a, tube.dir.b, sub, tol=tube.delta * 1e-3
-        )
-        idx = np.nonzero(near)[0][dist <= tube.delta]
-        m[idx] += 1
+        m += tube_contains_batch(tube, pts)
     return m
 
 

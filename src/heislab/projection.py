@@ -167,5 +167,5 @@ def fiber_length(tube: HTube, w: PlanePoint, resolution: float) -> float:
     pts[:, 0] = X + s
     pts[:, 1] = X - s
     pts[:, 2] = w.height - X * s
-    d = _bulk.core_distance_elementwise(c.as_tuple(), a, b, pts, tol=tube.delta * 1e-3)
+    d = _bulk.core_distance_elementwise(c.as_tuple(), a, b, pts)
     return float(np.count_nonzero(d <= tube.delta)) * resolution

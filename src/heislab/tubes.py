@@ -2,9 +2,9 @@
 and the direction-broadness gauge for families of horizontal line segments.
 
 A tube T_e^delta(x) is the gauge delta-neighbourhood of the unit core
-segment {x * (s*e) : s in [-1/2, 1/2]}.  Membership reduces to a 1-D
-minimization of the (quartic) distance-to-core profile, seeded on a uniform
-grid and refined by ternary search; a dense-scan oracle guards this in the
+segment {x * (s*e) : s in [-1/2, 1/2]}.  Membership reduces to the minimum
+of the quartic distance-to-core profile, which `_bulk` computes exactly from
+the one real root of its derivative; a dense-scan oracle guards this in the
 tests.
 """
 
@@ -113,7 +113,7 @@ class MCEstimate:
 def core_distance(tube: HTube, p: HPoint) -> float:
     """Min over s in [-1/2, 1/2] of the gauge distance from p to the core."""
     d = _bulk.core_distance_elementwise(
-        tube.center.as_tuple(), tube.dir.a, tube.dir.b, p.as_tuple(), tol=tube.delta * 1e-3
+        tube.center.as_tuple(), tube.dir.a, tube.dir.b, p.as_tuple()
     )
     return float(d[0])
 
@@ -124,9 +124,7 @@ def tube_contains(tube: HTube, p: HPoint) -> bool:
 
 def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, 3) array of points."""
-    d = _bulk.core_distance_elementwise(
-        tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts, tol=tube.delta * 1e-3
-    )
+    d = _bulk.core_distance_elementwise(tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts)
     return d <= tube.delta
 
 
@@ -161,35 +159,23 @@ def tube_intersection_volume(
 ) -> MCEstimate:
     """Monte Carlo Lebesgue volume of t1 and t2's intersection.
 
-    Samples uniformly in the intersection of the two bounding boxes (the
-    support of the indicator product), in fixed-size shards with
-    shard-indexed substreams, so the result depends only on the seed.
+    Integrates the product of the two indicators over the intersection of
+    the two bounding boxes (its support) with the sharded sampling engine of
+    `integrals`, so the result depends only on the seed.
     """
-    if samples <= 0:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    from .integrals import SampleSpec, bilinear_integral_from_multiplicity  # imports tubes
+
+    spec = SampleSpec(samples=samples, seed=seed)
     box = _intersect_boxes(tube_bounding_box(t1), tube_bounding_box(t2))
     if box is None:
         return MCEstimate(0.0, 0.0, 0)
-    lo, hi = box[:, 0], box[:, 1]
-    vol_box = float(np.prod(hi - lo))
-
-    shard = 65536
-    hits = 0
-    done = 0
-    idx = 0
-    while done < samples:
-        n = min(shard, samples - done)
-        rng = np.random.default_rng([seed, idx])
-        pts = lo + rng.random((n, 3)) * (hi - lo)
-        inside = tube_contains_batch(t1, pts)
-        if inside.any():
-            inside[inside] = tube_contains_batch(t2, pts[inside])
-        hits += int(inside.sum())
-        done += n
-        idx += 1
-    frac = hits / samples
-    stderr = vol_box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return MCEstimate(vol_box * frac, stderr, samples)
+    return bilinear_integral_from_multiplicity(
+        lambda pts: tube_contains_batch(t1, pts),
+        lambda pts: tube_contains_batch(t2, pts),
+        box,
+        1.0,
+        spec,
+    )
 
 
 def is_transversal_pair(f1: list[HTube], f2: list[HTube], c: float) -> bool:
@@ -249,9 +235,7 @@ def line_broadness(
     # distance matrix: lines x centers, min gauge distance from center to core
     dist = np.empty((len(cores), len(centers)))
     for j, (p, e) in enumerate(cores):
-        dist[j] = _bulk.core_distance_elementwise(
-            p.as_tuple(), e.a, e.b, centers, tol=delta * 1e-3
-        )
+        dist[j] = _bulk.core_distance_elementwise(p.as_tuple(), e.a, e.b, centers)
 
     halves = _dyadic_down(math.pi, min(delta * delta, math.pi))
     c_ball = 4.0  # C in B(z, C*sigma)

@@ -378,6 +378,30 @@ def test_coerce_parses_ladders():
         coerce({"delta-exps": "6..4"})
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", "abc"], "samples must be an integer, got 'abc'"),
+        (["--rho", "1e"], "rho must be a number, got '1e'"),
+        (["--delta-exps", "4..x"], "bad delta-exps '4..x'"),
+    ],
+)
+def test_unparsable_flag_names_option_and_value(tmp_path, capsys, flags, message):
+    out = tmp_path / "f.csv"
+    assert main(["run", "fiber-length", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_config_key_names_option_and_value(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("samples = abc\n")
+    out = tmp_path / "f.csv"
+    assert main(["run", "fiber-length", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "samples must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_clamshell_alpha_rejects_a_multi_rung_ladder(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert main(["run", "clamshell-alpha", "--delta-exps", "6..8", "--out", str(out)]) == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab import _bulk
 from heislab.families import build_bush, fan_cores, tube_cores
@@ -78,6 +80,80 @@ def test_core_distance_matches_dense_scan(rng):
         assert core_distance(tube, p) == pytest.approx(
             dense_core_distance(tube, p), abs=1e-6
         )
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -15, 2.0 ** -18])
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.5, 0.4, -0.3)])
+def test_core_distance_just_past_the_endpoint(eps, center):
+    # a point on the core line eps beyond s = 1/2 is eps from the endpoint
+    tube = HTube(HPoint(*center), HDirection.from_angle(0.7), 0.5)
+    p = tube.core_point(0.5 + eps)
+    assert core_distance(tube, p) == pytest.approx(eps, rel=1e-9)
+
+
+def test_core_distance_independent_of_the_batch(rng):
+    tube = random_tube(rng, 2.0 ** -6)
+    pts = rng.normal(scale=0.5, size=(4000, 3))
+    batch = _bulk.core_distance_elementwise(
+        tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts
+    )
+    rows = [
+        _bulk.core_distance_elementwise(tube.center.as_tuple(), tube.dir.a, tube.dir.b, p)[0]
+        for p in pts
+    ]
+    assert np.array_equal(batch, rows)
+
+
+# Oracle cases for the closed form, built in the tube's frame u = center^-1 * p
+# around the core point at parameter s (|s| > 1/2 lies past an endpoint):
+# "generic" offsets u by scale * o, "gamma0" is direction E1 with y = 0
+# (gamma = 0 exactly), "w0" sets u2 = -gamma*beta/2 (w = 0) and "core" puts
+# the point on the core line.  Values are kept clear of float underflow.
+_unit = st.integers(-1000, 1000).map(lambda k: k / 1000)
+
+
+def _clear_of_zero(lo, hi):
+    return st.floats(lo, hi).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+
+
+@st.composite
+def _kernel_cases(draw):
+    case = draw(st.sampled_from(["generic", "gamma0", "w0", "core"]))
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    s = draw(_clear_of_zero(-1.5, 1.5))
+    o = [scale * draw(_unit) for _ in range(3)]
+    if case == "gamma0":
+        return HPoint(draw(_unit), 0.0, draw(_unit)), E1, (s + o[0], 0.0, o[2])
+    e = HDirection.from_angle(draw(_clear_of_zero(-math.pi, math.pi)))
+    center = HPoint(0.0, 0.0, 0.0) if case == "w0" else HPoint(*(draw(_unit) for _ in range(3)))
+    if case == "core":
+        return center, e, (s * e.a, s * e.b, 0.0)
+    u0, u1 = s * e.a + o[0], s * e.b + o[1]
+    if case == "w0":
+        beta, gamma = e.a * u0 + e.b * u1, e.b * u0 - e.a * u1
+        return center, e, (u0, u1, -(0.5 * gamma * beta))
+    return center, e, (u0, u1, o[2])
+
+
+@given(_kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_core_distance_matches_dense_scan_hypothesis(case):
+    center, e, u = case
+    n = 2001
+    tube = HTube(center, e, 0.5)
+    p = HPoint(*_bulk.mul(np.array(center.as_tuple()), np.array(u)))
+    with np.errstate(all="raise"):
+        d = core_distance(tube, p)
+        dense = dense_core_distance(tube, p, n)
+    # Both values carry a vertical rounding error of about 8*eps*R^2 at
+    # coordinate size R, whose gauge is 2*sqrt(8*eps)*R; on the core that is
+    # the whole value (the scan can read 0.0 where the kernel reads 5e-9).
+    r = max(1.0, *map(abs, center.as_tuple()), *map(abs, p.as_tuple()))
+    rounding = 4.0 * math.sqrt(8.0 * np.finfo(float).eps) * r
+    assert d <= dense * (1 + 1e-12) + rounding
+    # the distance is 1-Lipschitz in s, so a scan of step 1/(n-1) is off by
+    # at most half a step
+    assert dense - d <= 0.5 / (n - 1) + rounding
 
 
 def test_contains_monotone_in_delta(rng):
