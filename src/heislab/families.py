@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _bulk
 from .heis import E1, E2, HDirection, HPoint
-from .quadratics import BipartitePair, CurviRect, Interval, Quadratic, tau
+from .quadratics import BipartitePair, CurviRect, Interval, Quadratic, jet_gauges
+from .quadratics import tau  # noqa: F401  (perfbench/tests/test_spans.py wraps families.tau)
 from .tubes import HTube
 
 __all__ = [
@@ -113,14 +114,14 @@ def _tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quad
     na = int(math.floor(radius / 6.0 / ha)) + 1
     nb = int(math.floor(radius / 6.0 / hb)) + 1
     nc = int(math.floor(radius / hc)) + 1
-    out = []
-    for i in range(-na, na + 1):
-        for j in range(-nb, nb + 1):
-            for k in range(-nc, nc + 1):
-                q = Quadratic(center.a + i * ha, center.b + j * hb, center.c + k * hc)
-                if tau(q, center) <= radius:
-                    out.append(q)
-    return out
+    i, j, k = np.meshgrid(
+        np.arange(-na, na + 1), np.arange(-nb, nb + 1), np.arange(-nc, nc + 1), indexing="ij"
+    )
+    cand = np.stack(
+        [center.a + i.ravel() * ha, center.b + j.ravel() * hb, center.c + k.ravel() * hc], axis=1
+    )
+    keep = jet_gauges(cand - [center.a, center.b, center.c])[0] <= radius
+    return [Quadratic(a, b, c) for a, b, c in cand[keep].tolist()]
 
 
 def build_bipartite_balls(delta: float, rho: float) -> BipartitePair:

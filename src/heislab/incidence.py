@@ -20,8 +20,9 @@ from .quadratics import (
     BipartitePair,
     coeff_array,
     comparable,
-    delta_gauge,
     dt_rectangle,
+    in_jet_window,
+    jet_gauges,
     rect_t_scale,
     validate_bipartite,
 )
@@ -77,11 +78,7 @@ def _jet_tangent_mask(
     dc = coeffs[:, 2] - center.c
     hv = (0.5 * da * theta + db) * theta + dc
     hd = da * theta + db
-    return (
-        (np.abs(hv) <= _C_JET * delta)
-        & (np.abs(hd) <= _C_JET * math.sqrt(delta * t))
-        & (np.abs(da) <= _C_JET * t)
-    )
+    return in_jet_window(hv, hd, da, _C_JET, delta, t)
 
 
 def richness_of(rect: CurviRect, F: list[Quadratic], G: list[Quadratic]) -> Richness:
@@ -89,11 +86,8 @@ def richness_of(rect: CurviRect, F: list[Quadratic], G: list[Quadratic]) -> Rich
     delta = rect.thickness
     t = rect_t_scale(rect)
     theta = rect.base.mid
-    mu = nu = 0
-    if F:
-        mu = int(_jet_tangent_mask(coeff_array(F), rect.center, theta, delta, t).sum())
-    if G:
-        nu = int(_jet_tangent_mask(coeff_array(G), rect.center, theta, delta, t).sum())
+    mu = int(_jet_tangent_mask(coeff_array(F), rect.center, theta, delta, t).sum())
+    nu = int(_jet_tangent_mask(coeff_array(G), rect.center, theta, delta, t).sum())
     return Richness(mu, nu)
 
 
@@ -131,33 +125,22 @@ def max_incomparable_rich(
     length = math.sqrt(delta / t)
     mids = _anchor_grid(length)
     fc = coeff_array(F)
-    gc = coeff_array(G) if G else np.zeros((0, 3))
-    root_dt = math.sqrt(delta * t)
+    gc = coeff_array(G)
 
     # jets of every curve at every midpoint: values[i, m], slopes[i, m]
     fvals = (0.5 * fc[:, 0:1] * mids + fc[:, 1:2]) * mids + fc[:, 2:3]
     fders = fc[:, 0:1] * mids + fc[:, 1:2]
-    if len(gc):
-        gvals = (0.5 * gc[:, 0:1] * mids + gc[:, 1:2]) * mids + gc[:, 2:3]
-        gders = gc[:, 0:1] * mids + gc[:, 1:2]
+    gvals = (0.5 * gc[:, 0:1] * mids + gc[:, 1:2]) * mids + gc[:, 2:3]
+    gders = gc[:, 0:1] * mids + gc[:, 1:2]
 
     chosen: list[CurviRect] = []
     for i in range(len(F)):
-        mu_mask = (
-            (np.abs(fvals - fvals[i]) <= _C_JET * delta)
-            & (np.abs(fders - fders[i]) <= _C_JET * root_dt)
-            & (np.abs(fc[:, 0:1] - fc[i, 0]) <= _C_JET * t)
-        )
-        mu_counts = mu_mask.sum(axis=0)
-        if len(gc):
-            nu_mask = (
-                (np.abs(gvals - fvals[i]) <= _C_JET * delta)
-                & (np.abs(gders - fders[i]) <= _C_JET * root_dt)
-                & (np.abs(gc[:, 0:1] - fc[i, 0]) <= _C_JET * t)
-            )
-            nu_counts = nu_mask.sum(axis=0)
-        else:
-            nu_counts = np.zeros(len(mids), dtype=int)
+        mu_counts = in_jet_window(
+            fvals - fvals[i], fders - fders[i], fc[:, 0:1] - fc[i, 0], _C_JET, delta, t
+        ).sum(axis=0)
+        nu_counts = in_jet_window(
+            gvals - fvals[i], gders - fders[i], gc[:, 0:1] - fc[i, 0], _C_JET, delta, t
+        ).sum(axis=0)
         good = np.nonzero((mu_counts >= mu) & (nu_counts >= nu))[0]
         for m in good:
             cand = dt_rectangle(F[i], float(mids[m]), delta, t)
@@ -254,10 +237,8 @@ def quad_broadness(
                 _, anchor_rows = np.unique(keys, axis=0, return_index=True)
                 for i in anchor_rows:
                     count = int(
-                        (
-                            (np.abs(v - v[i]) <= _C_JET * sigma)
-                            & (np.abs(d - d[i]) <= _C_JET * root_st)
-                            & (np.abs(qc[:, 0] - qc[i, 0]) <= _C_JET * t)
+                        in_jet_window(
+                            v - v[i], d - d[i], qc[:, 0] - qc[i, 0], _C_JET, sigma, t
                         ).sum()
                     )
                     ratio = count / (1.0 + (t ** alpha) * n)
@@ -281,21 +262,13 @@ def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[b
         raise ValueError(f"transversality constant must be >= 1, got {K}")
     sigma = S.thickness
     t = rect_t_scale(S)
-    tangent: list[Quadratic] = []
-    if G:
-        mask = _jet_tangent_mask(coeff_array(G), S.center, S.base.mid, sigma, t)
-        tangent = [g for g, m in zip(G, mask) if m]
+    gc = coeff_array(G)
+    tangent = gc[_jet_tangent_mask(gc, S.center, S.base.mid, sigma, t)]
     n = len(tangent)
     total = n * n
     if n <= 1:
         return (False, 0, total)
-    lo, hi = sigma * t / K, sigma * t
-    transverse = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dv = delta_gauge(tangent[i], tangent[j])
-            if lo <= dv <= hi:
-                transverse += 1
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    dv = jet_gauges(tangent[ii] - tangent[jj])[1]
+    transverse = int(((sigma * t / K <= dv) & (dv <= sigma * t)).sum())
     return (transverse >= total / 2.0, transverse, total)

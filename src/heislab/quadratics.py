@@ -8,10 +8,12 @@ f'(s) = a s + b.  Two gauges drive everything downstream:
   * Delta(f, g) = inf over the domain of |h| + |h'|
 
 tau is a norm-induced metric on coefficient triples, Delta a pseudo-metric
-that measures how deeply the two graphs are tangent.  Both sup and inf are
-computed exactly by evaluating at a closed-form candidate set (endpoints,
-roots of h and h', critical points of the piecewise-quadratic jet sums);
-tests cross-check against dense grids.
+that measures how deeply the two graphs are tangent.  Both are exact: the
+batch kernel `jet_gauges` takes an (n, 3) array of coefficient differences h
+and evaluates |h| + |h'| at the at most 7 closed-form candidates of each row
+(2 endpoints, 2 roots of h, the root of h', 2 points where h' = +-h'');
+`tau` and `delta_gauge` are its one-row calls.  `in_jet_window` is the one
+(C*delta, C*sqrt(delta*t), C*t) jet window of tangency and comparability.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
     "PLANAR_DOMAIN",
     "tau",
     "delta_gauge",
+    "jet_gauges",
     "near_intersection_intervals",
+    "in_jet_window",
     "is_tangent_jet",
     "is_tangent_containment",
     "comparable",
@@ -149,52 +153,51 @@ def _quadratic_roots(da: float, db: float, dc: float) -> list[float]:
     return roots
 
 
-def _jet_candidates(h: Quadratic) -> list[float]:
-    """Candidate arguments where |h| + |h'| (+ const) can attain sup or inf.
+# h' = 0 and h' = +-h'' are (k*da - db)/da for k = 0, 1, -1
+_SLOPE_SIGNS = np.array([0.0, 1.0, -1.0])
+_ENDPOINTS = np.array([[PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi]])
 
-    These are the endpoints of the planar domain, the sign changes of h and
-    h', and the interior critical points of the four smooth pieces +-h +- h'
-    (each piece is a quadratic whose derivative +-h' +- h'' vanishes at a
-    single s).
-    """
+
+def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, Delta) of each row of h: the row max of |h| + |h'| over the
+    candidates plus |h''|, and the row min.  The roots of h follow the
+    branches of `_quadratic_roots`.  A candidate that does not exist is NaN,
+    which the domain test drops, so no division is by zero."""
     lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
-    cands = [lo, hi]
-    da, db, dc = h.a, h.b, h.c
+    da, db, dc = h[:, 0:1], h[:, 1:2], h[:, 2:3]
+    quad = da != 0.0
+    a1 = np.where(quad, da, np.nan)
+    disc = db * db - 2.0 * da * dc
+    sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    # for da == 0, q = -db makes dc / q the root -dc / db of the linear h
+    q = np.where(quad, -0.5 * (db + np.copysign(sq, db)), -db)
+    s = np.concatenate(
+        [
+            _ENDPOINTS.repeat(len(h), axis=0),
+            2.0 * q / a1,
+            dc / np.where(q != 0.0, q, np.nan),
+            (_SLOPE_SIGNS * da - db) / a1,
+        ],
+        axis=1,
+    )
+    s = np.where((s >= lo) & (s <= hi), s, lo)
+    v = np.abs((0.5 * da * s + db) * s + dc) + np.abs(da * s + db)
+    return v.max(axis=1) + np.abs(h[:, 0]), v.min(axis=1)
 
-    def add(s):
-        if lo <= s <= hi:
-            cands.append(s)
 
-    for r in _quadratic_roots(da, db, dc):
-        add(r)
-    if da != 0.0:
-        add(-db / da)          # root of h'
-        add((da - db) / da)    # h' = +h''
-        add((-da - db) / da)   # h' = -h''
-    return cands
+def _pair_gauges(f: Quadratic, g: Quadratic) -> tuple[np.ndarray, np.ndarray]:
+    return jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
 
 
 def tau(f: Quadratic, g: Quadratic) -> float:
     """sup over the planar domain of |h| + |h'| + |h''| for h = f - g."""
-    h = f.sub(g)
-    best = 0.0
-    for s in _jet_candidates(h):
-        v = abs(h(s)) + abs(h.deriv(s))
-        if v > best:
-            best = v
-    return best + abs(h.a)
+    return float(_pair_gauges(f, g)[0][0])
 
 
 def delta_gauge(f: Quadratic, g: Quadratic) -> float:
     """inf over the planar domain of |h| + |h'| for h = f - g; 0 iff graphs
     share a point with a common tangent line (inside the domain)."""
-    h = f.sub(g)
-    best = math.inf
-    for s in _jet_candidates(h):
-        v = abs(h(s)) + abs(h.deriv(s))
-        if v < best:
-            best = v
-    return best
+    return float(_pair_gauges(f, g)[1][0])
 
 
 def _solve_le(a: float, b: float, c: float, bound: float):
@@ -256,6 +259,13 @@ def near_intersection_intervals(
     return [Interval(lo, hi) for lo, hi in merged]
 
 
+def in_jet_window(dv, ds, da, c: float, delta: float, t: float):
+    """Whether value, slope and curvature differences lie within
+    (c*delta, c*sqrt(delta*t), c*t); a bool for scalars, a mask for arrays."""
+    root = math.sqrt(delta * t)
+    return (abs(dv) <= c * delta) & (abs(ds) <= c * root) & (abs(da) <= c * t)
+
+
 def is_tangent_jet(f: Quadratic, rect: CurviRect, c_jet: float = 4.0) -> bool:
     """Jet tangency test at the base midpoint.
 
@@ -270,11 +280,7 @@ def is_tangent_jet(f: Quadratic, rect: CurviRect, c_jet: float = 4.0) -> bool:
         )
     theta = rect.base.mid
     h = f.sub(rect.center)
-    return (
-        abs(h(theta)) <= c_jet * delta
-        and abs(h.deriv(theta)) <= c_jet * math.sqrt(delta * t)
-        and abs(h.a) <= c_jet * t
-    )
+    return in_jet_window(h(theta), h.deriv(theta), h.a, c_jet, delta, t)
 
 
 def is_tangent_containment(f: Quadratic, rect: CurviRect, c_tan: float = 4.0) -> bool:
@@ -313,11 +319,7 @@ def comparable(r1: CurviRect, r2: CurviRect, c_cmp: float = 10.0) -> bool:
         return False
     joint = 0.5 * (m1 + m2)
     h = r1.center.sub(r2.center)
-    return (
-        abs(h(joint)) <= c_cmp * delta
-        and abs(h.deriv(joint)) <= c_cmp * math.sqrt(delta * t)
-        and abs(h.a) <= c_cmp * t
-    )
+    return in_jet_window(h(joint), h.deriv(joint), h.a, c_cmp, delta, t)
 
 
 @dataclass(frozen=True)
@@ -346,45 +348,58 @@ class BipartiteReport:
     note: str = ""
 
 
+# pairs per jet_gauges call in validate_bipartite; bounds its working memory
+_PAIR_CHUNK = 4096
+
+
 def _pair_sample(n1: int, n2: int, max_pairs: int, seed: int):
+    """Index arrays (i, j): every pair when n1 * n2 <= max_pairs, else
+    max_pairs seeded draws."""
     if n1 * n2 <= max_pairs:
-        for i in range(n1):
-            for j in range(n2):
-                yield i, j
-        return
+        ii, jj = np.indices((n1, n2))
+        return ii.ravel(), jj.ravel()
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, n1, size=max_pairs)
-    jj = rng.integers(0, n2, size=max_pairs)
-    yield from zip(ii.tolist(), jj.tolist())
+    return rng.integers(0, n1, size=max_pairs), rng.integers(0, n2, size=max_pairs)
+
+
+def _tau_range(P: np.ndarray, Q: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """(min, max) of tau over the pairs (P[i], Q[j]), or (inf, 0) if none."""
+    lo, hi = math.inf, 0.0
+    for k in range(0, len(ii), _PAIR_CHUNK):
+        tv = jet_gauges(P[ii[k : k + _PAIR_CHUNK]] - Q[jj[k : k + _PAIR_CHUNK]])[0]
+        lo, hi = min(lo, float(tv.min())), max(hi, float(tv.max()))
+    return lo, hi
 
 
 def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> BipartiteReport:
-    """Check the bipartite window, exhaustively when small, sampled when large:
-    up to 200,000 cross pairs and 100,000 pairs per family are all checked,
-    beyond that a seeded sample of as many.
+    """Check the bipartite window, exhaustively when small, sampled when large.
+
+    Cross pairs are all checked when #F * #G <= 200,000, and the n(n-1)/2
+    pairs i < j of a family of n curves when they are at most 100,000;
+    beyond that the check runs on 200,000 (cross) or 100,000 (per family)
+    seeded draws, keeping the draws with i < j within a family.
 
     If `separation` is given, also checks that each family is that separated
     in tau (on the same pair sample).
     """
-    F, G, rho = pair.F, pair.G, pair.rho
+    F, G, rho = coeff_array(pair.F), coeff_array(pair.G), pair.rho
     within_max = 0.0
     sep_min = math.inf
     checked = 0
     for fam in (F, G):
         n = len(fam)
-        for i, j in _pair_sample(n, n, 100_000, 0):
-            if i >= j:
-                continue
-            tv = tau(fam[i], fam[j])
-            within_max = max(within_max, tv)
-            sep_min = min(sep_min, tv)
-            checked += 1
-    cross_min, cross_max = math.inf, 0.0
-    for i, j in _pair_sample(len(F), len(G), 200_000, 1):
-        tv = tau(F[i], G[j])
-        cross_min = min(cross_min, tv)
-        cross_max = max(cross_max, tv)
-        checked += 1
+        if n * (n - 1) // 2 <= 100_000:
+            ii, jj = np.triu_indices(n, 1)
+        else:
+            ii, jj = _pair_sample(n, n, 100_000, 0)
+            keep = ii < jj
+            ii, jj = ii[keep], jj[keep]
+        lo, hi = _tau_range(fam, fam, ii, jj)
+        within_max, sep_min = max(within_max, hi), min(sep_min, lo)
+        checked += len(ii)
+    ii, jj = _pair_sample(len(F), len(G), 200_000, 1)
+    cross_min, cross_max = _tau_range(F, G, ii, jj)
+    checked += len(ii)
     slack = 1.0 + 1e-9  # float headroom: window edges are attained exactly
     ok = (
         within_max <= rho * slack

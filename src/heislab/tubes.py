@@ -89,6 +89,10 @@ class ProbeSpec:
     max_centers: int = 64
     max_anchor_midpoints: int = 512
 
+    def __post_init__(self):
+        if self.max_centers < 1 or self.max_anchor_midpoints < 1:
+            raise ValueError(f"probe caps must be at least 1, got {self}")
+
 
 @dataclass(frozen=True)
 class BroadnessReport:
@@ -221,8 +225,6 @@ def line_broadness(
     if not cores:
         raise ValueError("line family must be nonempty")
     probes = probes or ProbeSpec()
-    if probes.max_centers < 1:
-        raise ValueError("probe spec admits no ball centers")
 
     mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
     # distinct centers, evenly subsampled to the cap

@@ -1,0 +1,143 @@
+"""Scalar reference loops for the batched planar jet kernel.
+
+These are the pair-by-pair definitions that `quadratics.jet_gauges` and its
+callers replaced; the oracle tests compare the batched code against them bit
+for bit.
+"""
+
+import math
+
+import numpy as np
+
+from heislab.quadratics import (
+    PLANAR_DOMAIN,
+    BipartiteReport,
+    Quadratic,
+    _quadratic_roots,
+    rect_t_scale,
+)
+
+
+def jet_candidates(h: Quadratic) -> list[float]:
+    """Endpoints, roots of h and h', and the points where h' = +-h''."""
+    lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
+    cands = [lo, hi]
+    da, db, dc = h.a, h.b, h.c
+
+    def add(s):
+        if lo <= s <= hi:
+            cands.append(s)
+
+    for r in _quadratic_roots(da, db, dc):
+        add(r)
+    if da != 0.0:
+        add(-db / da)
+        add((da - db) / da)
+        add((-da - db) / da)
+    return cands
+
+
+def tau(f: Quadratic, g: Quadratic) -> float:
+    h = f.sub(g)
+    best = 0.0
+    for s in jet_candidates(h):
+        v = abs(h(s)) + abs(h.deriv(s))
+        if v > best:
+            best = v
+    return best + abs(h.a)
+
+
+def delta_gauge(f: Quadratic, g: Quadratic) -> float:
+    h = f.sub(g)
+    best = math.inf
+    for s in jet_candidates(h):
+        v = abs(h(s)) + abs(h.deriv(s))
+        if v < best:
+            best = v
+    return best
+
+
+def _scalar_pairs(n1: int, n2: int, max_pairs: int, seed: int, within: bool):
+    """The pairs validate_bipartite checks, as a Python list."""
+    if within and n1 * (n1 - 1) // 2 <= max_pairs:
+        return [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    if not within and n1 * n2 <= max_pairs:
+        return [(i, j) for i in range(n1) for j in range(n2)]
+    rng = np.random.default_rng(seed)
+    ii = rng.integers(0, n1, size=max_pairs).tolist()
+    jj = rng.integers(0, n2, size=max_pairs).tolist()
+    return [(i, j) for i, j in zip(ii, jj) if not within or i < j]
+
+
+def validate_bipartite(pair, separation=None) -> BipartiteReport:
+    F, G, rho = pair.F, pair.G, pair.rho
+    within_max, sep_min, checked = 0.0, math.inf, 0
+    for fam in (F, G):
+        for i, j in _scalar_pairs(len(fam), len(fam), 100_000, 0, True):
+            tv = tau(fam[i], fam[j])
+            within_max = max(within_max, tv)
+            sep_min = min(sep_min, tv)
+            checked += 1
+    cross_min, cross_max = math.inf, 0.0
+    for i, j in _scalar_pairs(len(F), len(G), 200_000, 1, False):
+        tv = tau(F[i], G[j])
+        cross_min = min(cross_min, tv)
+        cross_max = max(cross_max, tv)
+        checked += 1
+    slack = 1.0 + 1e-9
+    ok = (
+        within_max <= rho * slack
+        and rho <= cross_min * slack
+        and cross_max <= 100.0 * rho * slack
+    )
+    note = ""
+    if not ok:
+        note = (
+            f"within_max={within_max:.6g} (need <= {rho:.6g}), "
+            f"cross=[{cross_min:.6g}, {cross_max:.6g}] (need within [{rho:.6g}, {100 * rho:.6g}])"
+        )
+    if separation is not None and sep_min < separation:
+        ok = False
+        note += f" in-family separation {sep_min:.6g} < {separation:.6g}"
+    return BipartiteReport(ok, within_max, cross_min, cross_max, sep_min, checked, note)
+
+
+def tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quadratic]:
+    ha, hb, hc = (s * sep for s in (1.0 / 6.0, 1.0 / 3.0, 1.0))
+    na = int(math.floor(radius / 6.0 / ha)) + 1
+    nb = int(math.floor(radius / 6.0 / hb)) + 1
+    nc = int(math.floor(radius / hc)) + 1
+    out = []
+    for i in range(-na, na + 1):
+        for j in range(-nb, nb + 1):
+            for k in range(-nc, nc + 1):
+                q = Quadratic(center.a + i * ha, center.b + j * hb, center.c + k * hc)
+                if tau(q, center) <= radius:
+                    out.append(q)
+    return out
+
+
+def classify_broad_narrow(S, G, K) -> tuple[bool, int, int]:
+    sigma = S.thickness
+    t = rect_t_scale(S)
+    theta = S.base.mid
+    tangent = []
+    for g in G:
+        h = g.sub(S.center)
+        if (
+            abs(h(theta)) <= 4.0 * sigma
+            and abs(h.deriv(theta)) <= 4.0 * math.sqrt(sigma * t)
+            and abs(h.a) <= 4.0 * t
+        ):
+            tangent.append(g)
+    n = len(tangent)
+    total = n * n
+    if n <= 1:
+        return (False, 0, total)
+    lo, hi = sigma * t / K, sigma * t
+    transverse = 0
+    for i in range(n):
+        for j in range(n):
+            if i != j and lo <= delta_gauge(tangent[i], tangent[j]) <= hi:
+                transverse += 1
+    return (transverse >= total / 2.0, transverse, total)

@@ -2,6 +2,7 @@
 
 import math
 
+import jet_reference as ref
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from heislab.incidence import richness_of
 from heislab.integrals import tube_multiplicity
 from heislab.quadratics import (
     PLANAR_DOMAIN,
+    Quadratic,
     coeff_array,
     delta_gauge,
     near_intersection_intervals,
@@ -123,6 +125,16 @@ def test_bipartite_balls_counts_and_window():
     assert len(pair.F) == len(pair.G)
     report = validate_bipartite(pair, separation=d * (1 - 1e-9))
     assert report.ok, report.note
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_bipartite_balls_equal_scalar_lattice_in_order(k):
+    # the family order reaches the dump CSVs and wolff-bound-check's draws
+    d, rho = 2.0 ** -k, 0.25
+    pair = build_bipartite_balls(d, rho)
+    assert list(pair.F) == ref.tau_ball_lattice(Quadratic(2.0 * rho, 0.0, 0.0), rho, d)
+    assert list(pair.G) == ref.tau_ball_lattice(Quadratic(-2.0 * rho, 0.0, 0.0), rho, d)
+    assert all(type(x) is float for q in pair.F[:5] for x in (q.a, q.b, q.c))
 
 
 def test_bipartite_balls_multiplicity_band(rng):

@@ -3,6 +3,7 @@ oracle, quantitative broadness, broad/narrow classification."""
 
 import math
 
+import jet_reference as ref
 import pytest
 
 from heislab.families import build_bipartite_balls, build_clamshell, build_opposed_pair
@@ -203,6 +204,22 @@ def test_classify_narrow_cluster():
     broad, transverse, total = classify_broad_narrow(S, G, K)
     assert not broad
     assert transverse == 0
+
+
+def test_classify_broad_narrow_equals_scalar_reference(rng):
+    sigma, t, K = 2.0 ** -8, 2.0 ** -2, 4.0
+    window = sigma * t
+    S = dt_rectangle(Quadratic(0, 0, 0), 0.0, sigma, t)
+    families = [
+        [Quadratic(0, 0, 0)],
+        [Quadratic(0, 0, 0.45 * window * i) for i in range(4)],
+        [Quadratic(0, 0, window / (100 * K) * i) for i in range(4)],
+        # jets spread over the tangency window: a mix of transverse pairs
+        [Quadratic(*(w * rng.uniform(-2, 2)
+                     for w in (t, math.sqrt(sigma * t), sigma))) for _ in range(40)],
+    ]
+    for G in families:
+        assert classify_broad_narrow(S, G, K) == ref.classify_broad_narrow(S, G, K)
 
 
 def test_transverse_pair_incomparable_rectangle_count():

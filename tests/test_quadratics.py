@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jet_reference as ref
+from heislab.families import build_bipartite_balls
 from heislab.quadratics import (
     PLANAR_DOMAIN,
     BipartitePair,
@@ -18,6 +20,7 @@ from heislab.quadratics import (
     dt_rectangle,
     is_tangent_containment,
     is_tangent_jet,
+    jet_gauges,
     near_intersection_intervals,
     rect_t_scale,
     tau,
@@ -129,6 +132,73 @@ def test_delta_sum_of_infs_triangle_fails():
     assert delta_gauge(f, u) == 0.0
     assert delta_gauge(u, g) == 0.0
     assert delta_gauge(f, g) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# batch kernel against the scalar reference loop
+
+# nonzero magnitudes stay in [1e-4, 10], so no product underflows
+_mag = st.builds(lambda m, sign: sign * m, st.floats(1e-4, 10.0), st.sampled_from([-1.0, 1.0]))
+_coef = st.one_of(st.just(0.0), _mag)
+_dyadic = st.builds(lambda k: k / 8.0, st.integers(-48, 48))
+_jet_rows = st.one_of(
+    st.tuples(_coef, _coef, _coef),
+    st.just((0.0, 0.0, 0.0)),
+    # zero discriminant: (a/2)(s - r)^2
+    st.builds(lambda a, r: (a, -a * r, 0.5 * a * r * r), _dyadic, _dyadic),
+    # a root exactly at an endpoint, quadratic and linear
+    st.builds(
+        lambda k, r, e: (2.0 * k, -k * (e + r), k * e * r),
+        _dyadic, _dyadic, st.sampled_from([PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi]),
+    ),
+    st.builds(lambda b, e: (0.0, b, -b * e), _dyadic, st.sampled_from([-5.0, 5.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_jet_rows, min_size=1, max_size=40))
+def test_jet_gauges_equal_scalar_reference_bit_for_bit(rows):
+    h = np.array(rows, dtype=np.float64)
+    with np.errstate(all="raise"):
+        t, d = jet_gauges(h)
+    zero = Quadratic(0.0, 0.0, 0.0)
+    for row, tv, dv in zip(rows, t.tolist(), d.tolist()):
+        q = Quadratic(*row)
+        assert tv == ref.tau(q, zero) == tau(q, zero)
+        assert dv == ref.delta_gauge(q, zero) == delta_gauge(q, zero)
+
+
+def test_jet_gauges_equal_scalar_reference_on_random_rows(rng):
+    n = 20_000
+    h = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-4, 1, size=(n, 1))
+    h[::7, 0] = 0.0
+    h[::11, 1] = 0.0
+    h[::13, 2] = 0.0
+    h[::17] = 0.0
+    with np.errstate(all="raise"):
+        t, d = jet_gauges(h)
+    zero = Quadratic(0.0, 0.0, 0.0)
+    rows = [Quadratic(*row) for row in h.tolist()]
+    assert t.tolist() == [ref.tau(q, zero) for q in rows]
+    assert d.tolist() == [ref.delta_gauge(q, zero) for q in rows]
+
+
+def test_jet_gauges_on_no_rows():
+    t, d = jet_gauges(np.zeros((0, 3)))
+    assert t.shape == d.shape == (0,)
+
+
+@pytest.mark.parametrize("k", [5, 6])  # 282 curves: exhaustive; 2272: sampled
+def test_validate_bipartite_equals_scalar_reference(k):
+    pair = build_bipartite_balls(2.0 ** -k, 0.25)
+    assert validate_bipartite(pair, 2.0 ** -k) == ref.validate_bipartite(pair, 2.0 ** -k)
+
+
+def test_validate_bipartite_exhaustive_while_unordered_pairs_fit():
+    # n = 400: 79,800 pairs i < j per family fit the 100,000 budget
+    pair = build_bipartite_balls(2.0 ** -6, 0.25)
+    report = validate_bipartite(BipartitePair(pair.F[:400], pair.G[:400], 0.5))
+    assert report.pairs_checked == 2 * 79_800 + 160_000
 
 
 # ---------------------------------------------------------------------------

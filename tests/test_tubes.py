@@ -269,6 +269,18 @@ def test_line_broadness_empty_rejected():
         line_broadness([(HPoint(0, 0, 0), E1)], 0.1, 1.0, ProbeSpec(max_centers=0))
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_probe_spec_rejects_center_cap_below_one(cap):
+    with pytest.raises(ValueError, match="max_centers"):
+        ProbeSpec(max_centers=cap)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_probe_spec_rejects_anchor_cap_below_one(cap):
+    with pytest.raises(ValueError, match="max_anchor_midpoints"):
+        ProbeSpec(max_anchor_midpoints=cap)
+
+
 def test_bush_lines_fail_broadness():
     # all directions concentrate in one tiny arc: the probe at the common
     # point with the delta^(3/2)-arc sees every line
