@@ -26,7 +26,7 @@ from .quadratics import (
     rect_t_scale,
     validate_bipartite,
 )
-from .tubes import BroadnessReport, ProbeSpec, _dyadic_down
+from .tubes import BroadnessReport, ProbeSpec, _check_alpha, _dyadic_down
 
 __all__ = [
     "Richness",
@@ -192,6 +192,66 @@ def wolff_bound_check(
     )
 
 
+# anchor x curve cells one block of the concentration profile counts at once;
+# bounds its temporaries to a few MB whatever the family size
+_PROFILE_BLOCK_CELLS = 1 << 16
+
+
+def _concentration_profile(
+    qc: np.ndarray, delta: float, probes: ProbeSpec
+) -> list[tuple[float, float, int, float, int]]:
+    """(sigma, t, max count, midpoint, anchor curve) for every (sigma, t) level.
+
+    Levels run over dyadic sigma in [delta, 1] and, for each, dyadic t in
+    [sigma, 1].  The probe of a level is the first one reaching its maximum
+    tangent count, in (midpoint, quantized anchor jet) order.
+    """
+    n = len(qc)
+    profile = []
+    for sigma in _dyadic_down(1.0, delta):
+        for t in _dyadic_down(1.0, sigma):
+            length = math.sqrt(sigma / t)
+            mids = _anchor_grid(length)
+            if len(mids) > probes.max_anchor_midpoints:
+                step = len(mids) / probes.max_anchor_midpoints
+                mids = mids[(np.arange(probes.max_anchor_midpoints) * step).astype(int)]
+            root_st = math.sqrt(sigma * t)
+            # jets of every curve at every midpoint: vals[m, i], ders[m, i]
+            vals = (0.5 * qc[:, 0] * mids[:, None] + qc[:, 1]) * mids[:, None] + qc[:, 2]
+            ders = qc[:, 0] * mids[:, None] + qc[:, 1]
+            # anchors: the first curve of each distinct quantized jet, in
+            # lexicographic (midpoint, key) order; the sort must be stable, and
+            # keys compare by value (not bits), so -0.0 and 0.0 are one key
+            keys = (
+                np.repeat(np.arange(len(mids)), n),
+                np.round(vals / (0.5 * sigma)).ravel(),
+                np.round(ders / (0.5 * root_st)).ravel(),
+                np.tile(np.round(qc[:, 0] / (0.5 * t)), len(mids)),
+            )
+            order = np.lexsort(keys[::-1])
+            same = np.ones(len(order) - 1, dtype=bool)
+            for k in keys:
+                ks = k[order]
+                same &= ks[1:] == ks[:-1]
+            am, ai = np.divmod(order[np.concatenate(([True], ~same))], n)
+
+            counts = np.empty(len(am), dtype=np.int64)
+            block = max(1, _PROFILE_BLOCK_CELLS // n)
+            for s in range(0, len(am), block):
+                bm, bi = am[s : s + block], ai[s : s + block]
+                counts[s : s + block] = in_jet_window(
+                    vals[bm] - vals[bm, bi, None],
+                    ders[bm] - ders[bm, bi, None],
+                    qc[:, 0] - qc[bi, 0, None],
+                    _C_JET,
+                    sigma,
+                    t,
+                ).sum(axis=1)
+            k = int(np.argmax(counts))  # the first maximum in anchor order
+            profile.append((sigma, t, int(counts[k]), float(mids[am[k]]), int(ai[k])))
+    return profile
+
+
 def quad_broadness(
     Q: list[Quadratic],
     delta: float,
@@ -204,50 +264,36 @@ def quad_broadness(
     dyadic t in [sigma, 1], anchored on the curves of Q (midpoint grid at
     half the base length, anchors deduplicated by their quantized jets), and
     reports max of  #tangent / (1 + t^alpha * #Q).
+
+    The tangent counts do not depend on alpha, and the denominator is
+    constant within a (sigma, t) level, so the family is reduced to one
+    concentration profile: per level, the maximum count and the first probe
+    reaching it, in (midpoint, quantized anchor jet) order.  The levels are
+    folded in order (sigma descending, then t descending), and a later level
+    replaces the witness only if its ratio is strictly greater.
+
+    Raises ValueError for an empty family, a non-finite coefficient, an alpha
+    that is negative or not finite, or a delta that is not finite and > 0.
     """
     if not Q:
         raise ValueError("family must be nonempty")
+    _check_alpha(alpha)
     probes = probes or ProbeSpec()
     qc = coeff_array(Q)
+    if not np.isfinite(qc).all():
+        raise ValueError("quadratic coefficients must be finite")
     n = len(Q)
 
     worst = 0.0
     witness = "no probe exceeded zero"
-    for sigma in _dyadic_down(1.0, delta):
-        for t in _dyadic_down(1.0, sigma):
-            length = math.sqrt(sigma / t)
-            mids = _anchor_grid(length)
-            if len(mids) > probes.max_anchor_midpoints:
-                step = len(mids) / probes.max_anchor_midpoints
-                mids = mids[(np.arange(probes.max_anchor_midpoints) * step).astype(int)]
-            root_st = math.sqrt(sigma * t)
-            vals = (0.5 * qc[:, 0:1] * mids + qc[:, 1:2]) * mids + qc[:, 2:3]
-            ders = qc[:, 0:1] * mids + qc[:, 1:2]
-            for mi in range(len(mids)):
-                v, d = vals[:, mi], ders[:, mi]
-                # deduplicate anchors whose jets quantize identically
-                keys = np.stack(
-                    [
-                        np.round(v / (0.5 * sigma)),
-                        np.round(d / (0.5 * root_st)),
-                        np.round(qc[:, 0] / (0.5 * t)),
-                    ],
-                    axis=1,
-                )
-                _, anchor_rows = np.unique(keys, axis=0, return_index=True)
-                for i in anchor_rows:
-                    count = int(
-                        in_jet_window(
-                            v - v[i], d - d[i], qc[:, 0] - qc[i, 0], _C_JET, sigma, t
-                        ).sum()
-                    )
-                    ratio = count / (1.0 + (t ** alpha) * n)
-                    if ratio > worst:
-                        worst = ratio
-                        witness = (
-                            f"sigma={sigma:.6g} t={t:.6g} midpoint={mids[mi]:.6g} "
-                            f"anchor_curve={i} tangent={count}/{n}"
-                        )
+    for sigma, t, count, mid, i in _concentration_profile(qc, delta, probes):
+        ratio = count / (1.0 + (t ** alpha) * n)
+        if ratio > worst:
+            worst = ratio
+            witness = (
+                f"sigma={sigma:.6g} t={t:.6g} midpoint={mid:.6g} "
+                f"anchor_curve={i} tangent={count}/{n}"
+            )
     return BroadnessReport(alpha, worst, witness)
 
 

@@ -171,15 +171,18 @@ def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
     # for da == 0, q = -db makes dc / q the root -dc / db of the linear h
     q = np.where(quad, -0.5 * (db + np.copysign(sq, db)), -db)
-    s = np.concatenate(
-        [
-            _ENDPOINTS.repeat(len(h), axis=0),
-            2.0 * q / a1,
-            dc / np.where(q != 0.0, q, np.nan),
-            (_SLOPE_SIGNS * da - db) / a1,
-        ],
-        axis=1,
-    )
+    # a subnormal da or q puts a candidate past the largest float: it
+    # overflows to +-inf, which the domain test drops like a NaN
+    with np.errstate(over="ignore"):
+        s = np.concatenate(
+            [
+                _ENDPOINTS.repeat(len(h), axis=0),
+                2.0 * q / a1,
+                dc / np.where(q != 0.0, q, np.nan),
+                (_SLOPE_SIGNS * da - db) / a1,
+            ],
+            axis=1,
+        )
     s = np.where((s >= lo) & (s <= hi), s, lo)
     v = np.abs((0.5 * da * s + db) * s + dc) + np.abs(da * s + db)
     return v.max(axis=1) + np.abs(h[:, 0]), v.min(axis=1)

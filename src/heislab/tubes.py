@@ -195,12 +195,20 @@ def is_transversal_pair(f1: list[HTube], f2: list[HTube], c: float) -> bool:
 
 def _dyadic_down(top: float, bottom: float) -> list[float]:
     """top, top/2, ... down to the last value >= bottom (always nonempty)."""
+    if not (math.isfinite(bottom) and bottom > 0.0):
+        raise ValueError(f"dyadic ladder needs a finite bottom > 0, got {bottom}")
     out = []
     v = top
     while v >= bottom * (1.0 - 1e-12):
         out.append(v)
         v *= 0.5
     return out or [top]
+
+
+def _check_alpha(alpha: float) -> None:
+    """The broadness gauges' exponent must be finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"broadness exponent must be finite and >= 0, got {alpha}")
 
 
 def line_broadness(
@@ -221,9 +229,14 @@ def line_broadness(
     The tube-meets-ball test is min_s d(core(s), z) <= (C+1)*sigma, folding
     the tube thickness into the radius.  Ball centers are core midpoints,
     arcs are centered on directions present in the family.
+
+    Raises ValueError for an empty family, an alpha that is negative or not
+    finite, or a delta that is not finite and > 0.
     """
     if not cores:
         raise ValueError("line family must be nonempty")
+    _check_alpha(alpha)
+    sigmas = _dyadic_down(1.0, delta)
     probes = probes or ProbeSpec()
 
     mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
@@ -245,7 +258,7 @@ def line_broadness(
     worst = 0.0
     witness = "no probe exceeded zero"
 
-    for sigma in _dyadic_down(1.0, delta):
+    for sigma in sigmas:
         hit_mask = dist <= (c_ball + 1.0) * sigma  # lines x centers
         for ci in range(len(centers)):
             hit = hit_mask[:, ci]

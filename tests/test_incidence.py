@@ -3,7 +3,9 @@ oracle, quantitative broadness, broad/narrow classification."""
 
 import math
 
+import broadness_reference
 import jet_reference as ref
+import numpy as np
 import pytest
 
 from heislab.families import build_bipartite_balls, build_clamshell, build_opposed_pair
@@ -161,6 +163,7 @@ def test_quad_broadness_clamshell_ratios():
     n = len(F)
     assert r02.worst_ratio >= n / (1.0 + 0.25 ** 0.2 * n)
     assert r05.worst_ratio >= n / (1.0 + 0.25 ** 0.5 * n)
+    assert r05 == broadness_reference.quad_broadness(F, 2.0 ** -8, 0.5)
 
 
 def test_quad_broadness_net_family_bounded():
@@ -169,10 +172,63 @@ def test_quad_broadness_net_family_bounded():
     worst = []
     for d, rho in ((2.0 ** -4, 1.0), (2.0 ** -5, 0.25), (2.0 ** -6, 0.25)):
         pair = build_bipartite_balls(d, rho)
-        rep = quad_broadness(list(pair.F), d, 0.5, ProbeSpec(max_anchor_midpoints=128))
+        probes = ProbeSpec(max_anchor_midpoints=128)
+        rep = quad_broadness(list(pair.F), d, 0.5, probes)
         worst.append(rep.worst_ratio)
         assert rep.worst_ratio <= 6.0
+        if d == 2.0 ** -5:
+            assert rep == broadness_reference.quad_broadness(list(pair.F), d, 0.5, probes)
     assert worst[2] <= worst[1] * 1.25  # same rho, finer delta: no growth
+
+
+@pytest.mark.parametrize("exp, mu", [(6, 4), (8, 16)])
+def test_quad_broadness_equals_reference_small_clamshell(exp, mu):
+    d = 2.0 ** -exp
+    F, _, _ = build_clamshell(d, 2.0 ** -4, mu, 4, 16)
+    for alpha in (0.2, 0.5, 1.0):
+        assert quad_broadness(F, d, alpha) == broadness_reference.quad_broadness(F, d, alpha)
+
+
+def _fuzz_family(rng) -> list[Quadratic]:
+    """A small family on a coarse coefficient lattice: quantized jets
+    collide, some curves repeat exactly, and tiny values of either sign
+    quantize to -0.0 and 0.0."""
+    n = int(rng.integers(1, 10))
+    lattice = rng.integers(-3, 4, size=(n, 3)) * np.array([0.25, 2.0 ** -3, 2.0 ** -5])
+    tiny = rng.choice([0.0, -0.0, 1e-9, -1e-9], size=(n, 3))
+    coeffs = np.where(rng.random((n, 3)) < 0.4, tiny, lattice)
+    coeffs = np.concatenate([coeffs, coeffs[rng.integers(0, n, size=rng.integers(0, 4))]])
+    rng.shuffle(coeffs)
+    return [Quadratic(*map(float, row)) for row in coeffs]
+
+
+def test_quad_broadness_equals_reference_fuzz():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        Q = _fuzz_family(rng)
+        delta = 2.0 ** -int(rng.integers(2, 5))
+        alpha = float(rng.choice([0.0, 0.2, 0.5, 1.0, 3.0]))
+        probes = ProbeSpec(max_anchor_midpoints=int(rng.choice([1, 3, 7, 512])))
+        expected = broadness_reference.quad_broadness(Q, delta, alpha, probes)
+        assert quad_broadness(Q, delta, alpha, probes) == expected, (Q, delta, alpha, probes)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_quad_broadness_rejects_nonpositive_delta(delta):
+    with pytest.raises(ValueError, match="bottom > 0"):
+        quad_broadness([Quadratic(1, 0, 0)], delta, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+def test_quad_broadness_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="exponent"):
+        quad_broadness([Quadratic(1, 0, 0)], 2.0 ** -4, alpha)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quad_broadness_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        quad_broadness([Quadratic(bad, 0, 0), Quadratic(1, 0, 0)], 2.0 ** -4, 0.5)
 
 
 def test_classify_broad_narrow_small_families():

@@ -2,6 +2,7 @@
 
 import math
 
+import broadness_reference
 import numpy as np
 import pytest
 
@@ -215,3 +216,4 @@ def test_broadness_transfer_fan():
     curves = [tube_to_curve(HTube(p, e, delta)).as_quadratic() for p, e in cores]
     quad_rep = quad_broadness(curves, delta * delta, 0.5)
     assert quad_rep.worst_ratio <= 4.0 * max(line_rep.worst_ratio, 1.0)
+    assert quad_rep == broadness_reference.quad_broadness(curves, delta * delta, 0.5)

@@ -188,6 +188,14 @@ def test_jet_gauges_on_no_rows():
     assert t.shape == d.shape == (0,)
 
 
+@pytest.mark.parametrize("row", [(2.0 ** -1025, 1.0, 0.0), (0.0, 2.0 ** -1025, 1.0)])
+def test_jet_gauges_subnormal_coefficient(row):
+    # the root 2q/da, resp. dc/q, overflows; tau and Delta stay the scalar ones
+    q, zero = Quadratic(*row), Quadratic(0.0, 0.0, 0.0)
+    assert tau(q, zero) == ref.tau(q, zero)
+    assert delta_gauge(q, zero) == ref.delta_gauge(q, zero)
+
+
 @pytest.mark.parametrize("k", [5, 6])  # 282 curves: exhaustive; 2272: sampled
 def test_validate_bipartite_equals_scalar_reference(k):
     pair = build_bipartite_balls(2.0 ** -k, 0.25)

@@ -269,6 +269,18 @@ def test_line_broadness_empty_rejected():
         line_broadness([(HPoint(0, 0, 0), E1)], 0.1, 1.0, ProbeSpec(max_centers=0))
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_line_broadness_rejects_nonpositive_delta(delta):
+    with pytest.raises(ValueError, match="bottom > 0"):
+        line_broadness([(HPoint(0, 0, 0), E1)], delta, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+def test_line_broadness_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="exponent"):
+        line_broadness([(HPoint(0, 0, 0), E1)], 2.0 ** -4, alpha)
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_probe_spec_rejects_center_cap_below_one(cap):
     with pytest.raises(ValueError, match="max_centers"):
