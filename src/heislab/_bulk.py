@@ -1,14 +1,29 @@
 """Vectorized kernels shared by the tube, projection and integral modules.
 
 Points are float64 arrays of shape (n, 3).  These mirror the scalar closed
-forms in `heis` exactly; tests cross-check the two paths.
+forms in `heis` exactly; tests cross-check the two paths.  Batched tube
+membership is cull-then-classify: `core_candidates` keeps the points that
+meet closed-form necessary bounds, and `count_members` runs the exact
+core-distance kernel on those only.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .heis import HPoint
+
+# relative slack of the cull's bounds, far above the few ulps by which the
+# kernel's rounding can let a point just outside a bound test as a member
+CULL_SLACK = 1.0 + 1e-6
+# points per pass of the cull: each temporary is 64 KiB, which the
+# allocator reuses instead of mapping fresh pages for every tube
+CULL_CHUNK = 8192
+# rows per exact-kernel call in the batched membership paths: large enough
+# to amortize the call, small enough to bound the kernel's temporaries
+KERNEL_BLOCK = 32768
 
 
 def finite_points(pts) -> np.ndarray:
@@ -57,12 +72,14 @@ def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndar
 
 
 def core_distance_elementwise(
-    centers: np.ndarray, dir_a: float, dir_b: float, pts: np.ndarray
+    centers: np.ndarray, dir_a, dir_b, pts: np.ndarray
 ) -> np.ndarray:
     """Exact gauge distance from each point to the unit core segment of a tube.
 
-    The core is {center * (s*e) : s in [-1/2, 1/2]}; `centers` is one center
-    or one per point (broadcastable against the (n, 3) point array).
+    The core is {center * (s*e) : s in [-1/2, 1/2]} with e = (dir_a, dir_b).
+    `centers` is one center or one per point (broadcastable against the
+    (n, 3) point array), and `dir_a`, `dir_b` are scalars or one component
+    per point, so one call can measure each point against its own tube.
 
     With u = center^{-1} * p, beta = a*u0 + b*u1, gamma = b*u0 - a*u1,
     w = u2 + gamma*beta/2 and x = s - beta, a unit direction gives
@@ -96,6 +113,72 @@ def core_distance_elementwise(
     h = x * x + g2
     v = 4.0 * w + 2.0 * gamma * x
     return (h * h + v * v) ** 0.25
+
+
+def core_cull_bounds(delta: float) -> tuple[float, float, float]:
+    """Bounds (on |beta|, |gamma|, |w|) that every point within gauge distance
+    delta of a unit core satisfies, in the kernel's coordinates (see
+    `core_distance_elementwise`), each with the slack `CULL_SLACK`.
+
+    d <= delta means q(x) <= delta^4 at some x = s - beta with |s| <= 1/2.
+    Then r^2 = x^2 + gamma^2 <= delta^2, so |gamma| <= delta, |x| <= delta
+    and |beta| <= 1/2 + delta; and as 2*|gamma*x| <= r^2,
+    4*|w| <= sqrt(delta^4 - r^4) + r^2 <= sqrt(2)*delta^2 (the maximum over
+    r^2 in [0, delta^2] is at r^2 = delta^2/sqrt(2)), so
+    |w| <= (sqrt(2)/4)*delta^2.  All three bounds are attained.
+    """
+    return (
+        (0.5 + delta) * CULL_SLACK,
+        delta * CULL_SLACK,
+        0.25 * math.sqrt(2.0) * delta * delta * CULL_SLACK,
+    )
+
+
+def core_candidates(
+    cols: np.ndarray, center: tuple[float, float, float], dir_a: float, dir_b: float, delta: float
+) -> np.ndarray:
+    """Indices of the points that may lie within gauge distance delta of the
+    unit core through `center` with direction (dir_a, dir_b): a necessary
+    test only, the exact judge being `core_distance_elementwise`.
+
+    `cols` holds the points as three contiguous rows x, y, t.  beta, gamma
+    and w are formed with the kernel's operations in the kernel's order, so
+    they carry the kernel's bits, and a point is kept when it meets all three
+    bounds of `core_cull_bounds`.  The cull may keep points the kernel
+    rejects; it never drops one the kernel accepts.  Points are taken
+    `CULL_CHUNK` at a time, so the temporaries stay small and are reused.
+    """
+    beta_max, gamma_max, w_max = core_cull_bounds(delta)
+    c0, c1, c2 = center
+    keep = np.empty(cols.shape[1], dtype=bool)
+    for lo in range(0, cols.shape[1], CULL_CHUNK):
+        x, y, t = cols[:, lo : lo + CULL_CHUNK]
+        u0 = -c0 + x
+        u1 = -c1 + y
+        beta = dir_a * u0 + dir_b * u1
+        gamma = dir_b * u0 - dir_a * u1
+        w = (-c2 + t) + 0.5 * (-c0 * y - x * -c1) + 0.5 * gamma * beta
+        ok = keep[lo : lo + CULL_CHUNK]
+        np.less_equal(np.abs(w), w_max, out=ok)
+        ok &= np.abs(gamma) <= gamma_max
+        ok &= np.abs(beta) <= beta_max
+    return np.flatnonzero(keep)
+
+
+def count_members(
+    pts: np.ndarray, rows: np.ndarray, centers: np.ndarray, dir_a, dir_b, delta
+) -> np.ndarray:
+    """For each point, how many of its candidate rows hold it: row j pairs
+    the point pts[rows[j]] with the tube of center centers[j], direction
+    (dir_a, dir_b) and radius delta, each a scalar or one value per row.
+    The exact kernel judges the rows in blocks of `KERNEL_BLOCK`."""
+    dir_a, dir_b, delta = (np.broadcast_to(v, rows.shape) for v in (dir_a, dir_b, delta))
+    hits = [rows[:0]]
+    for lo in range(0, len(rows), KERNEL_BLOCK):
+        blk = slice(lo, lo + KERNEL_BLOCK)
+        d = core_distance_elementwise(centers[blk], dir_a[blk], dir_b[blk], pts[rows[blk]])
+        hits.append(rows[blk][d <= delta[blk]])
+    return np.bincount(np.concatenate(hits), minlength=len(pts))
 
 
 def core_points(center: HPoint, dir_a: float, dir_b: float, s: np.ndarray) -> np.ndarray:

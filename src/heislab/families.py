@@ -279,15 +279,25 @@ def _swap_xy(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_reach(bound: float, step: float) -> int:
+    """Largest |k - round(v/step)| over the grid indices k with
+    |v - k*step| <= bound, with a margin for the rounding of v/step."""
+    return int(bound / step + 0.5 + 1e-9)
+
+
 def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -> np.ndarray:
     """Exact tube multiplicity of the net family at each point.
 
-    Only grid candidates that can possibly contain a point are tested: the
-    gauge dominates |y - y0|, and at the in-segment parameter s = x - x0 the
-    twisted vertical offset t - t0 + x*y0 - x0*y0/2 - x*y/2 must be within
-    3*delta^2/4 of zero, so a 3 x 7 window of (y0, t0) grid candidates around
-    the nearest grid point is exhaustive; each candidate is then checked with
-    the exact core-distance test.
+    Cull, then classify.  For the e1-tube centered at (x0, y0, t0) the
+    kernel's coordinates of a point (x, y, t) are beta = x - x0,
+    gamma = y0 - y and w = t - t0 + x*y0 - x0*y0/2 - x*y/2, and every member
+    has |beta| <= 1/2 + delta, |gamma| <= delta and
+    |w| <= (sqrt(2)/4)*delta^2 (`_bulk.core_cull_bounds`).  So per sheet x0
+    only the grid rows y0 within reach of the nearest one can hold a
+    member, and in each such (sheet, row) strip only the grid heights t0
+    within reach of the nearest one to t0 = t + x*y0 - x0*y0/2 - x*y/2.
+    The (point, tube) pairs among these that meet all three bounds go to
+    the exact kernel together, in one `_bulk.count_members` call.
     """
     pts = _bulk.finite_points(pts)
     if family == 2:
@@ -295,32 +305,32 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     if family != 1:
         raise ValueError(f"family must be 1 or 2, got {family}")
     d = spec.delta
-    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
-    mult = np.zeros(pts.shape[0], dtype=np.int64)
+    beta_max, gamma_max, w_max = _bulk.core_cull_bounds(d)
+    reach_y = _grid_reach(gamma_max, spec.y_step)
+    reach_t = _grid_reach(w_max, spec.t_step)
     ny = int(math.floor(spec.y_halfrange / spec.y_step))
     nt = int(math.floor(spec.t_halfrange / spec.t_step))
+    x, y, t = (np.ascontiguousarray(c) for c in pts.T)
+    i0 = np.round(y / spec.y_step)
+    rows, centers = [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
     for x0 in spec.sheets:
-        i0 = np.round(y / spec.y_step)
-        for di in (-1.0, 0.0, 1.0):
+        in_x = np.abs(x - x0) <= beta_max
+        for di in range(-reach_y, reach_y + 1):
             yi = (i0 + di) * spec.y_step
-            in_y = (np.abs(i0 + di) <= ny) & (np.abs(y - yi) <= d * (1 + 1e-9))
-            if not in_y.any():
-                continue
-            target = t + x * yi - 0.5 * x0 * yi - 0.5 * x * y
-            k0 = np.round(target / spec.t_step)
-            for dk in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+            strip = np.flatnonzero(in_x & (np.abs(i0 + di) <= ny) & (np.abs(y - yi) <= gamma_max))
+            xs, ys, ts, yi = x[strip], y[strip], t[strip], yi[strip]
+            # the kernel's w is (t - t0) + twist - gb, to the bit
+            twist = 0.5 * (xs * yi - x0 * ys)
+            gb = 0.5 * (ys - yi) * (xs - x0)
+            k0 = np.round((ts + twist - gb) / spec.t_step)
+            for dk in range(-reach_t, reach_t + 1):
                 tk = (k0 + dk) * spec.t_step
-                ok = in_y & (np.abs(k0 + dk) <= nt)
-                if not ok.any():
-                    continue
-                centers = np.stack(
-                    [np.full_like(yi, x0), yi, tk], axis=1
-                )
-                dist = _bulk.core_distance_elementwise(centers[ok], 1.0, 0.0, pts[ok])
-                hits = dist <= d
-                idx = np.nonzero(ok)[0][hits]
-                mult[idx] += 1
-    return mult
+                ok = (np.abs((ts - tk) + twist - gb) <= w_max) & (np.abs(k0 + dk) <= nt)
+                rows.append(strip[ok])
+                centers.append(np.stack([np.full(len(rows[-1]), x0), yi[ok], tk[ok]], axis=1))
+    # rebinding frees the per-window pieces before the kernel runs
+    rows, centers = np.concatenate(rows), np.concatenate(centers)
+    return _bulk.count_members(pts, rows, centers, 1.0, 0.0, d)
 
 
 def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:

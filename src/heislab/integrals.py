@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _bulk
 from .quadratics import Quadratic, coeff_array
-from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box, tube_contains_batch
+from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box, tube_multiplicity
 
 __all__ = [
     "SampleSpec",
@@ -108,16 +108,7 @@ def rhs_bilinear(
 
 
 # ---------------------------------------------------------------------------
-# multiplicity kernels
-
-
-def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
-    """Number of tubes containing each point (exact membership test)."""
-    pts = _bulk.finite_points(pts)
-    m = np.zeros(pts.shape[0], dtype=np.int64)
-    for tube in tubes:
-        m += tube_contains_batch(tube, pts)
-    return m
+# tube integrals
 
 
 def _family_box(tubes: list[HTube]) -> np.ndarray:
@@ -129,14 +120,9 @@ def _family_box(tubes: list[HTube]) -> np.ndarray:
 
 
 def _default_tube_region(t1: list[HTube], t2: list[HTube]) -> np.ndarray | None:
-    """Intersection of the two families' bounding boxes (the support of the
-    multiplicity product), clipped to the box of the gauge ball B(0, 2)."""
-    box = np.array([[-2.0, 2.0], [-2.0, 2.0], [-1.0, 1.0]])
-    for fam in (t1, t2):
-        box = _intersect_boxes(box, _family_box(fam))
-        if box is None:
-            return None
-    return box
+    """Intersection of the two families' bounding boxes: the support of the
+    multiplicity product, wherever the families sit."""
+    return _intersect_boxes(_family_box(t1), _family_box(t2))
 
 
 def bilinear_integral_from_multiplicity(
@@ -206,9 +192,8 @@ def bilinear_tube_integral(
 ) -> MCEstimate:
     """Integral of (sum of t1 indicators)^p * (sum of t2 indicators)^p.
 
-    The region is the intersection of the two families' bounding
-    boxes clipped to the ball of gauge radius 2; the integrand vanishes
-    outside it.
+    The region is the intersection of the two families' bounding boxes;
+    the integrand vanishes outside it.
     """
     if not (p > 0.0):
         raise ValueError(f"exponent p must be positive, got {p}")

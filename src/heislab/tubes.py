@@ -26,6 +26,7 @@ __all__ = [
     "MCEstimate",
     "tube_contains",
     "tube_contains_batch",
+    "tube_multiplicity",
     "core_distance",
     "tube_bounding_box",
     "tube_intersection_volume",
@@ -126,10 +127,33 @@ def tube_contains(tube: HTube, p: HPoint) -> bool:
     return core_distance(tube, p) <= tube.delta
 
 
+def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
+    """Number of tubes containing each point (exact membership test).
+
+    Cull, then classify: per tube, `_bulk.core_candidates` keeps the points
+    that meet the closed-form bounds every member meets, |beta| <= 1/2 + delta,
+    |gamma| <= delta and |w| <= (sqrt(2)/4)*delta^2 (derived in
+    `_bulk.core_cull_bounds`); then one `_bulk.count_members` call runs the
+    exact kernel on the candidates of all tubes, each against its own tube.
+    The kernel is elementwise, so the counts are those of the kernel run on
+    every (point, tube) pair.
+    """
+    pts = _bulk.finite_points(pts)
+    cols = np.ascontiguousarray(pts.T)
+    rows = [
+        _bulk.core_candidates(cols, t.center.as_tuple(), t.dir.a, t.dir.b, t.delta)
+        for t in tubes
+    ]
+    owner = np.repeat(np.arange(len(tubes)), [len(r) for r in rows])
+    params = np.array([(*t.center.as_tuple(), t.dir.a, t.dir.b, t.delta) for t in tubes])
+    p = params.reshape(-1, 6)[owner]
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *rows])
+    return _bulk.count_members(pts, rows, p[:, :3], p[:, 3], p[:, 4], p[:, 5])
+
+
 def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, 3) array of points."""
-    d = _bulk.core_distance_elementwise(tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts)
-    return d <= tube.delta
+    return tube_multiplicity([tube], pts) > 0
 
 
 def tube_bounding_box(tube: HTube) -> np.ndarray:

@@ -16,7 +16,7 @@ from heislab.integrals import (
     tube_multiplicity,
 )
 from heislab.quadratics import Quadratic
-from heislab.tubes import HTube
+from heislab.tubes import HTube, tube_intersection_volume
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,20 @@ def test_tube_multiplicity_counts(rng):
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 2 * delta, 0.0], [5.0, 0.0, 0.0]])
     m = tube_multiplicity([tube, tube], pts)
     assert m.tolist() == [2, 0, 0]
+
+
+def test_tube_integral_does_not_depend_on_where_the_pair_sits():
+    # Haar measure is left-invariant: a pair centered far outside B(0, 2)
+    # integrates like the same pair at the origin
+    d = 2.0 ** -4
+    far = HPoint(3.0, 0.0, 0.0)
+    est = bilinear_tube_integral(
+        [HTube(far, E1, d)], [HTube(far, E2, d)], 1.0, SampleSpec(samples=200_000, seed=5)
+    )
+    assert est == tube_intersection_volume(HTube(far, E1, d), HTube(far, E2, d), 200_000, 5)
+    origin = HPoint(0.0, 0.0, 0.0)
+    near = tube_intersection_volume(HTube(origin, E1, d), HTube(origin, E2, d), 200_000, 5)
+    assert abs(est.value - near.value) <= 4 * math.hypot(est.stderr, near.stderr)
 
 
 def test_sample_spec_validation():
