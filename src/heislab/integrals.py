@@ -4,7 +4,10 @@ The left sides of the bilinear estimates are integrals of
 (multiplicity_1)^p * (multiplicity_2)^p; they are evaluated on grids (planar
 case) or by Monte Carlo (spatial case) with deterministic, shard-indexed
 sample substreams: a fixed seed gives bit-identical results for any worker
-count.
+count.  The planar grid builds no dense grid: it counts the cells of each
+(m1, m2) pair exactly, on the window of each column where both families'
+strips can meet, and adds count * m1^p * m2^p over the pairs, rounded once.
+Powers come from one table arange(K)^p, in the sampling engine too.
 """
 
 from __future__ import annotations
@@ -125,6 +128,26 @@ def _default_tube_region(t1: list[HTube], t2: list[HTube]) -> np.ndarray | None:
     return _intersect_boxes(_family_box(t1), _family_box(t2))
 
 
+def _as_counts(m) -> np.ndarray:
+    """A multiplicity array as nonnegative integers (bool as 0 and 1)."""
+    m = np.asarray(m)
+    if m.dtype == np.bool_:
+        return m.astype(np.int64)
+    if m.dtype.kind not in "iu":
+        raise ValueError(f"multiplicities must be integers, got dtype {m.dtype}")
+    if m.size and m.min() < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {m.min()}")
+    return m
+
+
+def _power_product(m1, m2, p: float) -> np.ndarray:
+    """m1^p * m2^p elementwise, both powers looked up in t = arange(K) ** p:
+    the same float pow as m.astype(float64) ** p, taken once per value."""
+    m1, m2 = _as_counts(m1), _as_counts(m2)
+    t = np.arange(max(m1.max(initial=0), m2.max(initial=0)) + 1) ** p
+    return t[m1] * t[m2]
+
+
 def bilinear_integral_from_multiplicity(
     m1_fn,
     m2_fn,
@@ -157,7 +180,7 @@ def bilinear_integral_from_multiplicity(
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         for start in range(0, mesh.shape[0], _SHARD):
             chunk = mesh[start : start + _SHARD]
-            v = m1_fn(chunk).astype(np.float64) ** p * m2_fn(chunk).astype(np.float64) ** p
+            v = _power_product(m1_fn(chunk), m2_fn(chunk), p)
             total += float(v.sum())
         return MCEstimate(total * cell, 0.0, mesh.shape[0])
 
@@ -168,7 +191,7 @@ def bilinear_integral_from_multiplicity(
         n = min(_SHARD, samples - idx * _SHARD)
         rng = np.random.default_rng([spec.seed, idx])
         pts = lo + rng.random((n, dim)) * (hi - lo)
-        v = m1_fn(pts).astype(np.float64) ** p * m2_fn(pts).astype(np.float64) ** p
+        v = _power_product(m1_fn(pts), m2_fn(pts), p)
         return float(v.sum()), float((v * v).sum()), n
 
     if workers > 1:
@@ -212,27 +235,94 @@ def bilinear_tube_integral(
     )
 
 
-def _curve_grid_multiplicities(
-    coeffs: np.ndarray, s_axis: np.ndarray, res: float, ny: int, delta: float
-) -> np.ndarray:
-    """Multiplicity table (len(s_axis), ny) of |f(s) - y| <= delta counts,
-    built per curve by interval differencing along each s-column."""
-    ns = len(s_axis)
-    diff = np.zeros(ns * (ny + 1), dtype=np.int64)
-    cols = np.arange(ns)
-    for a, b, c in coeffs:
+def _strip_rows(coeffs: np.ndarray, s_axis: np.ndarray, res: float, delta: float):
+    """Yield, per block of curves, the (curves, columns) arrays lo and end of
+    the grid rows lo <= r < end whose cell centers satisfy |f(s) - y| <= delta,
+    clipped to [0, ny) with ny = len(s_axis); lo >= end means no row.  A block
+    holds at most `_SHARD` (curve, column) entries."""
+    ny = len(s_axis)
+    block = max(1, _SHARD // ny)
+    for start in range(0, len(coeffs), block):
+        a, b, c = coeffs[start : start + block, :, None].transpose(1, 0, 2)
         f = (0.5 * a * s_axis + b) * s_axis + c
         lo = np.ceil((f - delta) / res - 0.5).astype(np.int64)
         hi = np.floor((f + delta) / res - 0.5).astype(np.int64)
         np.clip(lo, 0, ny, out=lo)
         np.clip(hi, -1, ny - 1, out=hi)
-        valid = lo <= hi
-        if not valid.any():
-            continue
-        base = cols[valid] * (ny + 1)
-        np.add.at(diff, base + lo[valid], 1)
-        np.add.at(diff, base + hi[valid] + 1, -1)
-    return np.cumsum(diff.reshape(ns, ny + 1), axis=1)[:, :ny]
+        yield lo, hi + 1
+
+
+def _column_span(coeffs, s_axis, res, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the least lo and the greatest end over the family's
+    nonempty strips (ny and 0 where there is none)."""
+    ny = len(s_axis)
+    lo_min = np.full(ny, ny, dtype=np.int64)
+    end_max = np.zeros(ny, dtype=np.int64)
+    for lo, end in _strip_rows(coeffs, s_axis, res, delta):
+        valid = lo < end
+        np.minimum(lo_min, np.where(valid, lo, ny).min(axis=0), out=lo_min)
+        np.maximum(end_max, np.where(valid, end, 0).max(axis=0), out=end_max)
+    return lo_min, end_max
+
+
+def _window_multiplicities(coeffs, s_axis, res, delta, w_lo, w_end, starts) -> np.ndarray:
+    """Strip multiplicities on the window cells: column j's rows
+    w_lo[j] <= r < w_end[j] from starts[j] on, then one spare slot.  Every
+    strip adds +1 at its first row and -1 past its last one inside the
+    column, so the spare slot closes the column and one global cumsum
+    restarts from 0 in the next."""
+    size = int(starts[-1])
+    diff = np.zeros(size, dtype=np.int64)
+    base = starts[:-1] - w_lo
+    for lo, end in _strip_rows(coeffs, s_axis, res, delta):
+        np.maximum(lo, w_lo, out=lo)
+        np.minimum(end, w_end, out=end)
+        keep = lo < end
+        cols = np.broadcast_to(base, lo.shape)[keep]
+        diff += np.bincount(cols + lo[keep], minlength=size)
+        diff -= np.bincount(cols + end[keep], minlength=size)
+    return np.cumsum(diff)
+
+
+def _curve_pair_counts(
+    fc: np.ndarray, gc: np.ndarray, n: int, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact histogram of the (m1, m2) pairs with m1, m2 >= 1 over the cells
+    of the n x n grid of the unit square: (m1 values, m2 values, cell counts),
+    sorted by (m1, m2).  Only the window where both families' strips can meet
+    is visited: in each column, from the higher of the two families' lowest
+    strip rows to the lower of their highest.  No array is larger than that
+    window or a block of `_SHARD` (curve, column) entries."""
+    res = 1.0 / n
+    s_axis = (np.arange(n) + 0.5) * res
+    lo1, end1 = _column_span(fc, s_axis, res, delta)
+    lo2, end2 = _column_span(gc, s_axis, res, delta)
+    w_lo = np.maximum(lo1, lo2)
+    w_end = np.maximum(np.minimum(end1, end2), w_lo)
+    starts = np.concatenate([[0], np.cumsum(w_end - w_lo + 1)])
+    m1 = _window_multiplicities(fc, s_axis, res, delta, w_lo, w_end, starts)
+    m2 = _window_multiplicities(gc, s_axis, res, delta, w_lo, w_end, starts)
+    both = (m1 > 0) & (m2 > 0)
+    m1, m2 = m1[both], m2[both]
+    # sorting the keys, not a table of all (m1, m2), keeps the memory within
+    # the window when the multiplicities run into the thousands
+    k2 = int(m2.max(initial=0)) + 1
+    key, counts = np.unique(m1 * k2 + m2, return_counts=True)
+    return key // k2, key % k2, counts
+
+
+def _exact_weighted_sum(counts: np.ndarray, v: np.ndarray) -> float:
+    """sum(counts * v), rounded once.  Veltkamp's split cuts each v into two
+    halves of 26 significant bits and each count (below 2^53) into a multiple
+    of 2^26 and a rest, so the four partial products are exact floats and
+    `math.fsum` adds them exactly."""
+    scaled = v * 134217729.0  # 2^27 + 1
+    v_hi = scaled - (scaled - v)
+    v_lo = v - v_hi
+    c_lo = counts & 0x3FFFFFF
+    c_hi = (counts - c_lo).astype(np.float64)
+    c_lo = c_lo.astype(np.float64)
+    return math.fsum(np.concatenate([c_hi * v_hi, c_hi * v_lo, c_lo * v_hi, c_lo * v_lo]))
 
 
 def bilinear_curve_integral(
@@ -254,11 +344,9 @@ def bilinear_curve_integral(
         res = spec.resolution if spec.resolution is not None else delta / 4.0
         n = max(2, int(round(1.0 / res)))
         res = 1.0 / n
-        s_axis = (np.arange(n) + 0.5) * res
-        m1 = _curve_grid_multiplicities(fc, s_axis, res, n, delta)
-        m2 = _curve_grid_multiplicities(gc, s_axis, res, n, delta)
-        v = m1.astype(np.float64) ** p * m2.astype(np.float64) ** p
-        return MCEstimate(float(v.sum()) * res * res, 0.0, n * n)
+        m1, m2, counts = _curve_pair_counts(fc, gc, n, delta)
+        total = _exact_weighted_sum(counts, _power_product(m1, m2, p))
+        return MCEstimate(total * res * res, 0.0, n * n)
 
     def mult(coeffs):
         def fn(pts):

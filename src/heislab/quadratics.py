@@ -18,6 +18,7 @@ and evaluates |h| + |h'| at the at most 7 closed-form candidates of each row
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,19 +189,22 @@ def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.max(axis=1) + np.abs(h[:, 0]), v.min(axis=1)
 
 
-def _pair_gauges(f: Quadratic, g: Quadratic) -> tuple[np.ndarray, np.ndarray]:
-    return jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
+# one entry: `delta_gauge(f, g)` right after `tau(f, g)` reuses the row
+@functools.lru_cache(maxsize=1)
+def _pair_gauges(f: Quadratic, g: Quadratic) -> tuple[float, float]:
+    t, d = jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
+    return float(t[0]), float(d[0])
 
 
 def tau(f: Quadratic, g: Quadratic) -> float:
     """sup over the planar domain of |h| + |h'| + |h''| for h = f - g."""
-    return float(_pair_gauges(f, g)[0][0])
+    return _pair_gauges(f, g)[0]
 
 
 def delta_gauge(f: Quadratic, g: Quadratic) -> float:
     """inf over the planar domain of |h| + |h'| for h = f - g; 0 iff graphs
     share a point with a common tangent line (inside the domain)."""
-    return float(_pair_gauges(f, g)[1][0])
+    return _pair_gauges(f, g)[1]
 
 
 def _solve_le(a: float, b: float, c: float, bound: float):

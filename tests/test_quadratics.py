@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jet_reference as ref
+from heislab import quadratics
 from heislab.families import build_bipartite_balls
 from heislab.quadratics import (
     PLANAR_DOMAIN,
@@ -194,6 +195,48 @@ def test_jet_gauges_subnormal_coefficient(row):
     q, zero = Quadratic(*row), Quadratic(0.0, 0.0, 0.0)
     assert tau(q, zero) == ref.tau(q, zero)
     assert delta_gauge(q, zero) == ref.delta_gauge(q, zero)
+
+
+def _same_float(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def test_tau_and_delta_gauge_equal_scalar_reference_on_alternating_and_repeated_pairs(rng):
+    # the one-entry memo of the pair row must never hand one pair's gauges
+    # to the next, also when the pairs differ only in the sign of a zero
+    signed = [
+        Quadratic(0.0, 0.0, 0.0),
+        Quadratic(-0.0, -0.0, -0.0),
+        Quadratic(0.0, -0.0, 1.0),
+        Quadratic(-0.0, 0.5, -0.0),
+        Quadratic(1.0, 0.0, -0.0),
+        Quadratic(1.0, -0.0, 0.0),
+    ]
+    curves = signed + [Quadratic(*row) for row in rng.normal(size=(6, 3)).tolist()]
+    pairs = [(f, g) for f in curves for g in curves]
+    alternating = [pr for ab in zip(pairs, pairs[::-1]) for pr in ab]
+    repeated = [pr for pr in pairs for _ in range(3)]
+    for f, g in alternating + repeated:
+        assert _same_float(tau(f, g), ref.tau(f, g))
+        assert _same_float(delta_gauge(f, g), ref.delta_gauge(f, g))
+        assert _same_float(tau(f, g), ref.tau(f, g))
+
+
+def test_delta_gauge_after_tau_reuses_the_kernel_row(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(len(h))
+        return jet_gauges(h)
+
+    monkeypatch.setattr(quadratics, "jet_gauges", counting)
+    quadratics._pair_gauges.cache_clear()
+    f, g = Quadratic(1.3, -0.2, 0.7), Quadratic(-0.4, 0.1, 0.2)
+    t, d = tau(f, g), delta_gauge(f, g)
+    assert calls == [1]
+    assert (t, d) == (ref.tau(f, g), ref.delta_gauge(f, g))
+    tau(g, f)
+    assert calls == [1, 1]
 
 
 @pytest.mark.parametrize("k", [5, 6])  # 282 curves: exhaustive; 2272: sampled
