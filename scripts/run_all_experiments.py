@@ -3,11 +3,13 @@
 order) at its default desk-scale parameters.
 
 Results land in results/<name>.csv plus a .manifest per run; the summary at
-the end lists each experiment's exit status.  Pass --quick for reduced
-ladders and sample counts (about a minute total).
+the end lists each experiment's exit status, wall time and peak resident set
+size (the child's `ru_maxrss` from `os.wait4`, KiB on Linux, printed in MB).
+Pass --quick for reduced ladders and sample counts (about a minute total).
 """
 
 import argparse
+import os
 import subprocess
 import sys
 import time
@@ -50,14 +52,17 @@ def main() -> int:
             *extra,
         ]
         t0 = time.time()
-        proc = subprocess.run(cmd)
-        statuses.append((name, proc.returncode, time.time() - t0))
+        with subprocess.Popen(cmd) as proc:
+            # wait4 gives the child's own resource usage: ru_maxrss is its peak RSS
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        statuses.append((name, proc.returncode, time.time() - t0, usage.ru_maxrss / 1024.0))
 
     print("\nsummary:")
     worst = 0
-    for name, code, wall in statuses:
+    for name, code, wall, peak_mb in statuses:
         mark = "ok" if code == 0 else f"exit {code}"
-        print(f"  {name:28s} {mark:8s} {wall:6.1f}s")
+        print(f"  {name:28s} {mark:8s} {wall:6.1f}s {peak_mb:7.1f} MB peak RSS")
         worst = max(worst, code)
     return worst
 

@@ -45,6 +45,7 @@ from .integrals import (
     bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
     fit_exponent,
+    strip_multiplicity,
 )
 from .projection import (
     PlanePoint,
@@ -344,9 +345,7 @@ def _exp_balls(*, delta_exps=range(5, 8), rho=0.25, seed) -> ExperimentResult:
         rng = np.random.default_rng([seed, k])
         s = rng.uniform(0.1, 0.9, 1000)
         y = rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
-        fc = coeff_array(pair.F)
-        vals = (0.5 * fc[:, 0:1] * s + fc[:, 1:2]) * s + fc[:, 2:3]
-        m = (np.abs(vals - y) <= d).sum(axis=0)
+        m = strip_multiplicity(coeff_array(pair.F), s, y, d)
         scale = (rho / d) ** 2
         norm = est.value * d ** 3
         norm_pts.append((d, norm))

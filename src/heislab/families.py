@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _bulk
 from .heis import E1, E2, HDirection, HPoint
-from .quadratics import BipartitePair, CurviRect, Interval, Quadratic, jet_gauges
+from .quadratics import _PAIR_CHUNK, BipartitePair, CurviRect, Interval, Quadratic, jet_gauges
 from .quadratics import tau  # noqa: F401  (perfbench/tests/test_spans.py wraps families.tau)
 from .tubes import HTube
 
@@ -120,7 +120,12 @@ def _tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quad
     cand = np.stack(
         [center.a + i.ravel() * ha, center.b + j.ravel() * hb, center.c + k.ravel() * hc], axis=1
     )
-    keep = jet_gauges(cand - [center.a, center.b, center.c])[0] <= radius
+    # blocks of _PAIR_CHUNK rows bound the memory: the box holds 157k rows at sep = 2^-7
+    h0 = [center.a, center.b, center.c]
+    keep = np.concatenate([
+        jet_gauges(cand[k : k + _PAIR_CHUNK] - h0)[0] <= radius
+        for k in range(0, len(cand), _PAIR_CHUNK)
+    ])
     return [Quadratic(a, b, c) for a, b, c in cand[keep].tolist()]
 
 

@@ -55,7 +55,7 @@ class HDirection:
 
     def __post_init__(self):
         r = self.a * self.a + self.b * self.b
-        if abs(r - 1.0) > _UNIT_TOL:
+        if not abs(r - 1.0) <= _UNIT_TOL:  # NaN fails this too
             raise ValueError(f"direction ({self.a}, {self.b}) not unit: a^2+b^2 = {r!r}")
 
     @staticmethod

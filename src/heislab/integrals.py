@@ -31,6 +31,7 @@ __all__ = [
     "bilinear_tube_integral",
     "bilinear_curve_integral",
     "bilinear_integral_from_multiplicity",
+    "strip_multiplicity",
 ]
 
 _SHARD = 65536
@@ -73,6 +74,8 @@ def fit_exponent(points) -> ExponentFit:
     if len(pts) < 3:
         raise ValueError(f"need at least 3 ladder points, got {len(pts)}")
     for d, v in pts:
+        if not (math.isfinite(d) and d > 0.0 and math.isfinite(v)):
+            raise ValueError(f"need a finite delta > 0 and a finite value, got {v} at delta={d}")
         if not (v > 0.0):
             raise ValueError(f"nonpositive value {v} at delta={d}")
     x = np.log([d for d, _ in pts])
@@ -252,6 +255,24 @@ def _strip_rows(coeffs: np.ndarray, s_axis: np.ndarray, res: float, delta: float
         yield lo, hi + 1
 
 
+def strip_multiplicity(coeffs, s, y, delta: float) -> np.ndarray:
+    """Per point (s[i], y[i]), the number of curves whose strip |f(s) - y| <= delta
+    holds it, as int64.  A block holds at most `_SHARD` (curve, point) entries,
+    or one curve when there are more points than that."""
+    m = np.zeros(len(s), dtype=np.int64)
+    block = max(1, _SHARD // max(1, len(s)))
+    for start in range(0, len(coeffs), block):
+        a, b, c = coeffs[start : start + block, :, None].transpose(1, 0, 2)
+        # (0.5 * a * s + b) * s + c - y in place: the same float operations
+        f = 0.5 * a * s
+        f += b
+        f *= s
+        f += c
+        f -= y
+        m += (np.abs(f, out=f) <= delta).sum(axis=0)
+    return m
+
+
 def _column_span(coeffs, s_axis, res, delta) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the least lo and the greatest end over the family's
     nonempty strips (ny and 0 where there is none)."""
@@ -339,6 +360,8 @@ def bilinear_curve_integral(
         raise ValueError(f"exponent p must be positive, got {p}")
     fc = coeff_array(F)
     gc = coeff_array(G)
+    if not (np.isfinite(fc).all() and np.isfinite(gc).all()):
+        raise ValueError("quadratic coefficients must be finite")
 
     if spec.mode == "grid":
         res = spec.resolution if spec.resolution is not None else delta / 4.0
@@ -348,18 +371,9 @@ def bilinear_curve_integral(
         total = _exact_weighted_sum(counts, _power_product(m1, m2, p))
         return MCEstimate(total * res * res, 0.0, n * n)
 
-    def mult(coeffs):
-        def fn(pts):
-            m = np.zeros(pts.shape[0], dtype=np.int64)
-            s, y = pts[:, 0], pts[:, 1]
-            for a, b, c in coeffs:
-                f = (0.5 * a * s + b) * s + c
-                m += np.abs(f - y) <= delta
-            return m
-
-        return fn
-
     region = np.array([[0.0, 1.0], [0.0, 1.0]])
     return bilinear_integral_from_multiplicity(
-        mult(fc), mult(gc), region, p, spec, workers
+        lambda pts: strip_multiplicity(fc, pts[:, 0], pts[:, 1], delta),
+        lambda pts: strip_multiplicity(gc, pts[:, 0], pts[:, 1], delta),
+        region, p, spec, workers,
     )

@@ -355,7 +355,8 @@ class BipartiteReport:
     note: str = ""
 
 
-# pairs per jet_gauges call in validate_bipartite; bounds its working memory
+# rows per jet_gauges call in validate_bipartite and the ball lattice; bounds
+# their working memory
 _PAIR_CHUNK = 4096
 
 

@@ -290,8 +290,8 @@ def line_broadness(
             if n_ball == 0:
                 continue
             ang = np.sort(angles[hit])
-            # unwrap across the circle for window counting
-            ext = np.concatenate([ang, ang + 2.0 * math.pi])
+            # unwrap across the circle both ways, so windows wrap past +-pi
+            ext = np.concatenate([ang - 2.0 * math.pi, ang, ang + 2.0 * math.pi])
             for h in halves:
                 width = 2.0 * h
                 # windows centered on present directions

@@ -1,11 +1,18 @@
-"""Dense reference for the grid mode of `integrals.bilinear_curve_integral`.
+"""Dense references for the curve-strip counts of `integrals`.
 
-This is the per-curve loop over the full n x n grid and the power sum over
-every cell that the windowed pair count replaced; the oracle tests compare
-the two on counts and on values.
+The grid mode of `bilinear_curve_integral`: the per-curve loop over the full
+n x n grid and the power sum over every cell that the windowed pair count
+replaced; the oracle tests compare the two on counts and on values.
+
+The pointwise count `strip_multiplicity`: the dense (curves, points) check of
+`bipartite-ball-sharpness` and the per-curve loop of the Monte Carlo mode,
+which it replaced.
 """
 
 import numpy as np
+
+from heislab.integrals import SampleSpec, bilinear_integral_from_multiplicity
+from heislab.quadratics import coeff_array
 
 
 def curve_grid_multiplicities(
@@ -56,3 +63,32 @@ def grid_integral(fc: np.ndarray, gc: np.ndarray, n: int, delta: float, p: float
     m1, m2 = grid_multiplicities(fc, gc, n, delta)
     v = m1.astype(np.float64) ** p * m2.astype(np.float64) ** p
     return float(v.sum()) * res * res
+
+
+def dense_strip_multiplicity(coeffs: np.ndarray, s: np.ndarray, y: np.ndarray, delta: float):
+    """Strip counts per point from one (curves, points) float64 array of curve
+    values, as the ball check computed them."""
+    vals = (0.5 * coeffs[:, 0:1] * s + coeffs[:, 1:2]) * s + coeffs[:, 2:3]
+    return (np.abs(vals - y) <= delta).sum(axis=0)
+
+
+def per_curve_strip_multiplicity(coeffs: np.ndarray, s: np.ndarray, y: np.ndarray, delta: float):
+    """Strip counts per point from one pass over the points per curve, as the
+    Monte Carlo mode computed them."""
+    m = np.zeros(len(s), dtype=np.int64)
+    for a, b, c in coeffs:
+        f = (0.5 * a * s + b) * s + c
+        m += np.abs(f - y) <= delta
+    return m
+
+
+def monte_carlo_integral(F, G, delta: float, p: float, spec: SampleSpec):
+    """The Monte Carlo mode of `bilinear_curve_integral` on the per-curve
+    counts, with one worker."""
+    def mult(coeffs):
+        return lambda pts: per_curve_strip_multiplicity(coeffs, pts[:, 0], pts[:, 1], delta)
+
+    region = np.array([[0.0, 1.0], [0.0, 1.0]])
+    return bilinear_integral_from_multiplicity(
+        mult(coeff_array(F)), mult(coeff_array(G)), region, p, spec
+    )

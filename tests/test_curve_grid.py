@@ -1,6 +1,7 @@
 """The windowed (m1, m2) pair count of the curve-grid integral against the
-dense per-curve grid of `curve_grid_reference`, and the power table of the
-sampling engine against per-sample float powers."""
+dense per-curve grid of `curve_grid_reference`, the blocked pointwise strip
+count against the dense and per-curve counts it replaced, and the power table
+of the sampling engine against per-sample float powers."""
 
 import tracemalloc
 from fractions import Fraction
@@ -9,13 +10,16 @@ import numpy as np
 import pytest
 
 import curve_grid_reference as ref
+from heislab.cli import _exp_balls
 from heislab.families import build_bipartite_balls, build_opposed_pair
 from heislab.integrals import (
+    _SHARD,
     SampleSpec,
     _curve_pair_counts,
     _power_product,
     bilinear_curve_integral,
     bilinear_integral_from_multiplicity,
+    strip_multiplicity,
 )
 from heislab.quadratics import Quadratic, coeff_array
 
@@ -151,6 +155,98 @@ def test_coincident_curves_need_no_dense_pair_table():
     m1, m2, counts = out["counts"]
     assert (m1.tolist(), m2.tolist(), counts.tolist()) == ([copies], [copies], single.tolist())
     assert peak < 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the pointwise strip count
+
+
+def _ball_check_points(k, seed, rho=0.25):
+    # the points of bipartite-ball-sharpness's pointwise check at delta = 2^-k
+    rng = np.random.default_rng([seed, k])
+    s = rng.uniform(0.1, 0.9, 1000)
+    return s, rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
+
+
+def _uniform_points(seed, n):
+    pts = np.random.default_rng(seed).random((n, 2))
+    return pts[:, 0], pts[:, 1]
+
+
+def _assert_equals_references(coeffs, s, y, delta):
+    got = strip_multiplicity(coeffs, s, y, delta)
+    assert got.dtype == np.int64 and got.shape == s.shape
+    assert got.tolist() == ref.dense_strip_multiplicity(coeffs, s, y, delta).tolist()
+    assert got.tolist() == ref.per_curve_strip_multiplicity(coeffs, s, y, delta).tolist()
+    return got
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_strip_counts_on_the_ball_families_equal_the_references(k):
+    d = 2.0 ** -k
+    pair = build_bipartite_balls(d, 0.25)
+    for fam in (pair.F, pair.G):
+        fc = coeff_array(fam)
+        for s, y in (_ball_check_points(k, 0), _uniform_points(k, 5000)):
+            _assert_equals_references(fc, s, y, d)
+    # the check's points sit in about (rho/delta)^2 F-strips
+    m = strip_multiplicity(coeff_array(pair.F), *_ball_check_points(k, 0), d)
+    assert m.min() > 0
+
+
+@pytest.mark.parametrize(
+    "coeffs, n_pts",
+    [
+        (coeff_array(_random_family(7, 40)), 3000),
+        (coeff_array([Quadratic(0.5, 0.1, 0.5)]), 3000),
+        (coeff_array([]), 3000),
+        (coeff_array(_random_family(8, 40)), 0),
+        (coeff_array([]), 0),
+    ],
+    ids=["random", "one-curve", "no-curves", "no-points", "neither"],
+)
+def test_strip_counts_on_edge_families_equal_the_references(coeffs, n_pts):
+    s, y = _uniform_points(9, n_pts)
+    got = _assert_equals_references(coeffs, s, y, 2.0 ** -4)
+    if len(coeffs) == 0:
+        assert not got.any()
+
+
+def test_strip_counts_take_points_on_the_strip_edge():
+    # |f(s) - y| == delta exactly: f = 0.5 and y = 0.5 +- 2^-4 are exact floats
+    s = np.linspace(0.0, 1.0, 7)
+    for y0 in (0.5 - 2.0 ** -4, 0.5 + 2.0 ** -4):
+        y = np.full_like(s, y0)
+        got = _assert_equals_references(coeff_array([Quadratic(0.0, 0.0, 0.5)] * 3), s, y, 2.0 ** -4)
+        assert got.tolist() == [3] * len(s)
+
+
+def test_strip_count_memory_is_a_few_blocks():
+    # 20,000 curves x 1000 points: a dense float64 table would take 160 MB
+    rng = np.random.default_rng(12)
+    coeffs, (s, y) = rng.random((20_000, 3)), _uniform_points(13, 1000)
+    assert _peak_bytes(lambda: strip_multiplicity(coeffs, s, y, 0.1)) < 3 * _SHARD * 8
+
+
+def test_strip_counts_with_more_points_than_a_block_equal_the_references():
+    # one curve per block, each block wider than _SHARD points
+    s, y = _uniform_points(10, _SHARD + 123)
+    got = _assert_equals_references(coeff_array(_random_family(11, 5)), s, y, 2.0 ** -3)
+    assert got.any()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_curve_integral_equals_the_per_curve_loop(workers):
+    F, G, delta, _ = _CASES["random"]
+    spec = SampleSpec(samples=200_000, seed=6)
+    got = bilinear_curve_integral(F, G, delta, 0.75, spec, workers)
+    assert got == ref.monte_carlo_integral(F, G, delta, 0.75, spec)
+    assert got.value > 0.0
+
+
+def test_ball_check_memory_is_bounded():
+    # the dense (curves x 1000) float64 check held 53 MB at delta = 2^-6
+    assert _peak_bytes(lambda: _exp_balls(delta_exps=[6], seed=0)) < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Family generators: bush, opposed pair, bipartite balls, clamshell, net."""
 
 import math
+import tracemalloc
 
 import jet_reference as ref
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from heislab import _bulk
 from heislab.heis import HPoint
 from heislab.families import (
+    _tau_ball_lattice,
     build_bipartite_balls,
     build_bush,
     build_clamshell,
@@ -135,6 +137,18 @@ def test_bipartite_balls_equal_scalar_lattice_in_order(k):
     assert list(pair.F) == ref.tau_ball_lattice(Quadratic(2.0 * rho, 0.0, 0.0), rho, d)
     assert list(pair.G) == ref.tau_ball_lattice(Quadratic(-2.0 * rho, 0.0, 0.0), rho, d)
     assert all(type(x) is float for q in pair.F[:5] for x in (q.a, q.b, q.c))
+
+
+def test_ball_lattice_memory_is_bounded():
+    # tau of the whole 157k-row candidate box in one call peaked at 49 MB
+    tracemalloc.start()
+    try:
+        lattice = _tau_ball_lattice(Quadratic(0.5, 0.0, 0.0), 0.25, 2.0 ** -7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 18_301
+    assert peak < 24 * 2 ** 20
 
 
 def test_bipartite_balls_multiplicity_band(rng):

@@ -133,6 +133,14 @@ def test_direction_validation():
     assert e.point(2.0) == HPoint(2 * e.a, 2 * e.b, 0.0)
 
 
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (1.0, -math.inf), (math.nan, math.inf)]
+)
+def test_direction_rejects_nonfinite(a, b):
+    with pytest.raises(ValueError, match="not unit"):
+        HDirection(a, b)
+
+
 def test_point_rejects_nonfinite():
     with pytest.raises(ValueError):
         HPoint(float("nan"), 0, 0)

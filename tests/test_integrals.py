@@ -43,6 +43,21 @@ def test_fit_rejects_bad_input():
         fit_exponent([(0.5, 1.0), (0.25, -1.0), (0.125, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0.5, 1.0), (0.25, math.inf), (0.125, 3.0)],
+        [(0.5, 1.0), (0.25, math.nan), (0.125, 3.0)],
+        [(0.5, 1.0), (math.nan, 2.0), (0.125, 3.0)],
+        [(math.inf, 1.0), (0.25, 2.0), (0.125, 3.0)],
+        [(0.5, 1.0), (0.0, 2.0), (0.125, 3.0)],
+    ],
+)
+def test_fit_rejects_nonfinite_points(pts):
+    with pytest.raises(ValueError, match="finite"):
+        fit_exponent(pts)
+
+
 def test_fit_keeps_log_points():
     fit = fit_exponent([(0.5, 2.0), (0.25, 4.0), (0.125, 8.0)])
     assert len(fit.points) == 3
@@ -134,6 +149,18 @@ def test_curve_integral_worker_invariance():
     b = bilinear_curve_integral(F, G, delta, 0.75, spec, workers=4)
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["grid", "monte_carlo"])
+@pytest.mark.parametrize("family", ["F", "G"])
+def test_curve_integral_rejects_nonfinite_coefficients(bad, mode, family):
+    ok = [Quadratic(0.0, 0.0, 0.5)]
+    worse = [Quadratic(0.0, 0.0, 0.5), Quadratic(bad, 0.0, 0.5)]
+    F, G = (worse, ok) if family == "F" else (ok, worse)
+    spec = SampleSpec(mode=mode, samples=1000)
+    with pytest.raises(ValueError, match="finite"):
+        bilinear_curve_integral(F, G, 2.0 ** -3, 0.75, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,21 @@ def test_probe_spec_rejects_anchor_cap_below_one(cap):
         ProbeSpec(max_anchor_midpoints=cap)
 
 
+@pytest.mark.parametrize(
+    "c", [-math.pi + 0.012, -math.pi + 0.001, math.pi - 0.012, math.pi - 0.001, 0.3, 2.0]
+)
+def test_line_broadness_is_rotation_invariant(c):
+    # 7 lines through the origin, in two clusters 0.04 apart around angle c:
+    # near c = -pi the window must wrap past +pi to the left to see them all
+    offsets = [0.0] + [-0.02 + i * 1e-4 for i in range(3)] + [0.02 - i * 1e-4 for i in range(3)]
+
+    def ratio(center):
+        cores = [(HPoint(0, 0, 0), HDirection.from_angle(center + o)) for o in offsets]
+        return line_broadness(cores, 2.0 ** -4, 1.0).worst_ratio
+
+    assert ratio(c) == ratio(0.3)
+
+
 def test_bush_lines_fail_broadness():
     # all directions concentrate in one tiny arc: the probe at the common
     # point with the delta^(3/2)-arc sees every line
