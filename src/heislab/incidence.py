@@ -18,6 +18,8 @@ from .quadratics import (
     CurviRect,
     Quadratic,
     BipartitePair,
+    _comparable_mask,
+    _jet_window_bounds,
     coeff_array,
     comparable,
     dt_rectangle,
@@ -102,6 +104,44 @@ def _anchor_grid(length: float) -> np.ndarray:
     return lo + 0.5 * length * np.arange(n)
 
 
+def _jets_at(qc: np.ndarray, mids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Value, slope and curvature of every curve at every midpoint, (midpoints, curves)."""
+    m = mids[:, None]
+    vals = (0.5 * qc[:, 0] * m + qc[:, 1]) * m + qc[:, 2]
+    return vals, qc[:, 0] * m + qc[:, 1], np.broadcast_to(qc[:, 0], vals.shape)
+
+
+# (anchor, curve) cells one block of the jet-window counter holds at once;
+# bounds its temporaries to under a MB whatever the family size
+_PROFILE_BLOCK_CELLS = 1 << 16
+
+
+def _jet_window_counts(targets, sources, am, ai, delta: float, t: float) -> np.ndarray:
+    """Per anchor k, the number of curves of `targets` in the jet window of
+    curve ai[k] of `sources` at midpoint am[k] (jets as `_jets_at` gives them),
+    by the differences and comparisons of in_jet_window, so each count equals
+    the dense mask's sum; in place, on blocks of _PROFILE_BLOCK_CELLS cells."""
+    jets = [(x, y[am, ai, None]) for x, y in zip(targets, sources)]
+    bounds = _jet_window_bounds(_C_JET, delta, t)
+    counts = np.zeros(len(am), dtype=np.int64)
+    n = targets[0].shape[1]
+    for j in range(0, n, _PROFILE_BLOCK_CELLS):
+        width = min(n - j, _PROFILE_BLOCK_CELLS)
+        rows = _PROFILE_BLOCK_CELLS // width
+        diff, (ok, inside) = np.empty((rows, width)), np.empty((2, rows, width), dtype=bool)
+        for s in range(0, len(am), rows):
+            block = am[s : s + rows]
+            d, good = diff[: len(block)], ok[: len(block)]
+            good.fill(True)
+            for (target, anchor), bound in zip(jets, bounds):
+                # mode="clip" writes straight into d; the rows are in range
+                np.take(target[:, j : j + width], block, axis=0, out=d, mode="clip")
+                d -= anchor[s : s + rows]
+                good &= np.less_equal(np.abs(d, out=d), bound, out=inside[: len(block)])
+            counts[s : s + rows] += np.count_nonzero(good, axis=1)
+    return counts
+
+
 def max_incomparable_rich(
     F: list[Quadratic],
     G: list[Quadratic],
@@ -116,36 +156,32 @@ def max_incomparable_rich(
     spaced at half the base length; any rectangle rich for the family is
     within comparability of such an anchor.  Selection is first-fit in the
     deterministic scan order (curve index, then midpoint), so identical
-    inputs give identical output.
+    inputs give identical output.  Raises ValueError unless 0 < delta <= t <= 1
+    and every coefficient is finite.
     """
-    if not (delta <= t <= 1.0):
-        raise ValueError(f"need delta <= t <= 1, got delta={delta}, t={t}")
-    if not F:
-        return []
-    length = math.sqrt(delta / t)
-    mids = _anchor_grid(length)
-    fc = coeff_array(F)
-    gc = coeff_array(G)
-
-    # jets of every curve at every midpoint: values[i, m], slopes[i, m]
-    fvals = (0.5 * fc[:, 0:1] * mids + fc[:, 1:2]) * mids + fc[:, 2:3]
-    fders = fc[:, 0:1] * mids + fc[:, 1:2]
-    gvals = (0.5 * gc[:, 0:1] * mids + gc[:, 1:2]) * mids + gc[:, 2:3]
-    gders = gc[:, 0:1] * mids + gc[:, 1:2]
-
+    if not (0.0 < delta <= t <= 1.0):
+        raise ValueError(f"need 0 < delta <= t <= 1, got delta={delta}, t={t}")
+    fc, gc = coeff_array(F), coeff_array(G)
+    mids = _anchor_grid(math.sqrt(delta / t))
+    ci, cm = np.divmod(np.arange(len(F) * len(mids)), len(mids))  # scan order
+    fj = _jets_at(fc, mids)
+    # G first: every F anchor counts itself, so its nu test drops more anchors
+    for jets, least in ((_jets_at(gc, mids), nu), (fj, mu)):
+        rich = _jet_window_counts(jets, fj, cm, ci, delta, t) >= least
+        ci, cm = ci[rich], cm[rich]
+    # each midpoint's base and own t as dt_rectangle and rect_t_scale make them
+    lo, hi = mids - 0.5 * math.sqrt(delta / t), mids + 0.5 * math.sqrt(delta / t)
+    base_mid, base_t = 0.5 * (lo + hi), np.array([delta / x ** 2 for x in (hi - lo).tolist()])
     chosen: list[CurviRect] = []
-    for i in range(len(F)):
-        mu_counts = in_jet_window(
-            fvals - fvals[i], fders - fders[i], fc[:, 0:1] - fc[i, 0], _C_JET, delta, t
-        ).sum(axis=0)
-        nu_counts = in_jet_window(
-            gvals - fvals[i], gders - fders[i], gc[:, 0:1] - fc[i, 0], _C_JET, delta, t
-        ).sum(axis=0)
-        good = np.nonzero((mu_counts >= mu) & (nu_counts >= nu))[0]
-        for m in good:
-            cand = dt_rectangle(F[i], float(mids[m]), delta, t)
-            if all(not comparable(cand, r) for r in chosen):
-                chosen.append(cand)
+    rest = np.arange(len(ci))
+    while len(rest):
+        k, rest = rest[0], rest[1:]
+        cand = dt_rectangle(F[ci[k]], float(mids[cm[k]]), delta, t)
+        if any(comparable(cand, r) for r in chosen):
+            raise RuntimeError("bulk first-fit kept a rectangle comparable to a chosen one")
+        chosen.append(cand)
+        m, h = cm[rest], (fc[ci[rest]] - fc[ci[k]]).T
+        rest = rest[~_comparable_mask(base_mid[m], base_mid[cm[k]], h, delta, base_t[m])]
     return chosen
 
 
@@ -192,11 +228,6 @@ def wolff_bound_check(
     )
 
 
-# anchor x curve cells one block of the concentration profile counts at once;
-# bounds its temporaries to a few MB whatever the family size
-_PROFILE_BLOCK_CELLS = 1 << 16
-
-
 def _concentration_profile(
     qc: np.ndarray, delta: float, probes: ProbeSpec
 ) -> list[tuple[float, float, int, float, int]]:
@@ -216,9 +247,7 @@ def _concentration_profile(
                 step = len(mids) / probes.max_anchor_midpoints
                 mids = mids[(np.arange(probes.max_anchor_midpoints) * step).astype(int)]
             root_st = math.sqrt(sigma * t)
-            # jets of every curve at every midpoint: vals[m, i], ders[m, i]
-            vals = (0.5 * qc[:, 0] * mids[:, None] + qc[:, 1]) * mids[:, None] + qc[:, 2]
-            ders = qc[:, 0] * mids[:, None] + qc[:, 1]
+            vals, ders, curv = jets = _jets_at(qc, mids)
             # anchors: the first curve of each distinct quantized jet, in
             # lexicographic (midpoint, key) order; the sort must be stable, and
             # keys compare by value (not bits), so -0.0 and 0.0 are one key
@@ -226,7 +255,7 @@ def _concentration_profile(
                 np.repeat(np.arange(len(mids)), n),
                 np.round(vals / (0.5 * sigma)).ravel(),
                 np.round(ders / (0.5 * root_st)).ravel(),
-                np.tile(np.round(qc[:, 0] / (0.5 * t)), len(mids)),
+                np.round(curv / (0.5 * t)).ravel(),
             )
             order = np.lexsort(keys[::-1])
             same = np.ones(len(order) - 1, dtype=bool)
@@ -235,18 +264,7 @@ def _concentration_profile(
                 same &= ks[1:] == ks[:-1]
             am, ai = np.divmod(order[np.concatenate(([True], ~same))], n)
 
-            counts = np.empty(len(am), dtype=np.int64)
-            block = max(1, _PROFILE_BLOCK_CELLS // n)
-            for s in range(0, len(am), block):
-                bm, bi = am[s : s + block], ai[s : s + block]
-                counts[s : s + block] = in_jet_window(
-                    vals[bm] - vals[bm, bi, None],
-                    ders[bm] - ders[bm, bi, None],
-                    qc[:, 0] - qc[bi, 0, None],
-                    _C_JET,
-                    sigma,
-                    t,
-                ).sum(axis=1)
+            counts = _jet_window_counts(jets, jets, am, ai, sigma, t)
             k = int(np.argmax(counts))  # the first maximum in anchor order
             profile.append((sigma, t, int(counts[k]), float(mids[am[k]]), int(ai[k])))
     return profile
@@ -280,8 +298,6 @@ def quad_broadness(
     _check_alpha(alpha)
     probes = probes or ProbeSpec()
     qc = coeff_array(Q)
-    if not np.isfinite(qc).all():
-        raise ValueError("quadratic coefficients must be finite")
     n = len(Q)
 
     worst = 0.0

@@ -358,10 +358,7 @@ def bilinear_curve_integral(
     (G-strip multiplicity)^p, membership being |f(s) - y| <= delta."""
     if not (p > 0.0):
         raise ValueError(f"exponent p must be positive, got {p}")
-    fc = coeff_array(F)
-    gc = coeff_array(G)
-    if not (np.isfinite(fc).all() and np.isfinite(gc).all()):
-        raise ValueError("quadratic coefficients must be finite")
+    fc, gc = coeff_array(F), coeff_array(G)
 
     if spec.mode == "grid":
         res = spec.resolution if spec.resolution is not None else delta / 4.0

@@ -163,7 +163,10 @@ def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tau, Delta) of each row of h: the row max of |h| + |h'| over the
     candidates plus |h''|, and the row min.  The roots of h follow the
     branches of `_quadratic_roots`.  A candidate that does not exist is NaN,
-    which the domain test drops, so no division is by zero."""
+    which the domain test drops, so no division is by zero.  Raises
+    ValueError if an entry of h is not finite."""
+    if not np.isfinite(h).all():
+        raise ValueError("jet gauges need finite coefficient differences")
     lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
     da, db, dc = h[:, 0:1], h[:, 1:2], h[:, 2:3]
     quad = da != 0.0
@@ -266,11 +269,16 @@ def near_intersection_intervals(
     return [Interval(lo, hi) for lo, hi in merged]
 
 
-def in_jet_window(dv, ds, da, c: float, delta: float, t: float):
+def _jet_window_bounds(c: float, delta: float, t):
+    """The bounds (c*delta, c*sqrt(delta*t), c*t) of the jet window."""
+    return c * delta, c * np.sqrt(delta * t), c * t
+
+
+def in_jet_window(dv, ds, da, c: float, delta: float, t):
     """Whether value, slope and curvature differences lie within
-    (c*delta, c*sqrt(delta*t), c*t); a bool for scalars, a mask for arrays."""
-    root = math.sqrt(delta * t)
-    return (abs(dv) <= c * delta) & (abs(ds) <= c * root) & (abs(da) <= c * t)
+    `_jet_window_bounds`; a numpy bool for scalars, a mask for arrays."""
+    bv, bs, bc = _jet_window_bounds(c, delta, t)
+    return (abs(dv) <= bv) & (abs(ds) <= bs) & (abs(da) <= bc)
 
 
 def is_tangent_jet(f: Quadratic, rect: CurviRect, c_jet: float = 4.0) -> bool:
@@ -287,7 +295,7 @@ def is_tangent_jet(f: Quadratic, rect: CurviRect, c_jet: float = 4.0) -> bool:
         )
     theta = rect.base.mid
     h = f.sub(rect.center)
-    return in_jet_window(h(theta), h.deriv(theta), h.a, c_jet, delta, t)
+    return bool(in_jet_window(h(theta), h.deriv(theta), h.a, c_jet, delta, t))
 
 
 def is_tangent_containment(f: Quadratic, rect: CurviRect, c_tan: float = 4.0) -> bool:
@@ -320,13 +328,18 @@ def comparable(r1: CurviRect, r2: CurviRect, c_cmp: float = 10.0) -> bool:
         raise ValueError(
             f"comparability needs matching (delta, t); got ({d1}, {t1}) vs ({d2}, {t2})"
         )
-    delta, t = d1, t1
-    m1, m2 = r1.base.mid, r2.base.mid
-    if abs(m1 - m2) > c_cmp * math.sqrt(delta / t):
-        return False
-    joint = 0.5 * (m1 + m2)
     h = r1.center.sub(r2.center)
-    return in_jet_window(h(joint), h.deriv(joint), h.a, c_cmp, delta, t)
+    return bool(_comparable_mask(r1.base.mid, r2.base.mid, (h.a, h.b, h.c), d1, t1, c_cmp))
+
+
+def _comparable_mask(m1, m2, h, delta: float, t, c_cmp: float = 10.0):
+    """`comparable` on arrays: base midpoints m1 and m2, the coefficients
+    h = (a, b, c) of r1.center - r2.center, the common delta and r1's t."""
+    ha, hb, hc = h
+    joint = 0.5 * (m1 + m2)
+    value, slope = (0.5 * ha * joint + hb) * joint + hc, ha * joint + hb
+    near = np.abs(m1 - m2) <= c_cmp * np.sqrt(delta / t)
+    return near & in_jet_window(value, slope, ha, c_cmp, delta, t)
 
 
 @dataclass(frozen=True)
@@ -388,7 +401,7 @@ def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> 
     seeded draws, keeping the draws with i < j within a family.
 
     If `separation` is given, also checks that each family is that separated
-    in tau (on the same pair sample).
+    in tau (on the same pair sample); a non-finite coefficient raises ValueError.
     """
     F, G, rho = coeff_array(pair.F), coeff_array(pair.G), pair.rho
     within_max = 0.0
@@ -427,5 +440,9 @@ def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> 
 
 
 def coeff_array(curves) -> np.ndarray:
-    """Stack coefficient triples into an (n, 3) float64 array."""
-    return np.array([(q.a, q.b, q.c) for q in curves], dtype=np.float64).reshape(-1, 3)
+    """Stack coefficient triples into an (n, 3) float64 array; raises
+    ValueError if a coefficient is not finite."""
+    qc = np.array([(q.a, q.b, q.c) for q in curves], dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(qc).all():
+        raise ValueError("quadratic coefficients must be finite")
+    return qc

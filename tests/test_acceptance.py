@@ -34,6 +34,7 @@ from heislab.integrals import (
     bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
     fit_exponent,
+    strip_multiplicity,
 )
 from heislab.projection import (
     PlanePoint,
@@ -377,9 +378,7 @@ def test_criterion_09_bipartite_ball_sharpness():
         rng = np.random.default_rng([SEED, k])
         s = rng.uniform(0.1, 0.9, 1000)
         y = rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
-        fc = coeff_array(pair.F)
-        vals = (0.5 * fc[:, 0:1] * s + fc[:, 1:2]) * s + fc[:, 2:3]
-        m = (np.abs(vals - y) <= d).sum(axis=0)
+        m = strip_multiplicity(coeff_array(pair.F), s, y, d)
         scale = (rho / d) ** 2
         m_ok = m_ok and m.min() >= scale / 8 and m.max() <= scale * 8
     slope = fit_exponent(norm_pts).slope

@@ -2,16 +2,23 @@
 oracle, quantitative broadness, broad/narrow classification."""
 
 import math
+import tracemalloc
 
 import broadness_reference
+import incomparable_reference
 import jet_reference as ref
 import numpy as np
 import pytest
 
+from heislab import incidence
 from heislab.families import build_bipartite_balls, build_clamshell, build_opposed_pair
 from heislab.incidence import (
+    _C_JET,
     Richness,
     TangencyScale,
+    _anchor_grid,
+    _jet_window_counts,
+    _jets_at,
     classify_broad_narrow,
     max_incomparable_rich,
     quad_broadness,
@@ -20,9 +27,11 @@ from heislab.incidence import (
 )
 from heislab.quadratics import (
     Quadratic,
+    coeff_array,
     comparable,
     delta_gauge,
     dt_rectangle,
+    in_jet_window,
     is_tangent_containment,
     is_tangent_jet,
 )
@@ -100,6 +109,171 @@ def test_greedy_deterministic():
     a = max_incomparable_rich(F, G, 2.0 ** -8, 1.0, 16, 4)
     b = max_incomparable_rich(F, G, 2.0 ** -8, 1.0, 16, 4)
     assert a == b
+
+
+def _assert_greedy_equals_reference(F, G, delta, t, mu, nu):
+    rects = max_incomparable_rich(F, G, delta, t, mu, nu)
+    assert rects == incomparable_reference.max_incomparable_rich(F, G, delta, t, mu, nu)
+    return rects
+
+
+def _wolff_instances(seed):
+    """The 20 random (F, G) instances of the wolff-bound-check experiment."""
+    d = 2.0 ** -5
+    pair = build_bipartite_balls(d, 0.25)
+    F, G = list(pair.F), list(pair.G)
+    rng = np.random.default_rng([seed, 41])
+    for _ in range(20):
+        fi = sorted(rng.choice(len(F), size=min(64, len(F)), replace=False).tolist())
+        gi = sorted(rng.choice(len(G), size=min(64, len(G)), replace=False).tolist())
+        yield [F[j] for j in fi], [G[j] for j in gi], d, pair.rho
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_greedy_equals_reference_on_wolff_instances(seed):
+    for F, G, d, rho in _wolff_instances(seed):
+        assert _assert_greedy_equals_reference(F, G, d, rho, 1, 1)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_greedy_equals_reference_on_clamshell(n):
+    F, G, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, n)
+    assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, 16, 4)
+
+
+def test_greedy_equals_reference_on_small_families():
+    d, t = 2.0 ** -6, 2.0 ** -2
+    pair = build_opposed_pair(2.0 ** -8, 1.0)
+    assert _assert_greedy_equals_reference(list(pair.F), list(pair.G), 2.0 ** -8, 1.0, 1, 1)
+    q = Quadratic(1, 0, 0)
+    assert _assert_greedy_equals_reference([q], [q], d, t, 1, 1)
+    F, G, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, 16)
+    # an empty G is rich nowhere at nu = 1 and everywhere at nu = 0
+    assert _assert_greedy_equals_reference(F, [], 2.0 ** -8, 1.0, 1, 1) == []
+    assert _assert_greedy_equals_reference(F, [], 2.0 ** -8, 1.0, 1, 0)
+    # a G far above F meets no rectangle of F
+    far = [Quadratic(g.a, g.b, g.c + 3.0) for g in G]
+    assert _assert_greedy_equals_reference(F, far, 2.0 ** -8, 1.0, 1, 1) == []
+    # thresholds above every count
+    assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, len(F) + 1, 1) == []
+    assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, 1, len(G) + 1) == []
+    # every curve twice: the counts double, the chosen anchors stay first copies
+    rects = _assert_greedy_equals_reference(F + F, G + G, 2.0 ** -8, 1.0, 32, 8)
+    assert rects == max_incomparable_rich(F, G, 2.0 ** -8, 1.0, 16, 4)
+
+
+def test_greedy_equals_reference_at_rounded_base_lengths():
+    # sqrt(delta / t) = 2^-3.5 is not dyadic, so m - half and m + half round
+    # and a candidate's own t differs from t in its last bits; midpoints 20
+    # grid steps apart sit on the comparability edge 10 * sqrt(delta / t),
+    # and the curvature difference 10 * t is on the window edge too
+    delta, t = 2.0 ** -7, 1.0
+    for j0 in _anchor_grid(math.sqrt(delta / t))[::28].tolist():
+        F = [Quadratic(0.0, 0.0, 0.0), Quadratic(10 * t, -10 * t * j0, 5 * t * j0 * j0)]
+        assert _assert_greedy_equals_reference(F, F, delta, t, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "delta, t",
+    [(0.0, 0.25), (-2.0 ** -6, 0.25), (math.nan, 0.25), (math.inf, 0.25), (2.0 ** -6, math.nan),
+     (0.5, 0.25), (2.0 ** -6, 2.0)],
+)
+def test_greedy_rejects_bad_scales(delta, t):
+    q = Quadratic(1, 0, 0)
+    with pytest.raises(ValueError):
+        max_incomparable_rich([q], [q], delta, t, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_greedy_rejects_nonfinite_coefficients(bad):
+    q, b = Quadratic(1, 0, 0), Quadratic(bad, 0, 0)
+    for F, G in (([b], [q]), ([q], [b]), ([q, b], [q]), ([], [b])):
+        with pytest.raises(ValueError):
+            max_incomparable_rich(F, G, 2.0 ** -6, 0.25, 1, 1)
+
+
+def test_wolff_bound_rejects_nonfinite_coefficients():
+    with pytest.raises(ValueError):
+        wolff_bound_check([Quadratic(math.nan, 0, 0)], [Quadratic(1, 0, 0)], 2.0 ** -6, 0.25, 1, 1)
+
+
+def _dense_counts(targets, sources, am, ai, delta, t):
+    return [
+        int(in_jet_window(*(x[m] - y[m, i] for x, y in zip(targets, sources)),
+                          _C_JET, delta, t).sum())
+        for m, i in zip(am, ai)
+    ]
+
+
+# (1 << 16: one block across midpoints; 64: several; 12: one anchor per
+# block; 8: curves split into two column blocks)
+@pytest.mark.parametrize("cells", [1 << 16, 64, 12, 8])
+def test_jet_window_counts_equal_dense_mask_on_window_edges(monkeypatch, cells):
+    # delta = 2^-6, t = 2^-2: the bounds 2^-4, 2^-2 and 1 are exact, and the
+    # jets below differ from the anchors by multiples of half a bound, so
+    # many differences sit exactly on an edge; others sit one ulp beyond
+    monkeypatch.setattr(incidence, "_PROFILE_BLOCK_CELLS", cells)
+    delta, t = 2.0 ** -6, 2.0 ** -2
+    bounds = np.array([2.0 ** -4, 2.0 ** -2, 1.0])
+    rng = np.random.default_rng(7)
+    n_mid, n = 5, 9
+    jets = rng.integers(-3, 4, size=(3, n_mid, n)) * (bounds[:, None, None] / 2)
+    jets[:2, :, ::4] = np.nextafter(jets[:2, :, ::4], 1.0)
+    jets = jets[0], jets[1], np.broadcast_to(jets[2, 0], jets[0].shape)  # curvature per curve
+    am, ai = rng.integers(0, n_mid, size=30), rng.integers(0, n, size=30)
+    counts = _jet_window_counts(jets, jets, am, ai, delta, t)
+    dense = _dense_counts(jets, jets, am, ai, delta, t)
+    assert counts.tolist() == dense
+    # the edge cases count: strict comparisons would lose some of them
+    strict = [
+        int(np.all([np.abs(x[m] - x[m, i]) < b for x, b in zip(jets, bounds)], axis=0).sum())
+        for m, i in zip(am, ai)
+    ]
+    assert sum(strict) < sum(dense)
+
+
+def test_jet_window_counts_equal_dense_mask_on_lattice_jets():
+    pair = build_bipartite_balls(2.0 ** -5, 0.25)
+    fc, gc = coeff_array(pair.F), coeff_array(pair.G)
+    for sigma, t in [(2.0 ** -5, 2.0 ** -5), (2.0 ** -5, 1.0), (2.0 ** -3, 2.0 ** -1)]:
+        mids = _anchor_grid(math.sqrt(sigma / t))[::5]
+        fj, gj = _jets_at(fc, mids), _jets_at(gc, mids)
+        am, ai = np.divmod(np.arange(len(mids) * len(fc)), len(fc))
+        for targets in (fj, gj):
+            counts = _jet_window_counts(targets, fj, am, ai, sigma, t)
+            assert counts.tolist() == _dense_counts(targets, fj, am, ai, sigma, t)
+
+
+def test_jet_window_counts_on_no_curves_or_anchors():
+    mids = np.array([-1.0, 1.0])
+    none, one = _jets_at(np.zeros((0, 3)), mids), _jets_at(np.zeros((1, 3)), mids)
+    am, ai = np.array([0, 1]), np.array([0, 0])
+    assert _jet_window_counts(none, one, am, ai, 2.0 ** -6, 0.25).tolist() == [0, 0]
+    empty = np.zeros(0, dtype=int)
+    assert _jet_window_counts(one, one, empty, empty, 2.0 ** -6, 0.25).tolist() == []
+
+
+def test_jet_window_counts_memory_is_bounded():
+    # 4 midpoints x 2,272 anchors x 2,272 curves: the dense mask would hold
+    # 20.6 M cells.  The counter's blocks take 640 KiB (10 bytes a cell) and
+    # its anchors' jets and counts 284 KiB; the profile's former per-block
+    # gathers peaked at 2.3 MB on these anchors
+    pair = build_bipartite_balls(2.0 ** -6, 0.25)
+    qc = coeff_array(pair.F)
+    assert len(qc) == 2272
+    jets = _jets_at(qc, _anchor_grid(0.25)[::20])
+    am, ai = np.divmod(np.arange(4 * 2272), 2272)
+    tracemalloc.start()
+    try:
+        counts = _jet_window_counts(jets, jets, am, ai, 2.0 ** -6, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 4 * 2272
+    assert peak < 1.5 * 2 ** 20
+    probe = [0, 1234, 2271 + 2272, len(am) - 1]
+    assert counts[probe].tolist() == _dense_counts(jets, jets, am[probe], ai[probe],
+                                                   2.0 ** -6, 0.25)
 
 
 def test_clamshell_rectangle_count_scaling():

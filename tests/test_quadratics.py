@@ -16,6 +16,7 @@ from heislab.quadratics import (
     CurviRect,
     Interval,
     Quadratic,
+    coeff_array,
     comparable,
     delta_gauge,
     dt_rectangle,
@@ -252,6 +253,46 @@ def test_validate_bipartite_exhaustive_while_unordered_pairs_fit():
     assert report.pairs_checked == 2 * 79_800 + 160_000
 
 
+_NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_jet_gauges_reject_nonfinite_rows(bad, col):
+    h = np.zeros((3, 3))
+    h[1, col] = bad
+    with pytest.raises(ValueError):
+        jet_gauges(h)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_tau_and_delta_gauge_reject_nonfinite_coefficients(bad):
+    f, g = Quadratic(bad, 0.0, 0.5), Quadratic(0.0, 0.0, 0.5)
+    for gauge in (tau, delta_gauge):
+        with pytest.raises(ValueError):
+            gauge(f, g)
+        with pytest.raises(ValueError):
+            gauge(g, f)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_coeff_array_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        coeff_array([Quadratic(1.0, 0.0, 0.0), Quadratic(0.0, 0.0, bad)])
+    assert coeff_array([]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_validate_bipartite_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError):
+        validate_bipartite(BipartitePair((Quadratic(bad, 0, 0),), (Quadratic(1, 0, 0),), 0.25))
+    # a sampled family: the bad curve need not be among the drawn pairs
+    pair = build_bipartite_balls(2.0 ** -6, 0.25)
+    G = pair.G[:-1] + (Quadratic(0.0, bad, 0.0),)
+    with pytest.raises(ValueError):
+        validate_bipartite(BipartitePair(pair.F, G, pair.rho))
+
+
 # ---------------------------------------------------------------------------
 # near-intersection intervals
 
@@ -424,6 +465,46 @@ def test_comparable_transitive_up_to_constant(rng):
             checked += 1
             assert comparable(r1, r3, 4 * c)
     assert checked > 5_000
+
+
+def test_comparable_holds_on_each_window_edge():
+    # delta = 2^-8, t = 2^-2: every bound is exact, and so is each
+    # rectangle's own t; one ulp beyond an edge is incomparable
+    delta, t = 2.0 ** -8, 2.0 ** -2
+    zero = Quadratic(0.0, 0.0, 0.0)
+    r0 = dt_rectangle(zero, 0.0, delta, t)
+    for edge in [(10 * t, 0.0, 0.0), (0.0, 10 * math.sqrt(delta * t), 0.0), (0.0, 0.0, 10 * delta)]:
+        assert comparable(dt_rectangle(Quadratic(*edge), 0.0, delta, t), r0)
+        beyond = Quadratic(*(math.nextafter(x, math.inf) if x else 0.0 for x in edge))
+        assert not comparable(dt_rectangle(beyond, 0.0, delta, t), r0)
+    far = 10 * math.sqrt(delta / t)
+    assert comparable(dt_rectangle(zero, far, delta, t), r0)
+    assert not comparable(dt_rectangle(zero, math.nextafter(far, math.inf), delta, t), r0)
+
+
+def test_comparable_mask_equals_comparable_bit_for_bit(rng):
+    # one array call over rectangles with their own t (the base length
+    # rounds) gives each scalar verdict; half the pairs sit near the edges
+    for delta, t in [(2.0 ** -7, 1.0), (2.0 ** -8, 2.0 ** -1), (2.0 ** -6, 2.0 ** -3)]:
+        length = math.sqrt(delta / t)
+        center = Quadratic(*rng.normal(size=3))
+        r2 = dt_rectangle(center, rng.uniform(-1, 1), delta, t)
+        rects = []
+        for k in range(400):
+            m = r2.base.mid + length * (10.0 if k % 2 else rng.uniform(-12, 12))
+            edge = 10.0 * rng.choice([1.0, -1.0], size=3) * (1.0 + (k % 4 - 1.5) * 1e-16)
+            wob = edge if k % 2 else rng.uniform(-12, 12, size=3)
+            jet = (center.a + wob[0] * t, center.deriv(m) + wob[1] * math.sqrt(delta * t),
+                   center(m) + wob[2] * delta)
+            rects.append(dt_rectangle(Quadratic.from_jet(m, jet[2], jet[1], jet[0]), m, delta, t))
+        mids = np.array([r.base.mid for r in rects])
+        own_t = np.array([rect_t_scale(r) for r in rects])
+        h = np.array([(r.center.a - center.a, r.center.b - center.b, r.center.c - center.c)
+                      for r in rects]).T
+        mask = quadratics._comparable_mask(mids, r2.base.mid, h, delta, own_t)
+        verdicts = [comparable(r, r2) for r in rects]
+        assert mask.tolist() == verdicts
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------
