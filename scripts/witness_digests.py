@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Run the 50-run witness set and check each CSV's sha256 digest.
+"""Run the 60-run witness set and check each CSV's sha256 digest.
 
 The witness set is
+  * the default batch (`scripts/run_all_experiments.py`'s experiments with
+    no flags) at seed 0,
   * the quick batch (`scripts/run_all_experiments.py --quick`'s experiments
     and flags) at seeds 0 and 1, and
   * every perfbench workload's experiments with their flags
@@ -50,7 +52,7 @@ def witness_set() -> list[tuple[str, str, int, list[str]]]:
     sys.path.insert(0, str(ROOT / "src"))
     batch = _load(ROOT / "scripts" / "run_all_experiments.py")
     workloads = _load(ROOT / "perfbench" / "workloads.py").WORKLOADS
-    runs = []
+    runs = [(f"default seed=0 {name}", name, 0, []) for name in batch.EXPERIMENTS]
     for seed in (0, 1):
         for name in batch.EXPERIMENTS:
             runs.append((f"quick seed={seed} {name}", name, seed,

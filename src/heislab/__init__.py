@@ -30,7 +30,6 @@ from .quadratics import (
     validate_bipartite,
 )
 from .tubes import (
-    Arc,
     BroadnessReport,
     HTube,
     MCEstimate,
@@ -50,7 +49,6 @@ from .projection import (
 )
 from .incidence import (
     Richness,
-    TangencyScale,
     WolffCheck,
     classify_broad_narrow,
     max_incomparable_rich,

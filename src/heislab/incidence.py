@@ -8,6 +8,7 @@ containment test cross-validates it in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .quadratics import (
     CurviRect,
     Quadratic,
     BipartitePair,
+    _PAIR_CHUNK,
     _comparable_mask,
     _jet_window_bounds,
     coeff_array,
@@ -28,11 +30,10 @@ from .quadratics import (
     rect_t_scale,
     validate_bipartite,
 )
-from .tubes import BroadnessReport, ProbeSpec, _check_alpha, _dyadic_down
+from .tubes import BroadnessReport, ProbeSpec, _dyadic_down, _fold, _subsample
 
 __all__ = [
     "Richness",
-    "TangencyScale",
     "WolffCheck",
     "richness_of",
     "max_incomparable_rich",
@@ -50,21 +51,6 @@ class Richness:
     def __post_init__(self):
         if self.mu < 0 or self.nu < 0:
             raise ValueError("richness counts must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TangencyScale:
-    """The (K, sigma, t) window in which a pair counts as K-transverse."""
-
-    K: float
-    sigma: float
-    t: float
-
-    def __post_init__(self):
-        if self.K < 1.0:
-            raise ValueError(f"transversality constant must be >= 1, got {self.K}")
-        if not (0.0 < self.sigma <= self.t <= 1.0):
-            raise ValueError(f"need 0 < sigma <= t <= 1, got ({self.sigma}, {self.t})")
 
 
 # jet-window constant of every tangency count here, as in is_tangent_jet
@@ -228,24 +214,26 @@ def wolff_bound_check(
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _concentration_profile(
-    qc: np.ndarray, delta: float, probes: ProbeSpec
-) -> list[tuple[float, float, int, float, int]]:
-    """(sigma, t, max count, midpoint, anchor curve) for every (sigma, t) level.
+    Q: tuple[Quadratic, ...], delta: float, probes: ProbeSpec
+) -> tuple[tuple[int, float, int, float, float, int], ...]:
+    """(max count, t, #Q, sigma, midpoint, anchor curve) for every (sigma, t) level.
 
     Levels run over dyadic sigma in [delta, 1] and, for each, dyadic t in
     [sigma, 1].  The probe of a level is the first one reaching its maximum
-    tangent count, in (midpoint, quantized anchor jet) order.
+    tangent count, in (midpoint, quantized anchor jet) order.  The profile
+    does not depend on alpha, so the last one is kept for the next call: an
+    alpha sweep computes it once.  Equal families are one key (as tuples of
+    Quadratic, so -0.0 and 0.0 coefficients are equal), and give one profile.
     """
+    qc = coeff_array(Q)
     n = len(qc)
     profile = []
     for sigma in _dyadic_down(1.0, delta):
         for t in _dyadic_down(1.0, sigma):
             length = math.sqrt(sigma / t)
-            mids = _anchor_grid(length)
-            if len(mids) > probes.max_anchor_midpoints:
-                step = len(mids) / probes.max_anchor_midpoints
-                mids = mids[(np.arange(probes.max_anchor_midpoints) * step).astype(int)]
+            mids = _subsample(_anchor_grid(length), probes.max_anchor_midpoints)
             root_st = math.sqrt(sigma * t)
             vals, ders, curv = jets = _jets_at(qc, mids)
             # anchors: the first curve of each distinct quantized jet, in
@@ -266,8 +254,15 @@ def _concentration_profile(
 
             counts = _jet_window_counts(jets, jets, am, ai, sigma, t)
             k = int(np.argmax(counts))  # the first maximum in anchor order
-            profile.append((sigma, t, int(counts[k]), float(mids[am[k]]), int(ai[k])))
-    return profile
+            profile.append((int(counts[k]), t, n, sigma, float(mids[am[k]]), int(ai[k])))
+    return tuple(profile)
+
+
+def _quad_witness(count, t, n, sigma, mid, i) -> str:
+    return (
+        f"sigma={sigma:.6g} t={t:.6g} midpoint={mid:.6g} "
+        f"anchor_curve={i} tangent={count}/{n}"
+    )
 
 
 def quad_broadness(
@@ -286,31 +281,17 @@ def quad_broadness(
     The tangent counts do not depend on alpha, and the denominator is
     constant within a (sigma, t) level, so the family is reduced to one
     concentration profile: per level, the maximum count and the first probe
-    reaching it, in (midpoint, quantized anchor jet) order.  The levels are
-    folded in order (sigma descending, then t descending), and a later level
-    replaces the witness only if its ratio is strictly greater.
+    reaching it, in (midpoint, quantized anchor jet) order.  `_fold` folds
+    the levels in order (sigma descending, then t descending), and a later
+    level replaces the witness only if its ratio is strictly greater.
 
     Raises ValueError for an empty family, a non-finite coefficient, an alpha
     that is negative or not finite, or a delta that is not finite and > 0.
     """
     if not Q:
         raise ValueError("family must be nonempty")
-    _check_alpha(alpha)
     probes = probes or ProbeSpec()
-    qc = coeff_array(Q)
-    n = len(Q)
-
-    worst = 0.0
-    witness = "no probe exceeded zero"
-    for sigma, t, count, mid, i in _concentration_profile(qc, delta, probes):
-        ratio = count / (1.0 + (t ** alpha) * n)
-        if ratio > worst:
-            worst = ratio
-            witness = (
-                f"sigma={sigma:.6g} t={t:.6g} midpoint={mid:.6g} "
-                f"anchor_curve={i} tangent={count}/{n}"
-            )
-    return BroadnessReport(alpha, worst, witness)
+    return _fold(alpha, lambda: _concentration_profile(tuple(Q), delta, probes), _quad_witness)
 
 
 def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[bool, int, int]:
@@ -318,7 +299,9 @@ def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[b
 
     Counts ordered pairs (g1, g2) of tangent curves with
     sigma*t/K <= Delta(g1, g2) <= sigma*t; broad means at least half of all
-    ordered pairs (diagonal included in the total) are transverse.
+    ordered pairs (diagonal included in the total) are transverse.  The
+    ordered pairs are gauged _PAIR_CHUNK at a time, so memory stays bounded
+    for any number of tangent curves.
     """
     if K < 1.0:
         raise ValueError(f"transversality constant must be >= 1, got {K}")
@@ -330,7 +313,11 @@ def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[b
     total = n * n
     if n <= 1:
         return (False, 0, total)
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    dv = jet_gauges(tangent[ii] - tangent[jj])[1]
-    transverse = int(((sigma * t / K <= dv) & (dv <= sigma * t)).sum())
+    transverse = 0
+    pairs = n * (n - 1)
+    for k in range(0, pairs, _PAIR_CHUNK):
+        # pair k is (i, j) with j != i, in row-major order
+        ii, r = np.divmod(np.arange(k, min(k + _PAIR_CHUNK, pairs)), n - 1)
+        dv = jet_gauges(tangent[ii] - tangent[r + (r >= ii)])[1]
+        transverse += int(((sigma * t / K <= dv) & (dv <= sigma * t)).sum())
     return (transverse >= total / 2.0, transverse, total)

@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .heis import E1, E2, HDirection, HPoint, group_mul
 
 __all__ = [
     "HTube",
-    "Arc",
     "ProbeSpec",
     "BroadnessReport",
     "MCEstimate",
@@ -56,28 +56,6 @@ class HTube:
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Circle arc: center direction plus half of the arc length."""
-
-    center_dir: HDirection
-    half_length: float
-
-    def __post_init__(self):
-        if not (0.0 < self.half_length <= math.pi):
-            raise ValueError(f"arc half-length must lie in (0, pi], got {self.half_length}")
-
-    @property
-    def length(self) -> float:
-        return 2.0 * self.half_length
-
-    def contains(self, d: HDirection) -> bool:
-        diff = (d.angle - self.center_dir.angle) % (2.0 * math.pi)
-        if diff > math.pi:
-            diff -= 2.0 * math.pi
-        return abs(diff) <= self.half_length
-
-
-@dataclass(frozen=True)
 class ProbeSpec:
     """Finite probe family for the broadness gauges.
 
@@ -91,8 +69,10 @@ class ProbeSpec:
     max_anchor_midpoints: int = 512
 
     def __post_init__(self):
-        if self.max_centers < 1 or self.max_anchor_midpoints < 1:
-            raise ValueError(f"probe caps must be at least 1, got {self}")
+        for name in ("max_centers", "max_anchor_midpoints"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -229,10 +209,86 @@ def _dyadic_down(top: float, bottom: float) -> list[float]:
     return out or [top]
 
 
-def _check_alpha(alpha: float) -> None:
-    """The broadness gauges' exponent must be finite and nonnegative."""
+def _subsample(x: np.ndarray, cap: int) -> np.ndarray:
+    """The rows of x evenly subsampled to at most cap."""
+    if len(x) <= cap:
+        return x
+    step = len(x) / cap
+    return x[(np.arange(cap) * step).astype(int)]
+
+
+def _fold(alpha: float, profile, witness) -> BroadnessReport:
+    """Fold an alpha-free broadness profile at exponent alpha.
+
+    profile() gives the probe rows (count, scale, size, *fields); a row's
+    ratio is count / (1 + scale^alpha * size), and the report keeps the first
+    row of strictly greatest ratio, described by witness(*row).  alpha must
+    be finite and >= 0, and is checked before the profile is computed.
+    """
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"broadness exponent must be finite and >= 0, got {alpha}")
+    worst, best = 0.0, None
+    for row in profile():
+        count, scale, size = row[:3]
+        ratio = count / (1.0 + (scale ** alpha) * size)
+        if ratio > worst:
+            worst, best = ratio, row
+    if best is None:
+        return BroadnessReport(alpha, worst, "no probe exceeded zero")
+    return BroadnessReport(alpha, worst, witness(*best))
+
+
+def _arc_profile(cores: list[tuple[HPoint, HDirection]], delta: float, probes: ProbeSpec):
+    """(hits, arc length, lines in ball, z, sigma, arc center angle) per probe,
+    in (sigma descending, center, half-length descending) order.
+
+    Per (sigma, center) one searchsorted over all half-lengths counts the
+    lines of the ball in each window centered on a present direction, and the
+    first fullest window stands for its half-length.  Balls shrink as sigma
+    falls, so a ball holding as many lines as at the previous sigma holds the
+    same lines: its rows repeat earlier ratios and are skipped.
+    """
+    sigmas = _dyadic_down(1.0, delta)
+    mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
+    centers = _subsample(np.unique(np.round(mids, 12), axis=0), probes.max_centers)
+
+    angles = np.array([e.angle for _, e in cores])
+    # distance matrix: lines x centers, min gauge distance from center to core
+    dist = np.empty((len(cores), len(centers)))
+    for j, (p, e) in enumerate(cores):
+        dist[j] = _bulk.core_distance_elementwise(p.as_tuple(), e.a, e.b, centers)
+
+    halves = np.array(_dyadic_down(math.pi, min(delta * delta, math.pi)))[:, None]
+    widths = (2.0 * halves[:, 0]).tolist()
+    c_ball = 4.0  # C in B(z, C*sigma)
+
+    seen = [0] * len(centers)
+    for sigma in sigmas:
+        hit_mask = dist <= (c_ball + 1.0) * sigma  # lines x centers
+        for ci in range(len(centers)):
+            hit = hit_mask[:, ci]
+            n_ball = int(hit.sum())
+            if n_ball == seen[ci]:
+                continue
+            seen[ci] = n_ball
+            ang = np.sort(angles[hit])
+            # unwrap across the circle both ways, so windows wrap past +-pi
+            ext = np.concatenate([ang - 2.0 * math.pi, ang, ang + 2.0 * math.pi])
+            lo = np.searchsorted(ext, ang - halves - 1e-15, side="left")
+            hi = np.searchsorted(ext, ang + halves + 1e-15, side="right")
+            counts = hi - lo  # half-lengths x windows
+            best = np.argmax(counts, axis=1)  # the first fullest window
+            hits = np.minimum(counts[np.arange(len(best)), best], n_ball).tolist()
+            for n_hit, width, k in zip(hits, widths, best):
+                yield n_hit, width, n_ball, centers[ci], sigma, ang[k]
+
+
+def _line_witness(n_hit, width, n_ball, z, sigma, angle) -> str:
+    return (
+        f"z=({z[0]:.6g},{z[1]:.6g},{z[2]:.6g}) sigma={sigma:.6g} "
+        f"arc_center_angle={angle:.6g} arc_length={width:.6g} "
+        f"hits={n_hit}/{n_ball}"
+    )
 
 
 def line_broadness(
@@ -252,61 +308,13 @@ def line_broadness(
 
     The tube-meets-ball test is min_s d(core(s), z) <= (C+1)*sigma, folding
     the tube thickness into the radius.  Ball centers are core midpoints,
-    arcs are centered on directions present in the family.
+    arcs are centered on directions present in the family.  The counts do
+    not depend on alpha: `_arc_profile` gives them, and `_fold` folds them.
 
     Raises ValueError for an empty family, an alpha that is negative or not
     finite, or a delta that is not finite and > 0.
     """
     if not cores:
         raise ValueError("line family must be nonempty")
-    _check_alpha(alpha)
-    sigmas = _dyadic_down(1.0, delta)
     probes = probes or ProbeSpec()
-
-    mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
-    # distinct centers, evenly subsampled to the cap
-    centers = np.unique(np.round(mids, 12), axis=0)
-    if len(centers) > probes.max_centers:
-        step = len(centers) / probes.max_centers
-        centers = centers[(np.arange(probes.max_centers) * step).astype(int)]
-
-    angles = np.array([e.angle for _, e in cores])
-    # distance matrix: lines x centers, min gauge distance from center to core
-    dist = np.empty((len(cores), len(centers)))
-    for j, (p, e) in enumerate(cores):
-        dist[j] = _bulk.core_distance_elementwise(p.as_tuple(), e.a, e.b, centers)
-
-    halves = _dyadic_down(math.pi, min(delta * delta, math.pi))
-    c_ball = 4.0  # C in B(z, C*sigma)
-
-    worst = 0.0
-    witness = "no probe exceeded zero"
-
-    for sigma in sigmas:
-        hit_mask = dist <= (c_ball + 1.0) * sigma  # lines x centers
-        for ci in range(len(centers)):
-            hit = hit_mask[:, ci]
-            n_ball = int(hit.sum())
-            if n_ball == 0:
-                continue
-            ang = np.sort(angles[hit])
-            # unwrap across the circle both ways, so windows wrap past +-pi
-            ext = np.concatenate([ang - 2.0 * math.pi, ang, ang + 2.0 * math.pi])
-            for h in halves:
-                width = 2.0 * h
-                # windows centered on present directions
-                lo = np.searchsorted(ext, ang - h - 1e-15, side="left")
-                hi = np.searchsorted(ext, ang + h + 1e-15, side="right")
-                counts = hi - lo
-                k = int(np.argmax(counts))
-                n_hit = min(int(counts[k]), n_ball)
-                ratio = n_hit / (1.0 + (width ** alpha) * n_ball)
-                if ratio > worst:
-                    worst = ratio
-                    z = centers[ci]
-                    witness = (
-                        f"z=({z[0]:.6g},{z[1]:.6g},{z[2]:.6g}) sigma={sigma:.6g} "
-                        f"arc_center_angle={ang[k]:.6g} arc_length={width:.6g} "
-                        f"hits={n_hit}/{n_ball}"
-                    )
-    return BroadnessReport(alpha, worst, witness)
+    return _fold(alpha, lambda: _arc_profile(cores, delta, probes), _line_witness)

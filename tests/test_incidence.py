@@ -10,12 +10,11 @@ import jet_reference as ref
 import numpy as np
 import pytest
 
-from heislab import incidence
+from heislab import incidence, quadratics
 from heislab.families import build_bipartite_balls, build_clamshell, build_opposed_pair
 from heislab.incidence import (
     _C_JET,
     Richness,
-    TangencyScale,
     _anchor_grid,
     _jet_window_counts,
     _jets_at,
@@ -41,11 +40,6 @@ from heislab.tubes import ProbeSpec
 def test_type_validation():
     with pytest.raises(ValueError):
         Richness(-1, 0)
-    with pytest.raises(ValueError):
-        TangencyScale(0.5, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        TangencyScale(2.0, 0.2, 0.1)
-    TangencyScale(2.0, 0.01, 0.1)
 
 
 def test_richness_empty_families():
@@ -393,10 +387,66 @@ def test_quad_broadness_rejects_nonpositive_delta(delta):
         quad_broadness([Quadratic(1, 0, 0)], delta, 0.5)
 
 
+@pytest.fixture
+def profile_memo():
+    """The concentration-profile memo, cleared before and after the test."""
+    memo = incidence._concentration_profile
+    memo.cache_clear()
+    yield memo
+    memo.cache_clear()
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
-def test_quad_broadness_rejects_bad_alpha(alpha):
+def test_quad_broadness_rejects_bad_alpha(alpha, profile_memo):
     with pytest.raises(ValueError, match="exponent"):
         quad_broadness([Quadratic(1, 0, 0)], 2.0 ** -4, alpha)
+    assert profile_memo.cache_info().misses == 0  # rejected before profiling
+
+
+def test_quad_broadness_alpha_sweep_computes_one_profile(profile_memo):
+    d = 2.0 ** -6
+    F, _, _ = build_clamshell(d, 2.0 ** -4, 4, 4, 16)
+    alphas = (0.2, 0.5, 1.0)
+    reports = [quad_broadness(F, d, alpha) for alpha in alphas]
+    info = profile_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for rep, alpha in zip(reports, alphas):
+        assert rep == broadness_reference.quad_broadness(F, d, alpha)
+
+
+def test_quad_broadness_memo_keys_on_family_delta_and_probes(profile_memo):
+    # each call differs from the one before in one key part only
+    d = 2.0 ** -6
+    F, _, _ = build_clamshell(d, 2.0 ** -4, 4, 4, 16)
+    G = F[::3]
+    calls = [
+        (F, d, None),
+        (G, d, None),
+        (G, 2.0 * d, None),
+        (G, 2.0 * d, ProbeSpec(max_anchor_midpoints=3)),
+    ]
+    for Q, delta, probes in calls:
+        expected = broadness_reference.quad_broadness(Q, delta, 0.5, probes)
+        assert quad_broadness(Q, delta, 0.5, probes) == expected, (len(Q), delta, probes)
+    assert profile_memo.cache_info().misses == len(calls)
+
+
+def test_quad_broadness_signed_zero_family_gives_one_report(profile_memo):
+    plus = [Quadratic(0.0, 0.0, 0.0), Quadratic(0.25, 0.0, 0.0), Quadratic(0.0, 2.0 ** -5, 0.0)]
+    minus = [
+        Quadratic(-0.0, -0.0, -0.0),
+        Quadratic(0.25, -0.0, -0.0),
+        Quadratic(-0.0, 2.0 ** -5, -0.0),
+    ]
+    assert minus == plus
+    d = 2.0 ** -4
+    fresh_minus = quad_broadness(minus, d, 0.5)
+    profile_memo.cache_clear()
+    fresh_plus = quad_broadness(plus, d, 0.5)
+    assert fresh_minus == fresh_plus == broadness_reference.quad_broadness(minus, d, 0.5)
+    # the -0.0 family is the +0.0 family's key, and its report is the same
+    assert quad_broadness(minus, d, 0.5) == fresh_plus
+    assert profile_memo.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -450,6 +500,41 @@ def test_classify_broad_narrow_equals_scalar_reference(rng):
     ]
     for G in families:
         assert classify_broad_narrow(S, G, K) == ref.classify_broad_narrow(S, G, K)
+
+
+def _window_family(rng, n, sigma, t, spread):
+    """n curves jet-tangent to Quadratic(1, 0, 0) at 0: value, slope and
+    curvature offsets uniform within spread times the jet window."""
+    window = np.array([4.0 * t, 4.0 * math.sqrt(sigma * t), 4.0 * sigma])
+    u = rng.uniform(-spread, spread, size=(n, 3)) * window
+    return [Quadratic(1.0 + a, b, c) for a, b, c in u.tolist()]
+
+
+def test_classify_broad_narrow_equals_scalar_reference_across_pair_blocks():
+    sigma, t, K = 2.0 ** -8, 2.0 ** -4, 4.0
+    S = dt_rectangle(Quadratic(1, 0, 0), 0.0, sigma, t)
+    rng = np.random.default_rng(5)
+    for n, spread in ((80, 0.9), (70, 0.2)):
+        assert n * (n - 1) > quadratics._PAIR_CHUNK  # two blocks at least
+        G = _window_family(rng, n, sigma, t, spread)
+        got = classify_broad_narrow(S, G, K)
+        assert got == ref.classify_broad_narrow(S, G, K)
+        assert got[2] == n * n and got[1] > 0
+
+
+def test_classify_broad_narrow_memory_is_bounded():
+    # 1,500 tangent curves: 2.25 million ordered pairs, gauged a block at a time
+    sigma, t, K = 2.0 ** -8, 2.0 ** -4, 4.0
+    S = dt_rectangle(Quadratic(1, 0, 0), 0.0, sigma, t)
+    G = _window_family(np.random.default_rng(6), 1500, sigma, t, 0.9)
+    tracemalloc.start()
+    try:
+        _, _, total = classify_broad_narrow(S, G, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 1500 * 1500
+    assert peak < 16 * 2 ** 20
 
 
 def test_transverse_pair_incomparable_rectangle_count():

@@ -2,6 +2,7 @@
 
 import math
 
+import broadness_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from heislab import _bulk
 from heislab.families import build_bush, fan_cores, tube_cores
 from heislab.heis import E1, E2, HDirection, HPoint, group_mul
 from heislab.tubes import (
-    Arc,
     HTube,
     ProbeSpec,
     core_distance,
@@ -21,6 +21,7 @@ from heislab.tubes import (
     tube_contains,
     tube_intersection_volume,
 )
+from heislab.tubes import _arc_profile, _dyadic_down
 
 
 def dense_core_distance(tube, p, n=10_001):
@@ -247,15 +248,6 @@ def test_bush_is_transversal_at_arc_scale():
     assert is_transversal_pair(t1, t2, 2 * delta ** 1.5)
 
 
-def test_arc_membership():
-    arc = Arc(E1, 0.1)
-    assert arc.contains(HDirection.from_angle(0.05))
-    assert not arc.contains(HDirection.from_angle(0.2))
-    assert arc.length == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        Arc(E1, 0.0)
-
-
 def test_line_broadness_single_line():
     delta = 2.0 ** -5
     rep = line_broadness([(HPoint(0, 0, 0), E1)], delta, 1.0)
@@ -276,7 +268,11 @@ def test_line_broadness_rejects_nonpositive_delta(delta):
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
-def test_line_broadness_rejects_bad_alpha(alpha):
+def test_line_broadness_rejects_bad_alpha(alpha, monkeypatch):
+    def no_probes(*args):
+        raise AssertionError("a probe was computed before alpha was checked")
+
+    monkeypatch.setattr(_bulk, "core_distance_elementwise", no_probes)
     with pytest.raises(ValueError, match="exponent"):
         line_broadness([(HPoint(0, 0, 0), E1)], 2.0 ** -4, alpha)
 
@@ -291,6 +287,22 @@ def test_probe_spec_rejects_center_cap_below_one(cap):
 def test_probe_spec_rejects_anchor_cap_below_one(cap):
     with pytest.raises(ValueError, match="max_anchor_midpoints"):
         ProbeSpec(max_anchor_midpoints=cap)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, "3", True, None])
+def test_probe_spec_rejects_center_cap_not_integer(cap):
+    with pytest.raises(ValueError, match="max_centers must be an integer"):
+        ProbeSpec(max_centers=cap)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, "3", True, None])
+def test_probe_spec_rejects_anchor_cap_not_integer(cap):
+    with pytest.raises(ValueError, match="max_anchor_midpoints must be an integer"):
+        ProbeSpec(max_anchor_midpoints=cap)
+
+
+def test_probe_spec_accepts_numpy_integer_caps():
+    assert ProbeSpec(np.int64(3), np.int32(7)) == ProbeSpec(3, 7)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +336,59 @@ def test_fan_lines_stay_broad():
         delta = 2.0 ** -k
         rep = line_broadness(fan_cores(delta), delta, 1.0)
         assert rep.worst_ratio <= 4.0
+
+
+_ALPHAS = (0.0, 0.2, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [("bush", k) for k in range(4, 9)] + [("fan", k) for k in range(4, 8)],
+)
+def test_line_broadness_equals_reference_bush_and_fan(family, k):
+    delta = 2.0 ** -k
+    cores = tube_cores(build_bush(delta)[0]) if family == "bush" else fan_cores(delta)
+    for alpha in _ALPHAS:
+        expected = broadness_reference.line_broadness(cores, delta, alpha)
+        assert line_broadness(cores, delta, alpha) == expected, alpha
+
+
+def _random_cores(rng):
+    """1 to 200 lines around a few ball centers, half of them jittered off
+    the center, with directions spread at one of three widths."""
+    n = int(rng.integers(1, 201))
+    hubs = rng.normal(scale=0.2, size=(int(rng.integers(2, 12)), 3))
+    base = rng.uniform(-math.pi, math.pi)
+    cores = []
+    for _ in range(n):
+        p = hubs[rng.integers(0, len(hubs))]
+        if rng.random() < 0.5:
+            p = p + rng.normal(scale=0.02, size=3)
+        angle = base + rng.normal(scale=rng.choice([1e-3, 0.05, 1.0]))
+        cores.append((HPoint(*map(float, p)), HDirection.from_angle(float(angle))))
+    return cores
+
+
+def test_line_broadness_equals_reference_random_families():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        cores = _random_cores(rng)
+        delta = 2.0 ** -int(rng.integers(2, 7))
+        for cap in (1, 3, 64):
+            probes = ProbeSpec(max_centers=cap)
+            for alpha in _ALPHAS:
+                expected = broadness_reference.line_broadness(cores, delta, alpha, probes)
+                got = line_broadness(cores, delta, alpha, probes)
+                assert got == expected, (len(cores), delta, cap, alpha)
+
+
+def test_arc_profile_skips_balls_that_keep_their_lines():
+    # every fan line passes through the one center, so every ball holds the
+    # whole fan and only the first scale gives rows
+    delta = 2.0 ** -5
+    rows = list(_arc_profile(fan_cores(delta), delta, ProbeSpec()))
+    assert {row[4] for row in rows} == {1.0}
+    assert len(rows) == len(_dyadic_down(math.pi, delta * delta))
 
 
 def test_volume_rejects_nonpositive_samples():
