@@ -261,8 +261,9 @@ def _near_contact_pair(rng, delta):
     f = Quadratic(*rng.normal(scale=1.0, size=3))
     theta0 = rng.uniform(-0.625, 0.625)
     v = rng.uniform(-0.5, 0.5) * delta
-    u = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.3)
-    w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5)
+    # the same sign and generator state as rng.choice([-1.0, 1.0]), 4x cheaper
+    u = (-1.0, 1.0)[rng.integers(0, 2)] * 10.0 ** rng.uniform(-4.0, 0.3)
+    w = (-1.0, 1.0)[rng.integers(0, 2)] * 10.0 ** rng.uniform(-4.0, 0.5)
     g = Quadratic.from_jet(theta0, f(theta0) + v, f.deriv(theta0) + u, f.a + w)
     return f, g, theta0
 
@@ -492,11 +493,14 @@ def _exp_rect(*, delta_exps=range(6, 7), samples=10_000, seed) -> ExperimentResu
         rng = np.random.default_rng([seed, k])
         max_pieces = 0
         max_factor, min_factor = 0.0, math.inf
-        for _ in range(samples):
-            f, g, theta0 = _near_contact_pair(rng, d)
+        # draw the rung's pairs in sample order, then gauge them all at once
+        cases = [_near_contact_pair(rng, d) for _ in range(samples)]
+        F, G = coeff_array(c[0] for c in cases), coeff_array(c[1] for c in cases)
+        gauges = zip(tau(F, G).tolist(), delta_gauge(F, G).tolist())
+        for (f, g, theta0), (tv, dv) in zip(cases, gauges):
             pieces = near_intersection_intervals(f, g, d, window)
             max_pieces = max(max_pieces, len(pieces))
-            x = d / math.sqrt((tau(f, g) + d) * (delta_gauge(f, g) + d))
+            x = d / math.sqrt((tv + d) * (dv + d))
             for piece in pieces:
                 max_factor = max(max_factor, piece.length / x)
             home = [p for p in pieces if p.contains(theta0, slack=1e-12)]

@@ -11,14 +11,15 @@ tau is a norm-induced metric on coefficient triples, Delta a pseudo-metric
 that measures how deeply the two graphs are tangent.  Both are exact: the
 batch kernel `jet_gauges` takes an (n, 3) array of coefficient differences h
 and evaluates |h| + |h'| at the at most 7 closed-form candidates of each row
-(2 endpoints, 2 roots of h, the root of h', 2 points where h' = +-h'');
-`tau` and `delta_gauge` are its one-row calls.  `in_jet_window` is the one
-(C*delta, C*sqrt(delta*t), C*t) jet window of tangency and comparability.
+(2 endpoints, 2 roots of h, the root of h', 2 points where h' = +-h''), laid
+out column-major as a (7, n) array.  `tau` and `delta_gauge` call it on one
+pair of `Quadratic`s or on two (n, 3) coefficient arrays.  `in_jet_window`
+is the one (C*delta, C*sqrt(delta*t), C*t) jet window of tangency and
+comparability.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,6 @@ class Quadratic:
 
     def deriv(self, s: float):
         return self.a * s + self.b
-
-    def jet(self, s: float) -> tuple[float, float, float]:
-        """(value, slope, curvature) at s."""
-        return (self(s), self.deriv(s), self.a)
 
     def sub(self, other: "Quadratic") -> "Quadratic":
         return Quadratic(self.a - other.a, self.b - other.b, self.c - other.c)
@@ -145,69 +142,75 @@ def _quadratic_roots(da: float, db: float, dc: float) -> list[float]:
         return []
     sq = math.sqrt(disc)
     q = -0.5 * (db + math.copysign(sq, db))
-    roots = []
-    if q != 0.0:
-        roots.append(2.0 * q / da)
-        roots.append(dc / q)
-    else:  # db == 0 and disc == db^2 means dc == 0: double root at 0
-        roots.append(0.0)
-    return roots
-
-
-# h' = 0 and h' = +-h'' are (k*da - db)/da for k = 0, 1, -1
-_SLOPE_SIGNS = np.array([0.0, 1.0, -1.0])
-_ENDPOINTS = np.array([[PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi]])
+    if q == 0.0:  # db == 0 and disc == db^2 means dc == 0: double root at 0
+        return [0.0]
+    return [2.0 * q / da, dc / q]
 
 
 def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, Delta) of each row of h: the row max of |h| + |h'| over the
-    candidates plus |h''|, and the row min.  The roots of h follow the
+    """(tau, Delta) of each row of h: the max of |h| + |h'| over the row's
+    candidates plus |h''|, and the min.  The candidates are the rows of a
+    (7, n) array over the columns da, db, dc of h; the roots of h follow the
     branches of `_quadratic_roots`.  A candidate that does not exist is NaN,
     which the domain test drops, so no division is by zero.  Raises
     ValueError if an entry of h is not finite."""
     if not np.isfinite(h).all():
         raise ValueError("jet gauges need finite coefficient differences")
     lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
-    da, db, dc = h[:, 0:1], h[:, 1:2], h[:, 2:3]
+    da, db, dc = np.ascontiguousarray(np.transpose(h), dtype=np.float64)
     quad = da != 0.0
     a1 = np.where(quad, da, np.nan)
     disc = db * db - 2.0 * da * dc
-    sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    np.copyto(disc, np.nan, where=disc < 0.0)
     # for da == 0, q = -db makes dc / q the root -dc / db of the linear h
-    q = np.where(quad, -0.5 * (db + np.copysign(sq, db)), -db)
+    q = -0.5 * (db + np.copysign(np.sqrt(disc), db))
+    np.negative(db, out=q, where=~quad)
+    s = np.empty((7, len(da)))
+    s[0], s[1] = lo, hi
     # a subnormal da or q puts a candidate past the largest float: it
     # overflows to +-inf, which the domain test drops like a NaN
     with np.errstate(over="ignore"):
-        s = np.concatenate(
-            [
-                _ENDPOINTS.repeat(len(h), axis=0),
-                2.0 * q / a1,
-                dc / np.where(q != 0.0, q, np.nan),
-                (_SLOPE_SIGNS * da - db) / a1,
-            ],
-            axis=1,
-        )
-    s = np.where((s >= lo) & (s <= hi), s, lo)
-    v = np.abs((0.5 * da * s + db) * s + dc) + np.abs(da * s + db)
-    return v.max(axis=1) + np.abs(h[:, 0]), v.min(axis=1)
+        np.divide(2.0 * q, a1, out=s[2])
+        np.divide(dc, np.where(q != 0.0, q, np.nan), out=s[3])
+        # h' = 0, h' = h'' and h' = -h''
+        np.divide(-db, a1, out=s[4])
+        np.divide(da - db, a1, out=s[5])
+        np.divide(-da - db, a1, out=s[6])
+    np.copyto(s, lo, where=~((s >= lo) & (s <= hi)))
+    v = 0.5 * da * s
+    v += db
+    v *= s
+    v += dc
+    np.abs(v, out=v)
+    s *= da
+    s += db
+    v += np.abs(s, out=s)
+    return v.max(axis=0) + np.abs(da), v.min(axis=0)
 
 
-# one entry: `delta_gauge(f, g)` right after `tau(f, g)` reuses the row
-@functools.lru_cache(maxsize=1)
-def _pair_gauges(f: Quadratic, g: Quadratic) -> tuple[float, float]:
-    t, d = jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
-    return float(t[0]), float(d[0])
+def _gauges(f, g):
+    """jet_gauges of f - g: floats for two `Quadratic`s, arrays for two
+    (n, 3) coefficient arrays."""
+    if isinstance(f, Quadratic) and isinstance(g, Quadratic):
+        t, d = jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
+        return float(t[0]), float(d[0])
+    f, g = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    if f.shape != g.shape or f.ndim != 2 or f.shape[1] != 3:
+        raise ValueError(f"need two Quadratics or two (n, 3) arrays, got {f.shape} and {g.shape}")
+    return jet_gauges(f - g)
 
 
-def tau(f: Quadratic, g: Quadratic) -> float:
-    """sup over the planar domain of |h| + |h'| + |h''| for h = f - g."""
-    return _pair_gauges(f, g)[0]
+def tau(f, g):
+    """sup over the planar domain of |h| + |h'| + |h''| for h = f - g; for
+    two (n, 3) coefficient arrays, the array of row-pair values."""
+    return _gauges(f, g)[0]
 
 
-def delta_gauge(f: Quadratic, g: Quadratic) -> float:
+def delta_gauge(f, g):
     """inf over the planar domain of |h| + |h'| for h = f - g; 0 iff graphs
-    share a point with a common tangent line (inside the domain)."""
-    return _pair_gauges(f, g)[1]
+    share a point with a common tangent line (inside the domain).  Two
+    (n, 3) coefficient arrays give the array of row-pair values."""
+    return _gauges(f, g)[1]
 
 
 def _solve_le(a: float, b: float, c: float, bound: float):
@@ -216,17 +219,13 @@ def _solve_le(a: float, b: float, c: float, bound: float):
     Returns a list of (lo, hi) with +-inf endpoints allowed.
     """
     c = c - bound
-    if a > 0.0:
-        roots = _quadratic_roots(a, b, c)
-        if len(roots) < 2:
-            return [] if not roots else [(roots[0], roots[0])]
-        return [tuple(sorted(roots))]
-    if a < 0.0:
-        roots = _quadratic_roots(a, b, c)
+    if a != 0.0:
+        roots = sorted(_quadratic_roots(a, b, c))
+        if a > 0.0:
+            return [(roots[0], roots[-1])] if roots else []
         if len(roots) < 2:
             return [(-math.inf, math.inf)]
-        r1, r2 = sorted(roots)
-        return [(-math.inf, r1), (r2, math.inf)]
+        return [(-math.inf, roots[0]), (roots[1], math.inf)]
     if b > 0.0:
         return [(-math.inf, -c / b)]
     if b < 0.0:
@@ -242,24 +241,21 @@ def near_intersection_intervals(
     The set is the intersection of two quadratic sublevel sets, hence always
     a union of at most two intervals; a RuntimeError flags any violation of
     that structure (it would be an implementation bug, not an input issue).
-    Callers studying the fine structure pass window = I/4.
+    Callers studying the fine structure pass window = I/4.  A non-finite
+    delta or coefficient difference raises ValueError.
     """
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     h = f.sub(g)
+    if not all(map(math.isfinite, (h.a, h.b, h.c))):
+        raise ValueError(f"near-intersection needs finite coefficients, got f - g = {h}")
     upper = _solve_le(h.a, h.b, h.c, delta)       # h <= delta
     lower = _solve_le(-h.a, -h.b, -h.c, delta)    # h >= -delta
 
-    pieces = []
-    for lo1, hi1 in upper:
-        for lo2, hi2 in lower:
-            lo = max(lo1, lo2, window.lo)
-            hi = min(hi1, hi2, window.hi)
-            if lo <= hi:
-                pieces.append((lo, hi))
-    pieces.sort()
+    pieces = [(max(lo1, lo2, window.lo), min(hi1, hi2, window.hi))
+              for lo1, hi1 in upper for lo2, hi2 in lower]
     merged: list[list[float]] = []
-    for lo, hi in pieces:
+    for lo, hi in sorted(p for p in pieces if p[0] <= p[1]):
         if merged and lo <= merged[-1][1] + 1e-15:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -351,8 +347,8 @@ class BipartitePair:
     rho: float
 
     def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (0.0 < self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         object.__setattr__(self, "F", tuple(self.F))
         object.__setattr__(self, "G", tuple(self.G))
 
@@ -404,9 +400,7 @@ def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> 
     in tau (on the same pair sample); a non-finite coefficient raises ValueError.
     """
     F, G, rho = coeff_array(pair.F), coeff_array(pair.G), pair.rho
-    within_max = 0.0
-    sep_min = math.inf
-    checked = 0
+    within_max, sep_min, checked = 0.0, math.inf, 0
     for fam in (F, G):
         n = len(fam)
         if n * (n - 1) // 2 <= 100_000:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heislab.cli import (
@@ -13,6 +14,7 @@ from heislab.cli import (
     OPTIONS,
     RUN_OPTIONS,
     OptionError,
+    _near_contact_pair,
     bind_options,
     coerce,
     dump_family,
@@ -23,6 +25,7 @@ from heislab.cli import (
     reads,
 )
 from heislab.families import build_bush, build_clamshell
+from heislab.quadratics import Quadratic
 
 
 def run_cli(*args):
@@ -473,3 +476,28 @@ def test_benchmark_workload_flags_are_read():
         for name, args in workload.experiments:
             keys = [a[2:] for a in args if a.startswith("--")]
             assert set(keys) <= set(reads(EXPERIMENTS[name])), name
+
+
+def _near_contact_pair_with_choice(rng, delta):
+    """`_near_contact_pair` as written with rng.choice for the signs."""
+    f = Quadratic(*rng.normal(scale=1.0, size=3))
+    theta0 = rng.uniform(-0.625, 0.625)
+    v = rng.uniform(-0.5, 0.5) * delta
+    u = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.3)
+    w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5)
+    g = Quadratic.from_jet(theta0, f(theta0) + v, f.deriv(theta0) + u, f.a + w)
+    return f, g, theta0
+
+
+def test_near_contact_pair_sign_draw_matches_rng_choice():
+    # 5,000 pairs draw 10,000 signs: the same pairs, bit for bit, and the
+    # same generator state after every pair
+    fast, slow = np.random.default_rng([3, 6]), np.random.default_rng([3, 6])
+    for _ in range(5_000):
+        f, g, theta0 = _near_contact_pair(fast, 2.0 ** -6)
+        f0, g0, theta00 = _near_contact_pair_with_choice(slow, 2.0 ** -6)
+        assert (f, g, theta0) == (f0, g0, theta00)
+        assert fast.bit_generator.state == slow.bit_generator.state
+    signs = [(-1.0, 1.0)[fast.integers(0, 2)] for _ in range(10_000)]
+    assert signs == [float(slow.choice([-1.0, 1.0])) for _ in range(10_000)]
+    assert fast.bit_generator.state == slow.bit_generator.state

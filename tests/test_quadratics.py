@@ -203,8 +203,8 @@ def _same_float(x, y):
 
 
 def test_tau_and_delta_gauge_equal_scalar_reference_on_alternating_and_repeated_pairs(rng):
-    # the one-entry memo of the pair row must never hand one pair's gauges
-    # to the next, also when the pairs differ only in the sign of a zero
+    # each call gauges its own pair, also when consecutive pairs differ only
+    # in the sign of a zero
     signed = [
         Quadratic(0.0, 0.0, 0.0),
         Quadratic(-0.0, -0.0, -0.0),
@@ -223,7 +223,7 @@ def test_tau_and_delta_gauge_equal_scalar_reference_on_alternating_and_repeated_
         assert _same_float(tau(f, g), ref.tau(f, g))
 
 
-def test_delta_gauge_after_tau_reuses_the_kernel_row(monkeypatch):
+def test_array_gauges_take_one_kernel_call_per_batch(monkeypatch, rng):
     calls = []
 
     def counting(h):
@@ -231,13 +231,61 @@ def test_delta_gauge_after_tau_reuses_the_kernel_row(monkeypatch):
         return jet_gauges(h)
 
     monkeypatch.setattr(quadratics, "jet_gauges", counting)
-    quadratics._pair_gauges.cache_clear()
-    f, g = Quadratic(1.3, -0.2, 0.7), Quadratic(-0.4, 0.1, 0.2)
-    t, d = tau(f, g), delta_gauge(f, g)
-    assert calls == [1]
-    assert (t, d) == (ref.tau(f, g), ref.delta_gauge(f, g))
-    tau(g, f)
-    assert calls == [1, 1]
+    F, G = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+    tau(F, G), delta_gauge(F, G)
+    assert calls == [50, 50]
+    tau(Quadratic(*F[0]), Quadratic(*G[0]))
+    assert calls == [50, 50, 1]
+
+
+def _row_calls(h):
+    """jet_gauges of each row of h on its own, as two lists."""
+    one = [jet_gauges(h[k : k + 1]) for k in range(len(h))]
+    return [float(t[0]) for t, _ in one], [float(d[0]) for _, d in one]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_jet_rows, min_size=1, max_size=40))
+def test_jet_gauges_rows_equal_their_one_row_calls(rows):
+    h = np.array(rows, dtype=np.float64)
+    t, d = jet_gauges(h)
+    assert (t.tolist(), d.tolist()) == _row_calls(h)
+
+
+def test_jet_gauges_take_any_layout_of_rows(rng):
+    h = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-4, 1, size=(400, 1))
+    h[::5, 0] = 0.0
+    h[::9, 1:] = 0.0
+    frozen = h.copy()
+    frozen.flags.writeable = False
+    for view in (h[::2], h[1::3, :], np.asfortranarray(h), frozen, h[:, [0, 1, 2]]):
+        t, d = jet_gauges(view)
+        assert (t.tolist(), d.tolist()) == _row_calls(np.ascontiguousarray(view))
+    assert np.array_equal(frozen, h)
+
+
+def test_tau_and_delta_gauge_array_forms_equal_scalar_forms(rng):
+    F = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-4, 1, size=(300, 1))
+    G = F + rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-6, 0, size=(300, 1))
+    G[::4] = F[::4]
+    G[1::7, 0] = F[1::7, 0]
+    pairs = [(Quadratic(*f), Quadratic(*g)) for f, g in zip(F.tolist(), G.tolist())]
+    t, d = tau(F, G), delta_gauge(F, G)
+    assert t.tolist() == [tau(f, g) for f, g in pairs]
+    assert d.tolist() == [delta_gauge(f, g) for f, g in pairs]
+    assert tau(F[:0], G[:0]).shape == delta_gauge(F[:0], G[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "shapes", [((4, 3), (5, 3)), ((4, 3), (4, 2)), ((3,), (3,)), ((2, 3, 1), (2, 3, 1))]
+)
+def test_array_gauges_reject_mismatched_shapes(shapes):
+    F, G = np.zeros(shapes[0]), np.zeros(shapes[1])
+    for gauge in (tau, delta_gauge):
+        with pytest.raises(ValueError):
+            gauge(F, G)
+        with pytest.raises(TypeError):
+            gauge(Quadratic(0.0, 0.0, 0.0), np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize("k", [5, 6])  # 282 curves: exhaustive; 2272: sampled
@@ -331,6 +379,25 @@ def test_near_intersection_never_more_than_two(rng):
         assert len(pieces) <= 2
         for lo_hi in pieces:
             assert window.lo - 1e-12 <= lo_hi.lo <= lo_hi.hi <= window.hi + 1e-12
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+def test_near_intersection_rejects_nonfinite_delta(delta):
+    q = Quadratic(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="delta"):
+        near_intersection_intervals(q, Quadratic(0.0, 0.0, 0.0), delta, PLANAR_DOMAIN)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_near_intersection_rejects_nonfinite_coefficients(bad, col):
+    coeffs = [1.0, 0.0, 0.0]
+    coeffs[col] = bad
+    window = PLANAR_DOMAIN.shrink(4.0)
+    for f, g in [(Quadratic(*coeffs), Quadratic(0.0, 0.0, 0.0)),
+                 (Quadratic(0.0, 0.0, 0.0), Quadratic(*coeffs))]:
+        with pytest.raises(ValueError, match="finite"):
+            near_intersection_intervals(f, g, 2.0 ** -6, window)
 
 
 def test_near_intersection_grid_agreement(rng):
@@ -518,6 +585,12 @@ def test_bipartite_pair_window(rng):
     pair = BipartitePair(F, G, max(rho, 1.0))
     report = validate_bipartite(pair)
     assert report.ok, report.note
+
+
+@pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
+def test_bipartite_pair_rejects_nonpositive_or_nonfinite_rho(rho):
+    with pytest.raises(ValueError, match="rho"):
+        BipartitePair((Quadratic(1.0, 0, 0),), (Quadratic(-1.0, 0, 0),), rho)
 
 
 def test_bipartite_rejects_bad_window():
