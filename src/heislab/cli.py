@@ -258,7 +258,7 @@ def _random_tube(rng, delta, min_axis_sum=0.5) -> HTube:
 
 def _near_contact_pair(rng, delta):
     """Random quadratic pair forced to approach within delta/2 somewhere in I/8."""
-    f = Quadratic(*rng.normal(scale=1.0, size=3))
+    f = Quadratic(*rng.normal(scale=1.0, size=3).tolist())
     theta0 = rng.uniform(-0.625, 0.625)
     v = rng.uniform(-0.5, 0.5) * delta
     # the same sign and generator state as rng.choice([-1.0, 1.0]), 4x cheaper
