@@ -160,6 +160,7 @@ _jet_rows = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_jet_rows, min_size=1, max_size=40))
 def test_jet_gauges_equal_scalar_reference_bit_for_bit(rows):
+    # each batch row also equals its one-row call, tau(q, zero)
     h = np.array(rows, dtype=np.float64)
     with np.errstate(all="raise"):
         t, d = jet_gauges(h)
@@ -242,14 +243,6 @@ def _row_calls(h):
     """jet_gauges of each row of h on its own, as two lists."""
     one = [jet_gauges(h[k : k + 1]) for k in range(len(h))]
     return [float(t[0]) for t, _ in one], [float(d[0]) for _, d in one]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_jet_rows, min_size=1, max_size=40))
-def test_jet_gauges_rows_equal_their_one_row_calls(rows):
-    h = np.array(rows, dtype=np.float64)
-    t, d = jet_gauges(h)
-    assert (t.tolist(), d.tolist()) == _row_calls(h)
 
 
 def test_jet_gauges_take_any_layout_of_rows(rng):
