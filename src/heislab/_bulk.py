@@ -1,10 +1,10 @@
 """Vectorized kernels shared by the tube, projection and integral modules.
 
-Points are float64 arrays of shape (n, 3).  These mirror the scalar closed
-forms in `heis` exactly; tests cross-check the two paths.  Batched tube
-membership is cull-then-classify: `core_candidates` keeps the points that
-meet closed-form necessary bounds, and `count_members` runs the exact
-core-distance kernel on those only.
+Points are float64 (n, 3) arrays, or three rows x, y, t where a docstring
+says so.  These mirror the scalar closed forms in `heis` exactly; tests
+cross-check the two paths.  Batched tube membership is cull-then-classify:
+`core_candidates` keeps the points that meet closed-form necessary bounds,
+and `count_members` runs the exact core-distance kernel on those only.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .heis import HPoint
 
 # relative slack of the cull's bounds, far above the few ulps by which the
 # kernel's rounding can let a point just outside a bound test as a member
@@ -59,16 +57,19 @@ def norm(p: np.ndarray) -> np.ndarray:
 
 
 def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
-    """Uniform points of the gauge ball B(0, delta), by rejection from its box."""
-    out = np.empty((0, 3))
-    while out.shape[0] < n:
-        m = max(2 * (n - out.shape[0]), 64)
-        z = rng.random((m, 3)) * 2.0 - 1.0
-        z[:, :2] *= delta
-        z[:, 2] *= 0.25 * delta * delta
-        keep = norm4(z) <= delta ** 4
-        out = np.vstack([out, z[keep]])
-    return out[:n]
+    """Uniform points of the gauge ball B(0, delta) as three rows x, y, t, by
+    rejection from its box in rounds of rng.random((max(2 * wanted, 64), 3))."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0 and math.isfinite(delta) and delta > 0):
+        raise ValueError(f"want finite delta > 0 and integer n >= 0, got delta={delta}, n={n}")
+    z = np.empty((3, 0))
+    while z.shape[1] < n:
+        m = max(2 * (n - z.shape[1]), 64)
+        r = np.multiply(rng.random((m, 3)).T, 2.0, out=np.empty((3, m)))
+        r -= 1.0
+        r[:2] *= delta
+        r[2] *= 0.25 * delta * delta
+        z = np.concatenate([z, r.compress(norm4(r.T) <= delta ** 4, axis=1)], axis=1)
+    return z[:, :n]
 
 
 def core_distance_elementwise(
@@ -181,9 +182,12 @@ def count_members(
     return np.bincount(np.concatenate(hits), minlength=len(pts))
 
 
-def core_points(center: HPoint, dir_a: float, dir_b: float, s: np.ndarray) -> np.ndarray:
-    """Core points center * (s*e) for an array of parameters s."""
-    s = np.asarray(s, dtype=np.float64)
-    se = np.stack([s * dir_a, s * dir_b, np.zeros_like(s)], axis=-1)
-    carr = np.array(center.as_tuple(), dtype=np.float64)
-    return mul(carr, se)
+def tube_points(center, dir_a, dir_b, s: np.ndarray, z=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Rows x, y, t of center * (s*e) * z, e = (dir_a, dir_b), by `mul`'s
+    operations in its order.  z is three rows or a 3-tuple, `center` a point
+    or three rows, each direction component a scalar or one per point."""
+    (c0, c1, c2), (z0, z1, z2) = center, z
+    sa, sb = s * dir_a, s * dir_b
+    p0, p1 = c0 + sa, c1 + sb
+    p2 = (c2 + 0.0) + 0.5 * (c0 * sb - sa * c1)
+    return np.stack([p0 + z0, p1 + z1, p2 + z2 + 0.5 * (p0 * z1 - z0 * p1)])

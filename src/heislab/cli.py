@@ -52,7 +52,7 @@ from .projection import (
     fiber_length,
     project_W_batch,
     projection_containment_ratio,
-    tube_points_sample,
+    tube_draws,
 )
 from .quadratics import (
     PLANAR_DOMAIN,
@@ -141,7 +141,7 @@ DUMP_SHARED = ("delta-exps", "out")
 
 
 class OptionError(ValueError):
-    """A set option that the experiment or generator does not read."""
+    """A set option that the experiment or generator does not read or cannot use."""
 
 
 def reads(fn) -> list[str]:
@@ -415,7 +415,7 @@ def _exp_net(*, delta_exps=range(4, 7), samples=100_000, seed, workers) -> Exper
             SampleSpec(samples=samples, seed=seed),
             workers,
         )
-        probes = _bulk.sample_gauge_ball(np.random.default_rng([seed, k, 3]), 1.0, 1000)
+        probes = _bulk.sample_gauge_ball(np.random.default_rng([seed, k, 3]), 1.0, 1000).T
         m1 = net_multiplicity(spec, probes, 1)
         m2 = net_multiplicity(spec, probes, 2)
         m_lo = min(m_lo, int(m1.min()), int(m2.min()))
@@ -437,11 +437,13 @@ def _exp_net(*, delta_exps=range(4, 7), samples=100_000, seed, workers) -> Exper
 
 @experiment("projection-containment")
 def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> ExperimentResult:
+    n_tubes = 20
+    if samples < n_tubes:
+        raise OptionError(f"projection-containment needs --samples >= {n_tubes}, got {samples}")
     rows, maxima = [], []
     for k in delta_exps:
         d = 2.0 ** -k
         rng = np.random.default_rng([seed, k])
-        n_tubes = 20
         worst = 0.0
         for i in range(n_tubes):
             tube = _random_tube(rng, d)
@@ -468,12 +470,14 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
     for k in delta_exps:
         d = 2.0 ** -k
         rng = np.random.default_rng([seed, k])
+        # draw the tubes in order, each point from its own stream, then project all
+        tubes = [_random_tube(rng, d, min_axis_sum=1 / math.sqrt(2)) for _ in range(samples)]
+        s, z = zip(*(tube_draws(d, 1, seed * 1000 + i) for i in range(samples)))
+        c = np.array([t.center.as_tuple() + (t.dir.a, t.dir.b) for t in tubes]).T
+        pts = _bulk.tube_points(c[:3], c[3], c[4], np.concatenate(s), np.concatenate(z, axis=1))
         worst, total = 0.0, 0.0
-        for i in range(samples):
-            tube = _random_tube(rng, d, min_axis_sum=1 / math.sqrt(2))
-            q = tube_points_sample(tube, 1, seed=seed * 1000 + i)[0]
-            w = project_W_batch(q.reshape(1, 3))[0]
-            length = fiber_length(tube, PlanePoint(w[0], w[1]), d / 100)
+        for tube, w in zip(tubes, project_W_batch(pts.T).tolist()):
+            length = fiber_length(tube, PlanePoint(*w), d / 100)
             worst = max(worst, length / d)
             total += length / d
         worst_all = max(worst_all, worst)

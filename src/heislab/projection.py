@@ -71,11 +71,9 @@ def project_W(p: HPoint) -> PlanePoint:
 
 
 def project_W_batch(pts: np.ndarray) -> np.ndarray:
-    """(n,3) group points -> (n,2) plane points."""
-    out = np.empty((pts.shape[0], 2))
-    out[:, 0] = 0.5 * (pts[:, 0] + pts[:, 1])
-    out[:, 1] = pts[:, 2] + 0.25 * (pts[:, 0] ** 2 - pts[:, 1] ** 2)
-    return out
+    """(n,3) group points -> (n,2) plane points, a view of rows theta, height."""
+    x, y, t = pts.T
+    return np.stack([0.5 * (x + y), t + 0.25 * (x ** 2 - y ** 2)]).T
 
 
 def tube_to_curve(tube: HTube) -> ProjectedCurve:
@@ -101,13 +99,17 @@ def tube_to_curve(tube: HTube) -> ProjectedCurve:
     )
 
 
-def tube_points_sample(tube: HTube, n: int, seed: int = 0) -> np.ndarray:
-    """n points of the tube: core(s) * z with s uniform, z uniform in the ball."""
+def tube_draws(delta: float, n: int, seed: int = 0):
+    """`tube_points_sample`'s draws from default_rng([seed, 17]): s, then z."""
     rng = np.random.default_rng([seed, 17])
-    s = rng.random(n) - 0.5
-    z = _bulk.sample_gauge_ball(rng, tube.delta, n)
-    cores = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, s)
-    return _bulk.mul(cores, z)
+    return rng.random(n) - 0.5, _bulk.sample_gauge_ball(rng, delta, n)
+
+
+def tube_points_sample(tube: HTube, n: int, seed: int = 0) -> np.ndarray:
+    """n points of the tube: core(s) * z with s uniform, z uniform in the ball,
+    as an (n, 3) view of three contiguous rows x, y, t."""
+    s, z = tube_draws(tube.delta, n, seed)
+    return _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z).T
 
 
 def projection_containment_ratio(tube: HTube, samples: int, seed: int = 0) -> float:
@@ -118,15 +120,14 @@ def projection_containment_ratio(tube: HTube, samples: int, seed: int = 0) -> fl
     below an absolute constant; points outside the unit ball are discarded.
     """
     curve = tube_to_curve(tube)
-    pts = tube_points_sample(tube, samples, seed)
-    inside = _bulk.norm4(pts) <= 1.0
-    pts = pts[inside]
-    if pts.shape[0] == 0:
+    rows = tube_points_sample(tube, samples, seed).T
+    rows = rows.compress(_bulk.norm4(rows.T) <= 1.0, axis=1)
+    if rows.shape[1] == 0:
         return 0.0
-    proj = project_W_batch(pts)
-    u = proj[:, 0] - curve.theta0
+    theta, height = project_W_batch(rows.T).T
+    u = theta - curve.theta0
     graph = (curve.kappa * u + curve.slope) * u + curve.offset
-    return float(np.max(np.abs(proj[:, 1] - graph))) / (tube.delta ** 2)
+    return float(np.max(np.abs(height - graph))) / (tube.delta ** 2)
 
 
 def fiber_point(w: PlanePoint, s: float) -> HPoint:

@@ -143,14 +143,14 @@ def tube_bounding_box(tube: HTube) -> np.ndarray:
     the gauge delta-ball adds delta horizontally and delta^2/4 plus the twist
     reach (delta/2 times the horizontal core radius) vertically.
     """
-    ends = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
+    ends = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
     d = tube.delta
     box = np.empty((3, 2))
-    box[0] = ends[:, 0].min() - d, ends[:, 0].max() + d
-    box[1] = ends[:, 1].min() - d, ends[:, 1].max() + d
-    reach = np.hypot(ends[:, 0], ends[:, 1]).max() + d
+    box[0] = ends[0].min() - d, ends[0].max() + d
+    box[1] = ends[1].min() - d, ends[1].max() + d
+    reach = np.hypot(ends[0], ends[1]).max() + d
     tmargin = 0.25 * d * d + 0.5 * d * reach
-    box[2] = ends[:, 2].min() - tmargin, ends[:, 2].max() + tmargin
+    box[2] = ends[2].min() - tmargin, ends[2].max() + tmargin
     return box
 
 

@@ -1,0 +1,89 @@
+"""Row-major oracles of the tube-point sampling path.
+
+`_bulk.sample_gauge_ball`, `_bulk.tube_points`, `projection.tube_points_sample`
+and `projection.projection_containment_ratio` work on three contiguous rows
+x, y, t.  These are the (n, 3) bodies they replaced: the same generator draws
+and the same elementwise operations on (n, 3) arrays, with boolean row
+gathers.  The tests pin the row path to them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from heislab import _bulk
+from heislab.projection import PlanePoint, tube_to_curve
+
+
+def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
+    """Uniform points of the gauge ball B(0, delta), by rejection from its box."""
+    out = np.empty((0, 3))
+    while out.shape[0] < n:
+        m = max(2 * (n - out.shape[0]), 64)
+        z = rng.random((m, 3)) * 2.0 - 1.0
+        z[:, :2] *= delta
+        z[:, 2] *= 0.25 * delta * delta
+        keep = _bulk.norm4(z) <= delta ** 4
+        out = np.vstack([out, z[keep]])
+    return out[:n]
+
+
+def core_points(center, dir_a: float, dir_b: float, s) -> np.ndarray:
+    """Core points center * (s*e) for an array of parameters s, as (n, 3)."""
+    s = np.asarray(s, dtype=np.float64)
+    se = np.stack([s * dir_a, s * dir_b, np.zeros_like(s)], axis=-1)
+    carr = np.array(center.as_tuple(), dtype=np.float64)
+    return _bulk.mul(carr, se)
+
+
+def tube_points_sample(tube, n: int, seed: int = 0) -> np.ndarray:
+    """n points of the tube: core(s) * z with s uniform, z uniform in the ball."""
+    rng = np.random.default_rng([seed, 17])
+    s = rng.random(n) - 0.5
+    z = sample_gauge_ball(rng, tube.delta, n)
+    cores = core_points(tube.center, tube.dir.a, tube.dir.b, s)
+    return _bulk.mul(cores, z)
+
+
+def project_W_batch(pts: np.ndarray) -> np.ndarray:
+    """(n,3) group points -> (n,2) plane points."""
+    out = np.empty((pts.shape[0], 2))
+    out[:, 0] = 0.5 * (pts[:, 0] + pts[:, 1])
+    out[:, 1] = pts[:, 2] + 0.25 * (pts[:, 0] ** 2 - pts[:, 1] ** 2)
+    return out
+
+
+def projection_containment_ratio(tube, samples: int, seed: int = 0) -> float:
+    """Max over sampled points of T inside B(0,1) of the vertical distance of
+    the projection to the projected-curve graph, divided by delta^2."""
+    curve = tube_to_curve(tube)
+    pts = tube_points_sample(tube, samples, seed)
+    inside = _bulk.norm4(pts) <= 1.0
+    pts = pts[inside]
+    if pts.shape[0] == 0:
+        return 0.0
+    proj = project_W_batch(pts)
+    u = proj[:, 0] - curve.theta0
+    graph = (curve.kappa * u + curve.slope) * u + curve.offset
+    return float(np.max(np.abs(proj[:, 1] - graph))) / (tube.delta ** 2)
+
+
+def fiber_rows(delta_exps, samples: int, seed: int, random_tube, fiber_length) -> list:
+    """`fiber-length`'s rows by its former per-sample loop: draw a tube, then
+    its one point, project it and measure the fiber through it."""
+    rows = []
+    for k in delta_exps:
+        d = 2.0 ** -k
+        rng = np.random.default_rng([seed, k])
+        worst, total = 0.0, 0.0
+        for i in range(samples):
+            tube = random_tube(rng, d, min_axis_sum=1 / math.sqrt(2))
+            q = tube_points_sample(tube, 1, seed=seed * 1000 + i)[0]
+            w = project_W_batch(q.reshape(1, 3))[0]
+            length = fiber_length(tube, PlanePoint(w[0], w[1]), d / 100)
+            worst = max(worst, length / d)
+            total += length / d
+        rows.append([d, samples, worst, total / samples])
+    return rows

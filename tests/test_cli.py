@@ -501,3 +501,35 @@ def test_near_contact_pair_sign_draw_matches_rng_choice():
     signs = [(-1.0, 1.0)[fast.integers(0, 2)] for _ in range(10_000)]
     assert signs == [float(slow.choice([-1.0, 1.0])) for _ in range(10_000)]
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("samples", ["10", "19"])
+def test_projection_containment_rejects_fewer_samples_than_tubes(tmp_path, capsys, samples):
+    # 20 tubes per rung: fewer samples would leave no point per tube
+    out = tmp_path / "p.csv"
+    assert main(["run", "projection-containment", "--samples", samples, "--out", str(out)]) == 2
+    assert "--samples >= 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fiber_length_measures_each_sample_with_its_own_kernel_call(monkeypatch):
+    # probe-scan times these small batches; bulk drawing must not merge them
+    from heislab import _bulk
+
+    calls = []
+    kernel = _bulk.core_distance_elementwise
+    monkeypatch.setattr(_bulk, "core_distance_elementwise",
+                        lambda *a: calls.append(len(a[-1])) or kernel(*a))
+    EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=40, seed=0)
+    assert len(calls) == 80
+
+
+def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
+    from heislab import cli
+
+    calls = []
+    ratio = cli.projection_containment_ratio
+    monkeypatch.setattr(cli, "projection_containment_ratio",
+                        lambda *a, **k: calls.append(a[1]) or ratio(*a, **k))
+    EXPERIMENTS["projection-containment"](delta_exps=[4, 5], samples=400, seed=0)
+    assert calls == [20] * 40

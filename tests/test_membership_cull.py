@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import sampling_reference
 
 from heislab import _bulk
 from heislab.families import (
@@ -67,7 +68,7 @@ def shell_points(tube, rng, n_s=0):
         z = sphere_offsets(r)
         # rotate (along, across) to (x, y)
         z = np.stack([a * z[:, 0] - b * z[:, 1], b * z[:, 0] + a * z[:, 1], z[:, 2]], axis=1)
-        core = _bulk.core_points(tube.center, a, b, s)
+        core = sampling_reference.core_points(tube.center, a, b, s)
         out.append(_bulk.mul(core[:, None, :], z[None, :, :]).reshape(-1, 3))
     return np.concatenate(out)
 

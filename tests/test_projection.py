@@ -5,6 +5,7 @@ import math
 import broadness_reference
 import numpy as np
 import pytest
+import sampling_reference
 
 from heislab.heis import E1, E2, HDirection, HPoint
 from heislab.projection import (
@@ -59,9 +60,7 @@ def test_curve_matches_projected_core_fit(rng):
     tube = HTube(HPoint(1, 2, 3), HDirection(3 / 5, 4 / 5), 2.0 ** -5)
     c = tube_to_curve(tube)
     s = np.linspace(-0.5, 0.5, 9)
-    from heislab import _bulk
-
-    cores = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, s)
+    cores = sampling_reference.core_points(tube.center, tube.dir.a, tube.dir.b, s)
     proj = project_W_batch(cores)
     coeffs = np.polyfit(proj[:, 0], proj[:, 1], 2)
     q = c.as_quadratic()

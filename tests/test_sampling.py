@@ -1,0 +1,105 @@
+"""The row-major tube-point sampling path against its (n, 3) oracle,
+`sampling_reference`, bit for bit and generator state for generator state."""
+
+import math
+
+import numpy as np
+import pytest
+import sampling_reference as ref
+
+from heislab import _bulk, cli
+from heislab.projection import fiber_length, projection_containment_ratio, tube_points_sample
+from heislab.tubes import tube_bounding_box
+
+# dyadic radii scale exactly; 0.3 also tests the rounding of each scaling
+DELTAS = [1.0, 0.3] + [2.0 ** -k for k in range(1, 11)]
+# with n = 32 the first round of 64 rows keeps fewer than 32 points at this
+# seed, so the sampler draws a second round
+SECOND_ROUND_SEED = 61
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 5000])
+@pytest.mark.parametrize("delta", DELTAS)
+def test_sample_gauge_ball_equals_reference(n, delta):
+    fast_rng, ref_rng = np.random.default_rng([n, 5]), np.random.default_rng([n, 5])
+    z = _bulk.sample_gauge_ball(fast_rng, delta, n)
+    assert z.shape == (3, n)
+    assert same_bits(z.T, ref.sample_gauge_ball(ref_rng, delta, n))
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0 ** -5])
+def test_sample_gauge_ball_second_round_equals_reference(delta):
+    probe = np.random.default_rng(SECOND_ROUND_SEED)
+    first = probe.random((64, 3)) * 2.0 - 1.0
+    first[:, :2] *= delta
+    first[:, 2] *= 0.25 * delta * delta
+    assert np.count_nonzero(_bulk.norm4(first) <= delta ** 4) < 32
+    fast_rng = np.random.default_rng(SECOND_ROUND_SEED)
+    ref_rng = np.random.default_rng(SECOND_ROUND_SEED)
+    z = _bulk.sample_gauge_ball(fast_rng, delta, 32)
+    assert same_bits(z.T, ref.sample_gauge_ball(ref_rng, delta, 32))
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert fast_rng.bit_generator.state != probe.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "delta, n",
+    [(math.nan, 3), (-0.5, 3), (0.0, 3), (math.inf, 3), (-math.inf, 3),
+     (0.5, -1), (0.5, 2.5), (0.5, "3")],
+)
+def test_sample_gauge_ball_rejects_bad_input_before_drawing(delta, n):
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        _bulk.sample_gauge_ball(rng, delta, n)
+    assert rng.bit_generator.state == before
+
+
+def experiment_tubes(seed, delta_exps=range(4, 9), n_tubes=20):
+    """The tubes of `projection-containment`, with each one's sample seed."""
+    out = []
+    for k in delta_exps:
+        rng = np.random.default_rng([seed, k])
+        out += [(cli._random_tube(rng, 2.0 ** -k), seed + i) for i in range(n_tubes)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tube_points_sample_equals_reference(seed):
+    for tube, s in experiment_tubes(seed)[::7]:
+        for n in (1, 64, 5000):
+            assert same_bits(tube_points_sample(tube, n, s), ref.tube_points_sample(tube, n, s))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_containment_ratio_equals_reference_on_experiment_tubes(seed):
+    for tube, s in experiment_tubes(seed):
+        assert projection_containment_ratio(tube, 5000, s) == ref.projection_containment_ratio(
+            tube, 5000, s
+        )
+
+
+def test_bounding_box_equals_reference_core_ends():
+    for tube, _ in experiment_tubes(2)[::3]:
+        ends = ref.core_points(tube.center, tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
+        d = tube.delta
+        reach = np.hypot(ends[:, 0], ends[:, 1]).max() + d
+        tmargin = 0.25 * d * d + 0.5 * d * reach
+        want = np.array([
+            [ends[:, 0].min() - d, ends[:, 0].max() + d],
+            [ends[:, 1].min() - d, ends[:, 1].max() + d],
+            [ends[:, 2].min() - tmargin, ends[:, 2].max() + tmargin],
+        ])
+        assert same_bits(tube_bounding_box(tube), want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_experiment_equals_per_sample_reference(seed):
+    got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=60, seed=seed).rows
+    want = ref.fiber_rows([5, 6], 60, seed, cli._random_tube, fiber_length)
+    assert got == want

@@ -5,6 +5,7 @@ import math
 import broadness_reference
 import numpy as np
 import pytest
+import sampling_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from heislab.tubes import _arc_profile, _dyadic_down
 
 def dense_core_distance(tube, p, n=10_001):
     s = np.linspace(-0.5, 0.5, n)
-    cores = _bulk.core_points(tube.center, tube.dir.a, tube.dir.b, s)
+    cores = sampling_reference.core_points(tube.center, tube.dir.a, tube.dir.b, s)
     diffs = _bulk.mul(-cores, np.broadcast_to(np.array(p.as_tuple()), (n, 3)))
     return float(_bulk.norm(diffs).min())
 
