@@ -166,6 +166,66 @@ def core_candidates(
     return np.flatnonzero(keep)
 
 
+def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Ends lo, hi of the t-section {t : (x, y, t) within gauge distance delta
+    of the unit core through `center` with direction (dir_a, dir_b)}.
+
+    x and y are rows of columns, and the tube parameters scalars or arrays
+    that broadcast against them (`center` is a point or three rows), so
+    x[:, None] against rows of K tubes gives every (column, tube) pair.
+    beta, gamma and the shift w - t are formed with `core_candidates`'s
+    operations in its order.  In the kernel's coordinates (see
+    `core_distance_elementwise`) the point is a member iff, for some
+    z = beta - s with |s| <= 1/2, that is z in [beta - 1/2, beta + 1/2],
+
+        |4*w - 2*gamma*z| <= R(z) = sqrt(delta^4 - (z^2 + gamma^2)^2).
+
+    R is concave on its domain z^2 + gamma^2 <= delta^2, so over the
+    z-interval these w-intervals join into one: its upper end is the maximum
+    of (R(z) + 2*gamma*z)/4, and its lower end the minimum of
+    (2*gamma*z - R(z))/4.  Their stationary points have
+    z^2 + gamma^2 = (|gamma|*delta^2)^(2/3), with z of the sign of gamma for
+    the upper end and of -gamma for the lower, and each end is taken at its
+    stationary point clipped to the z-interval, with R = 0 off the domain.
+    When the z-interval misses the domain, both stationary points clip to
+    the same z (or are 0, when |gamma| >= delta), so an empty section comes
+    back as lo == hi, with no further test; so does a one-point section.
+    """
+    c0, c1, c2 = center
+    u0 = -c0 + x
+    u1 = -c1 + y
+    beta = dir_a * u0 + dir_b * u1
+    gamma = dir_b * u0 - dir_a * u1
+    shift = -c2 + 0.5 * (-c0 * y - x * -c1) + 0.5 * gamma * beta
+    d2 = delta * delta
+    g2 = gamma * gamma
+    z = np.cbrt(g2)
+    z *= np.cbrt(d2 * d2)
+    np.minimum(z, d2, out=z)  # so the stationary z is 0 once |gamma| >= delta
+    z -= g2
+    np.sqrt(np.maximum(z, 0.0, out=z), out=z)
+    np.copysign(z, gamma, out=z)
+    z_lo, z_hi = beta - 0.5, beta + 0.5
+    half_gamma = 0.5 * gamma
+    ends = []
+    for z_star, sign in ((z, 0.25), (-z, -0.25)):
+        zc = np.maximum(z_star, z_lo)
+        np.minimum(zc, z_hi, out=zc)
+        r = zc * zc
+        r += g2
+        end = np.subtract(d2, r)
+        r += d2
+        end *= r
+        np.sqrt(np.maximum(end, 0.0, out=end), out=end)
+        end *= sign
+        zc *= half_gamma
+        end += zc
+        end -= shift
+        ends.append(end)
+    hi, lo = ends
+    return lo, hi
+
+
 def count_members(
     pts: np.ndarray, rows: np.ndarray, centers: np.ndarray, dir_a, dir_b, delta
 ) -> np.ndarray:

@@ -45,6 +45,7 @@ from .integrals import (
     bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
     fit_exponent,
+    section_mismatch,
     strip_multiplicity,
 )
 from .projection import (
@@ -272,16 +273,23 @@ def _near_contact_pair(rng, delta):
 # experiments
 
 
+# probes per rung of bush-refutes-naive's check of the t-sections against the kernel
+SECTION_PROBES = 300
+
+
 @experiment("bush-refutes-naive")
 def _exp_bush(*, delta_exps=range(4, 9), samples=400_000, seed, workers) -> ExperimentResult:
     rows = []
     ratios_bush, ratios_naive = [], []
+    mismatch = ""
     for k in delta_exps:
         d = 2.0 ** -k
         t1, t2 = build_bush(d)
         est = bilinear_tube_integral(
             t1, t2, 0.75, SampleSpec(samples=samples, seed=seed), workers
         )
+        found = section_mismatch(t1, t2, np.random.default_rng([seed, k, 1]), SECTION_PROBES)
+        mismatch = mismatch or (found and f"delta={d!r} {found}")
         n1, n2 = len(t1), len(t2)
         rb = est.value / (d ** 4 * n1 ** 0.75 * n2)
         rn = est.value / (d ** 4 * n1 ** 0.75 * n2 ** 0.75)
@@ -295,6 +303,11 @@ def _exp_bush(*, delta_exps=range(4, 9), samples=400_000, seed, workers) -> Expe
             f"ratios {[round(r, 3) for _, r in ratios_bush]}",
         ),
         ("positive integrals", all(v > 0 for _, v in ratios_bush), ""),
+        (
+            "t-sections hold as many tubes as the kernel counts",
+            not mismatch,
+            mismatch or f"{SECTION_PROBES} probes per rung",
+        ),
     ]
     extras = {}
     if len(ratios_naive) >= 3:
@@ -447,10 +460,9 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
         worst = 0.0
         for i in range(n_tubes):
             tube = _random_tube(rng, d)
-            worst = max(
-                worst,
-                projection_containment_ratio(tube, samples // n_tubes, seed=seed + i),
-            )
+            # the first samples % n_tubes tubes take one point more
+            n_i = samples // n_tubes + (i < samples % n_tubes)
+            worst = max(worst, projection_containment_ratio(tube, n_i, seed=seed + i))
         maxima.append((d, worst))
         rows.append([d, worst])
     worst_all = max(r for _, r in maxima)

@@ -165,25 +165,13 @@ def _intersect_boxes(b1: np.ndarray, b2: np.ndarray) -> np.ndarray | None:
 def tube_intersection_volume(
     t1: HTube, t2: HTube, samples: int = 1_000_000, seed: int = 0
 ) -> MCEstimate:
-    """Monte Carlo Lebesgue volume of t1 and t2's intersection.
-
-    Integrates the product of the two indicators over the intersection of
-    the two bounding boxes (its support) with the sharded sampling engine of
-    `integrals`, so the result depends only on the seed.
+    """Monte Carlo Lebesgue volume of t1 and t2's intersection: the tube
+    integral of `integrals` of the two singleton families at p = 1, exact in
+    t over samples // 2 random columns, so the result depends only on the seed.
     """
-    from .integrals import SampleSpec, bilinear_integral_from_multiplicity  # imports tubes
+    from .integrals import SampleSpec, bilinear_tube_integral  # imports tubes
 
-    spec = SampleSpec(samples=samples, seed=seed)
-    box = _intersect_boxes(tube_bounding_box(t1), tube_bounding_box(t2))
-    if box is None:
-        return MCEstimate(0.0, 0.0, 0)
-    return bilinear_integral_from_multiplicity(
-        lambda pts: tube_contains_batch(t1, pts),
-        lambda pts: tube_contains_batch(t2, pts),
-        box,
-        1.0,
-        spec,
-    )
+    return bilinear_tube_integral([t1], [t2], 1.0, SampleSpec(samples=samples, seed=seed))
 
 
 def is_transversal_pair(f1: list[HTube], f2: list[HTube], c: float) -> bool:

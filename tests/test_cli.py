@@ -533,3 +533,39 @@ def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
                         lambda *a, **k: calls.append(a[1]) or ratio(*a, **k))
     EXPERIMENTS["projection-containment"](delta_exps=[4, 5], samples=400, seed=0)
     assert calls == [20] * 40
+
+
+def test_projection_containment_measures_every_sample(monkeypatch):
+    # 39 = 20 * 1 + 19: the first 19 tubes take one point more
+    from heislab import cli
+
+    calls = []
+    ratio = cli.projection_containment_ratio
+    monkeypatch.setattr(cli, "projection_containment_ratio",
+                        lambda *a, **k: calls.append(a[1]) or ratio(*a, **k))
+    EXPERIMENTS["projection-containment"](delta_exps=[4], samples=39, seed=0)
+    assert calls == [2] * 19 + [1]
+    assert sum(calls) == 39
+
+
+def test_bush_section_check_fails_when_one_section_end_moves(tmp_path, monkeypatch, capsys):
+    from heislab import _bulk
+
+    sections = _bulk.tube_sections
+
+    def moved(x, y, center, dir_a, dir_b, delta):
+        lo, hi = sections(x, y, center, dir_a, dir_b, delta)
+        hi[..., 0] += delta[0] ** 2  # the upper end of the first tube's section
+        return lo, hi
+
+    out = tmp_path / "bush.csv"
+    args = ["run", "bush-refutes-naive", "--delta-exps", "4..5", "--samples", "6000",
+            "--out", str(out)]
+    assert main(args) == 0
+    assert "[PASS] t-sections hold as many tubes as the kernel counts" in capsys.readouterr().out
+    monkeypatch.setattr(_bulk, "tube_sections", moved)
+    assert main(args) == 1
+    manifest = (tmp_path / "bush.csv.manifest").read_text()
+    line = next(l for l in manifest.splitlines() if "t-sections" in l)
+    assert line.startswith("check [FAIL]")
+    assert "delta=0.0625 column (" in line and " t=" in line and "the kernel counts" in line
