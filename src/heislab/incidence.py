@@ -57,26 +57,16 @@ class Richness:
 _C_JET = 4.0
 
 
-def _jet_tangent_mask(
-    coeffs: np.ndarray, center: Quadratic, theta: float, delta: float, t: float
-) -> np.ndarray:
+def _jet_tangent_mask(coeffs, center: Quadratic, theta: float, delta: float, t: float):
     """Vectorized jet tangency of many curves against one rectangle."""
-    da = coeffs[:, 0] - center.a
-    db = coeffs[:, 1] - center.b
-    dc = coeffs[:, 2] - center.c
-    hv = (0.5 * da * theta + db) * theta + dc
-    hd = da * theta + db
-    return in_jet_window(hv, hd, da, _C_JET, delta, t)
+    h = coeffs - np.array([center.a, center.b, center.c])
+    return in_jet_window(*(x[0] for x in _jets_at(h, np.array([theta]))), _C_JET, delta, t)
 
 
 def richness_of(rect: CurviRect, F: list[Quadratic], G: list[Quadratic]) -> Richness:
     """Counts of jet-tangent curves from each family."""
-    delta = rect.thickness
-    t = rect_t_scale(rect)
-    theta = rect.base.mid
-    mu = int(_jet_tangent_mask(coeff_array(F), rect.center, theta, delta, t).sum())
-    nu = int(_jet_tangent_mask(coeff_array(G), rect.center, theta, delta, t).sum())
-    return Richness(mu, nu)
+    probe = rect.center, rect.base.mid, rect.thickness, rect_t_scale(rect)
+    return Richness(*(int(_jet_tangent_mask(coeff_array(Q), *probe).sum()) for Q in (F, G)))
 
 
 def _anchor_grid(length: float) -> np.ndarray:
@@ -106,25 +96,36 @@ def _jet_window_counts(targets, sources, am, ai, delta: float, t: float) -> np.n
     """Per anchor k, the number of curves of `targets` in the jet window of
     curve ai[k] of `sources` at midpoint am[k] (jets as `_jets_at` gives them),
     by the differences and comparisons of in_jet_window, so each count equals
-    the dense mask's sum; in place, on blocks of _PROFILE_BLOCK_CELLS cells."""
-    jets = [(x, y[am, ai, None]) for x, y in zip(targets, sources)]
+    the dense mask's sum; in place, on blocks of _PROFILE_BLOCK_CELLS cells.
+    A curvature jet is the curve's a at every midpoint, so the anchors go in
+    source-curve order and a block gathers the curvature mask of its curves."""
+    order = np.argsort(ai, kind="stable")
+    am, ai = am[order], ai[order]
+    new = np.concatenate(([True], ai[1:] != ai[:-1]))[: len(ai)]  # first on its curve
+    group, source_curv = np.cumsum(new) - 1, sources[2][0, ai[new]]
+    jets = [(x, y[am, ai, None]) for x, y in zip(targets[:2], sources[:2])]
     bounds = _jet_window_bounds(_C_JET, delta, t)
     counts = np.zeros(len(am), dtype=np.int64)
     n = targets[0].shape[1]
     for j in range(0, n, _PROFILE_BLOCK_CELLS):
         width = min(n - j, _PROFILE_BLOCK_CELLS)
-        rows = _PROFILE_BLOCK_CELLS // width
+        # a row's count is the sum of a uint8 view, in a type that holds width
+        rows, count_type = _PROFILE_BLOCK_CELLS // width, np.min_scalar_type(width)
         diff, (ok, inside) = np.empty((rows, width)), np.empty((2, rows, width), dtype=bool)
         for s in range(0, len(am), rows):
-            block = am[s : s + rows]
+            block, g = am[s : s + rows], group[s : s + rows]
             d, good = diff[: len(block)], ok[: len(block)]
-            good.fill(True)
+            mask = np.subtract(targets[2][0, j : j + width], source_curv[g[0] : g[-1] + 1, None],
+                               out=d[: g[-1] - g[0] + 1])
+            mask = np.less_equal(np.abs(mask, out=mask), bounds[2], out=inside[: len(mask)])
+            np.take(mask, g - g[0], axis=0, out=good, mode="clip")
             for (target, anchor), bound in zip(jets, bounds):
                 # mode="clip" writes straight into d; the rows are in range
                 np.take(target[:, j : j + width], block, axis=0, out=d, mode="clip")
                 d -= anchor[s : s + rows]
                 good &= np.less_equal(np.abs(d, out=d), bound, out=inside[: len(block)])
-            counts[s : s + rows] += np.count_nonzero(good, axis=1)
+            counts[s : s + rows] += np.add.reduce(good.view(np.uint8), axis=1, dtype=count_type)
+    counts[order] = counts.copy()
     return counts
 
 
@@ -151,8 +152,9 @@ def max_incomparable_rich(
     mids = _anchor_grid(math.sqrt(delta / t))
     ci, cm = np.divmod(np.arange(len(F) * len(mids)), len(mids))  # scan order
     fj = _jets_at(fc, mids)
-    # G first: every F anchor counts itself, so its nu test drops more anchors
-    for jets, least in ((_jets_at(gc, mids), nu), (fj, mu)):
+    # every F anchor counts its own curve at zero difference, so its mu count
+    # is at least 1: the nu test goes first, and mu <= 1 needs no count
+    for jets, least in [(_jets_at(gc, mids), nu)] + [(fj, mu)] * (mu > 1):
         rich = _jet_window_counts(jets, fj, cm, ci, delta, t) >= least
         ci, cm = ci[rich], cm[rich]
     # each midpoint's base and own t as dt_rectangle and rect_t_scale make them

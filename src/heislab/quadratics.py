@@ -133,45 +133,38 @@ def dt_rectangle(center: Quadratic, midpoint: float, delta: float, t: float) -> 
     return CurviRect(center, Interval(midpoint - half, midpoint + half), delta)
 
 
-def _quadratic_roots(da: float, db: float, dc: float) -> list[float]:
-    """Real roots of (da/2) s^2 + db s + dc, cancellation-safe for tiny da."""
-    if da == 0.0:
-        return [] if db == 0.0 else [-dc / db]
+def _roots(da, db, dc):
+    """The roots 2q/da and dc/q of (da/2) s^2 + db s + dc by rows, with
+    q = -(db + sign(db) sqrt(disc))/2, safe for tiny da: NaN where there is
+    none (both for disc < 0, dc/q for q == 0, whose double root is 0); for
+    da == 0, q = -db makes dc/q the root of the linear h.  Overflow is +-inf."""
+    quad = da != 0.0
     disc = db * db - 2.0 * da * dc
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (db + math.copysign(sq, db))
-    if q == 0.0:  # db == 0 and disc == db^2 means dc == 0: double root at 0
-        return [0.0]
-    return [2.0 * q / da, dc / q]
+    np.copyto(disc, np.nan, where=disc < 0.0)
+    q = -0.5 * (db + np.copysign(np.sqrt(disc), db))
+    np.negative(db, out=q, where=~quad)
+    with np.errstate(over="ignore"):
+        return 2.0 * q / np.where(quad, da, np.nan), dc / np.where(q != 0.0, q, np.nan)
 
 
 def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tau, Delta) of each row of h: the max of |h| + |h'| over the row's
     candidates plus |h''|, and the min.  The candidates are the rows of a
-    (7, n) array over the columns da, db, dc of h; the roots of h follow the
-    branches of `_quadratic_roots`.  A candidate that does not exist is NaN,
-    which the domain test drops, so no division is by zero.  Raises
-    ValueError if an entry of h is not finite."""
+    (7, n) array over the columns da, db, dc of h; the roots of h are
+    `_roots`.  A candidate that does not exist is NaN, which the domain test
+    drops, so no division is by zero.  Raises ValueError if an entry of h is
+    not finite."""
     if not np.isfinite(h).all():
         raise ValueError("jet gauges need finite coefficient differences")
     lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
     da, db, dc = np.ascontiguousarray(np.transpose(h), dtype=np.float64)
-    quad = da != 0.0
-    a1 = np.where(quad, da, np.nan)
-    disc = db * db - 2.0 * da * dc
-    np.copyto(disc, np.nan, where=disc < 0.0)
-    # for da == 0, q = -db makes dc / q the root -dc / db of the linear h
-    q = -0.5 * (db + np.copysign(np.sqrt(disc), db))
-    np.negative(db, out=q, where=~quad)
+    a1 = np.where(da != 0.0, da, np.nan)
     s = np.empty((7, len(da)))
     s[0], s[1] = lo, hi
-    # a subnormal da or q puts a candidate past the largest float: it
-    # overflows to +-inf, which the domain test drops like a NaN
+    # a root or candidate past the largest float is +-inf, which the domain
+    # test drops like a NaN
+    s[2], s[3] = _roots(da, db, dc)
     with np.errstate(over="ignore"):
-        np.divide(2.0 * q, a1, out=s[2])
-        np.divide(dc, np.where(q != 0.0, q, np.nan), out=s[3])
         # h' = 0, h' = h'' and h' = -h''
         np.divide(-db, a1, out=s[4])
         np.divide(da - db, a1, out=s[5])
@@ -188,16 +181,20 @@ def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.max(axis=0) + np.abs(da), v.min(axis=0)
 
 
-def _gauges(f, g):
-    """jet_gauges of f - g: floats for two `Quadratic`s, arrays for two
-    (n, 3) coefficient arrays."""
+def _difference(f, g) -> np.ndarray:
+    """f - g as an (n, 3) array, one row for two `Quadratic`s."""
     if isinstance(f, Quadratic) and isinstance(g, Quadratic):
-        t, d = jet_gauges(np.array([[f.a - g.a, f.b - g.b, f.c - g.c]]))
-        return float(t[0]), float(d[0])
+        return np.array([[f.a - g.a, f.b - g.b, f.c - g.c]], dtype=np.float64)
     f, g = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if f.shape != g.shape or f.ndim != 2 or f.shape[1] != 3:
         raise ValueError(f"need two Quadratics or two (n, 3) arrays, got {f.shape} and {g.shape}")
-    return jet_gauges(f - g)
+    return f - g
+
+
+def _gauges(f, g):
+    """jet_gauges of f - g: floats for two `Quadratic`s, arrays for (n, 3) arrays."""
+    t, d = jet_gauges(_difference(f, g))
+    return (float(t[0]), float(d[0])) if isinstance(f, Quadratic) else (t, d)
 
 
 def tau(f, g):
@@ -213,56 +210,61 @@ def delta_gauge(f, g):
     return _gauges(f, g)[1]
 
 
-def _solve_le(a: float, b: float, c: float, bound: float):
-    """Solution set of (a/2)s^2 + b s + c <= bound as intervals over R.
-
-    Returns a list of (lo, hi) with +-inf endpoints allowed.
-    """
-    c = c - bound
-    if a != 0.0:
-        roots = sorted(_quadratic_roots(a, b, c))
-        if a > 0.0:
-            return [(roots[0], roots[-1])] if roots else []
-        if len(roots) < 2:
-            return [(-math.inf, math.inf)]
-        return [(-math.inf, roots[0]), (roots[1], math.inf)]
-    if b > 0.0:
-        return [(-math.inf, -c / b)]
-    if b < 0.0:
-        return [(-c / b, math.inf)]
-    return [(-math.inf, math.inf)] if c <= 0.0 else []
+def _sublevel_pieces(a, b, c):
+    """{s : (a/2) s^2 + b s + c <= 0} of each row as two pieces, (n, 2) arrays
+    lo and hi, a missing piece with a NaN end: the roots' interval (a > 0),
+    the outer rays or the line (a < 0), a ray, the line or nothing (a == 0)."""
+    r1, r2 = _roots(a, b, c)
+    rlo, rhi = np.fmin(r1, r2), np.fmax(r1, r2)
+    flat, rays = a == 0.0, (a < 0.0) & (r2 == r2)  # rays: a < 0 with two roots
+    lo = np.where(a > 0.0, rlo, np.where(flat & (b < 0.0), r2, -np.inf))
+    hi = np.where(a > 0.0, rhi, np.where(rays, rlo, np.where(flat & (b > 0.0), r2, np.inf)))
+    lo[flat & (b == 0.0) & (c > 0.0)] = np.nan
+    return (np.stack([lo, np.where(rays, rhi, np.nan)], axis=1),
+            np.stack([hi, np.where(rays, np.inf, np.nan)], axis=1))
 
 
-def near_intersection_intervals(
-    f: Quadratic, g: Quadratic, delta: float, window: Interval
-) -> list[Interval]:
+def near_intersection_intervals(f, g, delta: float, window: Interval):
     """The set {s in window : |f(s) - g(s)| <= delta} as exact closed intervals.
 
     The set is the intersection of two quadratic sublevel sets, hence always
     a union of at most two intervals; a RuntimeError flags any violation of
     that structure (it would be an implementation bug, not an input issue).
-    Callers studying the fine structure pass window = I/4.  A non-finite
-    delta or coefficient difference raises ValueError.
+    Callers studying the fine structure pass window = I/4.  Two `Quadratic`s
+    give a list of `Interval`s, two (n, 3) coefficient arrays an (n, 2, 2)
+    array of each row's pieces [lo, hi] in increasing order, NaN where it has
+    fewer.  A non-finite delta or coefficient difference raises ValueError.
     """
     if not (0.0 < delta < math.inf):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    h = f.sub(g)
-    if not all(map(math.isfinite, (h.a, h.b, h.c))):
-        raise ValueError(f"near-intersection needs finite coefficients, got f - g = {h}")
-    upper = _solve_le(h.a, h.b, h.c, delta)       # h <= delta
-    lower = _solve_le(-h.a, -h.b, -h.c, delta)    # h >= -delta
-
-    pieces = [(max(lo1, lo2, window.lo), min(hi1, hi2, window.hi))
-              for lo1, hi1 in upper for lo2, hi2 in lower]
-    merged: list[list[float]] = []
-    for lo, hi in sorted(p for p in pieces if p[0] <= p[1]):
-        if merged and lo <= merged[-1][1] + 1e-15:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    if len(merged) > 2:
-        raise RuntimeError(f"near-intersection set split into {len(merged)} intervals")
-    return [Interval(lo, hi) for lo, hi in merged]
+    h = _difference(f, g)
+    if not np.isfinite(h).all():
+        raise ValueError("near-intersection needs finite coefficient differences")
+    n = len(h)
+    # rows n.. of the sublevel sets solve -h <= delta, that is h >= -delta
+    a, b, c = np.concatenate([h, -h]).T.copy()
+    lo, hi = _sublevel_pieces(a, b, c - delta)
+    # the four intersections of an upper and a lower piece, clipped to the
+    # window; an empty one (or one with a NaN end) sorts last
+    lo = np.maximum(np.maximum(lo[:n, :, None], lo[n:, None, :]), window.lo).reshape(n, 4)
+    hi = np.minimum(np.minimum(hi[:n, :, None], hi[n:, None, :]), window.hi).reshape(n, 4)
+    lo = np.where(lo <= hi, lo, np.inf)
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    # a piece joins the one before unless it starts more than 1e-15 past the
+    # largest hi so far, which is the merged hi before it
+    start = lo < np.inf
+    start[:, 1:] &= lo[:, 1:] > np.maximum.accumulate(hi, axis=1)[:, :-1] + 1e-15
+    group = np.where(lo < np.inf, np.cumsum(start, axis=1) - 1, -1)
+    if group.max(initial=0) > 1:
+        raise RuntimeError(f"near-intersection set split into {group.max() + 1} intervals")
+    mine = group[:, None, :] == np.arange(2)[:, None]  # (row, piece, sorted piece)
+    pieces = np.stack([np.where(mine, lo[:, None], np.inf).min(axis=2),
+                       np.where(mine, hi[:, None], -np.inf).max(axis=2)], axis=2)
+    pieces[pieces[..., 0] > pieces[..., 1]] = np.nan  # (inf, -inf): no such piece
+    if isinstance(f, Quadratic):
+        return [Interval(lo, hi) for lo, hi in pieces[0].tolist() if lo <= hi]
+    return pieces
 
 
 def _jet_window_bounds(c: float, delta: float, t):

@@ -1,8 +1,8 @@
 """Scalar reference loops for the batched planar jet kernel.
 
-These are the pair-by-pair definitions that `quadratics.jet_gauges` and its
-callers replaced; the oracle tests compare the batched code against them bit
-for bit.
+These are the pair-by-pair definitions that `quadratics.jet_gauges`, the row
+form of `quadratics.near_intersection_intervals` and their callers replaced;
+the oracle tests compare the batched code against them bit for bit.
 """
 
 import math
@@ -12,10 +12,24 @@ import numpy as np
 from heislab.quadratics import (
     PLANAR_DOMAIN,
     BipartiteReport,
+    Interval,
     Quadratic,
-    _quadratic_roots,
     rect_t_scale,
 )
+
+
+def quadratic_roots(da: float, db: float, dc: float) -> list[float]:
+    """Real roots of (da/2) s^2 + db s + dc, cancellation-safe for tiny da."""
+    if da == 0.0:
+        return [] if db == 0.0 else [-dc / db]
+    disc = db * db - 2.0 * da * dc
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    q = -0.5 * (db + math.copysign(sq, db))
+    if q == 0.0:  # db == 0 and disc == db^2 means dc == 0: double root at 0
+        return [0.0]
+    return [2.0 * q / da, dc / q]
 
 
 def jet_candidates(h: Quadratic) -> list[float]:
@@ -28,7 +42,7 @@ def jet_candidates(h: Quadratic) -> list[float]:
         if lo <= s <= hi:
             cands.append(s)
 
-    for r in _quadratic_roots(da, db, dc):
+    for r in quadratic_roots(da, db, dc):
         add(r)
     if da != 0.0:
         add(-db / da)
@@ -141,3 +155,50 @@ def classify_broad_narrow(S, G, K) -> tuple[bool, int, int]:
             if i != j and lo <= delta_gauge(tangent[i], tangent[j]) <= hi:
                 transverse += 1
     return (transverse >= total / 2.0, transverse, total)
+
+
+def solve_le(a: float, b: float, c: float, bound: float):
+    """Solution set of (a/2)s^2 + b s + c <= bound as intervals over R.
+
+    Returns a list of (lo, hi) with +-inf endpoints allowed.
+    """
+    c = c - bound
+    if a != 0.0:
+        roots = sorted(quadratic_roots(a, b, c))
+        if a > 0.0:
+            return [(roots[0], roots[-1])] if roots else []
+        if len(roots) < 2:
+            return [(-math.inf, math.inf)]
+        return [(-math.inf, roots[0]), (roots[1], math.inf)]
+    if b > 0.0:
+        return [(-math.inf, -c / b)]
+    if b < 0.0:
+        return [(-c / b, math.inf)]
+    return [(-math.inf, math.inf)] if c <= 0.0 else []
+
+
+def near_intersection_intervals(
+    f: Quadratic, g: Quadratic, delta: float, window: Interval
+) -> list[Interval]:
+    """The set {s in window : |f(s) - g(s)| <= delta} as exact closed
+    intervals, from the two sublevel sets of h = f - g, intersected pairwise,
+    clipped, sorted and merged when they touch within 1e-15."""
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    h = f.sub(g)
+    if not all(map(math.isfinite, (h.a, h.b, h.c))):
+        raise ValueError(f"near-intersection needs finite coefficients, got f - g = {h}")
+    upper = solve_le(h.a, h.b, h.c, delta)       # h <= delta
+    lower = solve_le(-h.a, -h.b, -h.c, delta)    # h >= -delta
+
+    pieces = [(max(lo1, lo2, window.lo), min(hi1, hi2, window.hi))
+              for lo1, hi1 in upper for lo2, hi2 in lower]
+    merged: list[list[float]] = []
+    for lo, hi in sorted(p for p in pieces if p[0] <= p[1]):
+        if merged and lo <= merged[-1][1] + 1e-15:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    if len(merged) > 2:
+        raise RuntimeError(f"near-intersection set split into {len(merged)} intervals")
+    return [Interval(lo, hi) for lo, hi in merged]

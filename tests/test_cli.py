@@ -1,10 +1,12 @@
 """CLI harness: flags, config files, exits, CSV schema, dump round-trips."""
 
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import jet_reference
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from heislab.cli import (
     OPTIONS,
     RUN_OPTIONS,
     OptionError,
-    _near_contact_pair,
+    _fmt,
+    _near_contact_pairs,
     bind_options,
     coerce,
     dump_family,
@@ -25,7 +28,7 @@ from heislab.cli import (
     reads,
 )
 from heislab.families import build_bush, build_clamshell
-from heislab.quadratics import Quadratic
+from heislab.quadratics import PLANAR_DOMAIN, Quadratic, delta_gauge, tau
 
 
 def run_cli(*args):
@@ -478,29 +481,88 @@ def test_benchmark_workload_flags_are_read():
             assert set(keys) <= set(reads(EXPERIMENTS[name])), name
 
 
-def _near_contact_pair_with_choice(rng, delta):
-    """`_near_contact_pair` as written with rng.choice for the signs."""
-    f = Quadratic(*rng.normal(scale=1.0, size=3))
-    theta0 = rng.uniform(-0.625, 0.625)
-    v = rng.uniform(-0.5, 0.5) * delta
-    u = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.3)
-    w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5)
-    g = Quadratic.from_jet(theta0, f(theta0) + v, f.deriv(theta0) + u, f.a + w)
-    return f, g, theta0
+def _near_contact_draws(seed, k, n):
+    """The draws of `_near_contact_pairs` in their documented order, from
+    default_rng([seed, k]): F's rows, theta0, v / delta, u and w."""
+    rng = np.random.default_rng([seed, k])
+    F = rng.normal(scale=1.0, size=(n, 3))
+    theta0, v = rng.uniform(-0.625, 0.625, n), rng.uniform(-0.5, 0.5, n)
+    u = np.where(rng.integers(0, 2, n), 1.0, -1.0) * 10.0 ** rng.uniform(-4.0, 0.3, n)
+    w = np.where(rng.integers(0, 2, n), 1.0, -1.0) * 10.0 ** rng.uniform(-4.0, 0.5, n)
+    return F, theta0, v, u, w
 
 
-def test_near_contact_pair_sign_draw_matches_rng_choice():
-    # 5,000 pairs draw 10,000 signs: the same pairs, bit for bit, and the
-    # same generator state after every pair
-    fast, slow = np.random.default_rng([3, 6]), np.random.default_rng([3, 6])
-    for _ in range(5_000):
-        f, g, theta0 = _near_contact_pair(fast, 2.0 ** -6)
-        f0, g0, theta00 = _near_contact_pair_with_choice(slow, 2.0 ** -6)
-        assert (f, g, theta0) == (f0, g0, theta00)
-        assert fast.bit_generator.state == slow.bit_generator.state
-    signs = [(-1.0, 1.0)[fast.integers(0, 2)] for _ in range(10_000)]
-    assert signs == [float(slow.choice([-1.0, 1.0])) for _ in range(10_000)]
-    assert fast.bit_generator.state == slow.bit_generator.state
+@pytest.mark.parametrize("seed, k", [(0, 6), (3, 7), (11, 10)])
+def test_near_contact_pairs_equal_from_jet_bit_for_bit(seed, k):
+    # each G row is Quadratic.from_jet of F's jet at theta0 plus the drawn
+    # (v, u, w), computed on Python floats, to the bit
+    d, n = 2.0 ** -k, 2000
+    F, G, theta0 = _near_contact_pairs(np.random.default_rng([seed, k]), d, n)
+    F0, theta00, v, u, w = _near_contact_draws(seed, k, n)
+    assert F.tobytes() == F0.tobytes() and theta0.tobytes() == theta00.tobytes()
+    rows = zip(F.tolist(), theta0.tolist(), (v * d).tolist(), u.tolist(), w.tolist())
+    for g, (f, th, vi, ui, wi) in zip(G.tolist(), rows):
+        f = Quadratic(*f)
+        jet = Quadratic.from_jet(th, f(th) + vi, f.deriv(th) + ui, f.a + wi)
+        assert (jet.a, jet.b, jet.c) == tuple(g)
+        # and the pair approaches within delta/2 at theta0
+        assert abs(f(th) - Quadratic(*g)(th)) <= 0.5 * d + 1e-15
+
+
+def test_near_contact_pairs_same_seed_same_rows():
+    a = _near_contact_pairs(np.random.default_rng([5, 6]), 2.0 ** -6, 500)
+    b = _near_contact_pairs(np.random.default_rng([5, 6]), 2.0 ** -6, 500)
+    c = _near_contact_pairs(np.random.default_rng([6, 6]), 2.0 ** -6, 500)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    assert not any(x.tobytes() == y.tobytes() for x, y in zip(a, c))
+    # rows, not pairs: F is drawn first, so a shorter rung's F is a prefix of
+    # a longer one's, and its theta0 is not
+    short = _near_contact_pairs(np.random.default_rng([5, 6]), 2.0 ** -6, 100)
+    assert short[0].tobytes() == a[0][:100].tobytes()
+    assert short[2].tobytes() != a[2][:100].tobytes()
+
+
+def _rect_row_by_pairs(seed, k, samples):
+    """A lemma-rect-structure row from the same drawn pairs, pair by pair,
+    with the scalar near-intersection oracle and scalar gauges."""
+    d = 2.0 ** -k
+    F, G, theta0 = _near_contact_pairs(np.random.default_rng([seed, k]), d, samples)
+    window = PLANAR_DOMAIN.shrink(4.0)
+    max_pieces, max_factor, min_factor = 0, 0.0, math.inf
+    for f, g, th in zip(F.tolist(), G.tolist(), theta0.tolist()):
+        f, g = Quadratic(*f), Quadratic(*g)
+        pieces = jet_reference.near_intersection_intervals(f, g, d, window)
+        max_pieces = max(max_pieces, len(pieces))
+        x = d / math.sqrt((tau(f, g) + d) * (delta_gauge(f, g) + d))
+        for piece in pieces:
+            max_factor = max(max_factor, piece.length / x)
+        home = [p for p in pieces if p.contains(th, slack=1e-12)]
+        if home:
+            min_factor = min(min_factor, home[0].length / x)
+    return [d, samples, max_pieces, max_factor, min_factor]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rect_rows_equal_pair_by_pair_oracle(tmp_path, seed):
+    out = tmp_path / "rect.csv"
+    args = ["--delta-exps", "5..7", "--samples", "1500", "--seed", str(seed)]
+    assert main(["run", "lemma-rect-structure", *args, "--out", str(out)]) == 0
+    want = [",".join(_fmt(v) for v in _rect_row_by_pairs(seed, k, 1500)) for k in (5, 6, 7)]
+    assert out.read_text().splitlines()[1:] == want
+
+
+def test_rect_factor_detail_covers_every_rung(tmp_path):
+    # at seed 3 the larger max_len_factor is the second rung's
+    out = tmp_path / "rect.csv"
+    args = ["--delta-exps", "6..7", "--seed", "3", "--out", str(out)]
+    assert main(["run", "lemma-rect-structure", *args]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    lo, hi = min(float(r[4]) for r in rows), max(float(r[3]) for r in rows)
+    manifest = (tmp_path / "rect.csv.manifest").read_text()
+    assert f"(factors [{lo:.4f}, {hi:.4f}])" in manifest
+    # the rungs differ, so the first one alone would not give both ends
+    assert (float(rows[0][4]), float(rows[0][3])) != (lo, hi)
 
 
 @pytest.mark.parametrize("samples", ["10", "19"])

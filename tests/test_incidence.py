@@ -270,6 +270,61 @@ def test_jet_window_counts_memory_is_bounded():
                                                    2.0 ** -6, 0.25)
 
 
+@pytest.mark.parametrize("cells", [1 << 16, 40, 9, 5])
+def test_jet_window_counts_equal_dense_mask_in_any_anchor_order(monkeypatch, cells):
+    # anchors shuffled, each source curve at several midpoints, so a block's
+    # source curves repeat, come out of order and straddle block edges; the
+    # targets are another family, and all three jets sit on the window's
+    # edges or one ulp past them.  cells = 9 and 5 split the 11 targets into
+    # column blocks (j > 0)
+    monkeypatch.setattr(incidence, "_PROFILE_BLOCK_CELLS", cells)
+    delta, t = 2.0 ** -6, 2.0 ** -2
+    bounds = np.array([2.0 ** -4, 2.0 ** -2, 1.0])
+    rng = np.random.default_rng(17)
+    n_mid, n_src, n_tgt = 4, 7, 11
+
+    def jets(n):
+        x = rng.integers(-3, 4, size=(3, n_mid, n)) * (bounds[:, None, None] / 2)
+        x[:, :, ::3] = np.nextafter(x[:, :, ::3], 9.0)
+        return x[0], x[1], np.broadcast_to(x[2, 0], x[0].shape)  # curvature per curve
+
+    sources, targets = jets(n_src), jets(n_tgt)
+    am, ai = rng.integers(0, n_mid, size=60), rng.integers(0, n_src, size=60)
+    for tg in (targets, sources):
+        counts = _jet_window_counts(tg, sources, am, ai, delta, t)
+        assert counts.tolist() == _dense_counts(tg, sources, am, ai, delta, t)
+    # the hoisted curvature test meets differences on its bound 4t = 1 and
+    # one ulp past it
+    dcurv = np.abs(targets[2][0] - sources[2][0][:, None])
+    assert (dcurv == 1.0).any() and ((dcurv > 1.0) & (dcurv < 1.0 + 1e-12)).any()
+
+
+def test_jet_window_counts_hold_a_full_block_width():
+    # 65,536 targets in the window of every anchor: one block row counts all
+    # of them, which a uint16 count would wrap to 0
+    n = incidence._PROFILE_BLOCK_CELLS
+    qc = np.zeros((n, 3))
+    jets = _jets_at(qc, np.array([0.0, 0.5]))
+    am, ai = np.array([1, 0, 1]), np.array([5, n - 1, 0])
+    assert _jet_window_counts(jets, jets, am, ai, 2.0 ** -6, 0.25).tolist() == [n, n, n]
+
+
+def test_greedy_skips_the_mu_count_at_mu_one(monkeypatch):
+    # every anchor counts its own curve, so mu <= 1 needs no F count: one
+    # counter call (the nu test) instead of two, and the same rectangles
+    calls = []
+    counter = incidence._jet_window_counts
+    monkeypatch.setattr(incidence, "_jet_window_counts",
+                        lambda *args: calls.append(args[0]) or counter(*args))
+    pair = build_bipartite_balls(2.0 ** -5, 0.25)
+    F, G = list(pair.F[::40]), list(pair.G[::40])
+    for mu, n_calls in ((0, 1), (1, 1), (2, 2)):
+        calls.clear()
+        rects = max_incomparable_rich(F, G, 2.0 ** -5, 0.25, mu, 1)
+        assert len(calls) == n_calls
+        assert rects == incomparable_reference.max_incomparable_rich(F, G, 2.0 ** -5, 0.25, mu, 1)
+
+
 def test_clamshell_rectangle_count_scaling():
     # pairwise-disjoint subdivisions per row: t^{-1/2} * N / mu of them
     delta, t, mu, nu, n = 2.0 ** -8, 2.0 ** -4, 16, 4, 256

@@ -410,6 +410,138 @@ def test_near_intersection_grid_agreement(rng):
         assert np.all(claimed[inside])
 
 
+def _row_pieces(f, g, delta, window):
+    """The array form's pieces of one pair, as (lo, hi) tuples."""
+    (row,) = near_intersection_intervals(np.array([f]), np.array([g]), delta, window)
+    kept = [(lo, hi) for lo, hi in row.tolist() if lo <= hi]
+    assert np.isnan(row[len(kept):]).all()  # missing pieces are NaN, after the present ones
+    return kept
+
+
+def _oracle_pieces(f, g, delta, window):
+    return [(p.lo, p.hi) for p in ref.near_intersection_intervals(
+        Quadratic(*f), Quadratic(*g), delta, window)]
+
+
+def _assert_rows_match_oracle(F, G, delta, window):
+    pieces = near_intersection_intervals(F, G, delta, window)
+    assert pieces.shape == (len(F), 2, 2)
+    for i, (f, g) in enumerate(zip(F.tolist(), G.tolist())):
+        row = [(lo, hi) for lo, hi in pieces[i].tolist() if lo <= hi]
+        assert np.isnan(pieces[i, len(row):]).all()
+        assert row == _oracle_pieces(f, g, delta, window), (i, f, g)
+
+
+@pytest.mark.parametrize("delta", [2.0 ** -10, 2.0 ** -6, 0.1, 3.0])
+def test_near_intersection_rows_equal_scalar_oracle_random(delta):
+    # coefficient scales from 1e-3 to 1e3, and rows sharing a, or a and b
+    rng = np.random.default_rng(171)
+    n = 4000
+    F = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    G = F + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 1, size=(n, 1))
+    G[::5, 0] = F[::5, 0]
+    G[::7, :2] = F[::7, :2]
+    for window in (PLANAR_DOMAIN.shrink(4.0), PLANAR_DOMAIN, Interval(0.3, 0.3)):
+        _assert_rows_match_oracle(F, G, delta, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quads, quads, st.floats(1e-6, 4.0))
+def test_near_intersection_one_row_equals_scalar_oracle(f, g, delta):
+    window = PLANAR_DOMAIN.shrink(4.0)
+    got = [(p.lo, p.hi) for p in near_intersection_intervals(f, g, delta, window)]
+    assert got == _oracle_pieces((f.a, f.b, f.c), (g.a, g.b, g.c), delta, window)
+
+
+D6 = 2.0 ** -6
+# (f - g as (da, db, dc), what it exercises); g = 0, so f is the difference
+_EDGE_ROWS = [
+    ((0.0, 0.7, 0.1), "da = 0: a ray each way, one piece"),
+    ((0.0, -0.7, 0.1), "da = 0 with db < 0"),
+    ((0.0, 0.0, 0.5 * D6), "da = db = 0 inside the band: the whole window"),
+    ((0.0, 0.0, D6), "da = db = 0 on the band's edge: the whole window"),
+    ((0.0, 0.0, 3 * D6), "da = db = 0 outside the band: nothing"),
+    ((1.0, 0.0, 1.0), "disc < 0 for h <= delta: nothing"),
+    ((-1.0, 0.0, -1.0), "disc < 0 for h >= -delta: nothing"),
+    ((1.0, 0.0, -0.5 * D6), "disc < 0 with a < 0 for h >= -delta: the line, one interval"),
+    ((1.0, 0.0, D6), "q = 0 for h <= delta: the double root 0 alone"),
+    ((-1.0, 0.0, -D6), "q = 0 for h >= -delta: the double root 0 alone"),
+    ((-1.0, 0.0, D6), "q = 0 with a < 0: the whole line, and one interval"),
+    ((1.0, 0.0, -4 * D6), "two pieces: 3 delta <= s^2/2 <= 5 delta"),
+    ((-2.0, 1.0, -0.25 + D6), "h <= delta as two rays meeting at 0.5: merged"),
+    ((2.0, -1.0, 0.25 - D6), "h >= -delta as two rays meeting at 0.5: merged"),
+    ((-2.0, 0.7493395061746735, -0.12475242387852589), "two rays 5.6e-17 apart: merged"),
+    ((0.02, 0.0, 0.0), "a band wider than the window: clipped to it"),
+    ((0.0, 1.0, -1.25), "a piece sticking out of the window: clipped"),
+    ((0.0, 1.0, -3.0), "a piece outside the window: nothing"),
+    ((1e-310, 1.0, 0.1), "subnormal da: a root overflows to -inf"),
+    ((5.0, 0.0, -0.5 * 1.25 ** 2 * 5.0), "two pieces, each ending on an end of the window"),
+]
+
+
+@pytest.mark.parametrize("h, what", _EDGE_ROWS, ids=[w for _, w in _EDGE_ROWS])
+def test_near_intersection_edge_rows_equal_scalar_oracle(h, what):
+    window = PLANAR_DOMAIN.shrink(4.0)
+    assert _row_pieces(h, (0.0, 0.0, 0.0), D6, window) == _oracle_pieces(
+        h, (0.0, 0.0, 0.0), D6, window)
+
+
+def test_near_intersection_edge_rows_in_one_call():
+    # the edge rows together, each row as the scalar oracle gives it
+    F = np.array([h for h, _ in _EDGE_ROWS])
+    _assert_rows_match_oracle(F, np.zeros_like(F), D6, PLANAR_DOMAIN.shrink(4.0))
+
+
+def test_near_intersection_touching_rays_merge_into_one_piece():
+    window, zero = PLANAR_DOMAIN.shrink(4.0), (0.0, 0.0, 0.0)
+    ((lo, hi),) = _row_pieces((-2.0, 1.0, -0.25 + D6), zero, D6, window)
+    # h >= -delta is (s - 0.5)^2 <= 2 delta around the meeting point 0.5
+    r = math.sqrt(2 * D6)
+    assert lo == pytest.approx(0.5 - r) and hi == pytest.approx(0.5 + r)
+    # the rays' ends one ulp apart: h <= delta leaves a gap of 5.6e-17, within 1e-15
+    h = (-2.0, 0.7493395061746735, -0.12475242387852589)
+    (_, left), (right, _) = ref.solve_le(*h, D6)
+    assert 0.0 < right - left < 1e-15
+    assert len(_row_pieces(h, zero, D6, window)) == 1
+
+
+def test_near_intersection_rows_of_no_pairs():
+    none = np.zeros((0, 3))
+    assert near_intersection_intervals(none, none, D6, PLANAR_DOMAIN).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_near_intersection_rows_reject_nonfinite(bad):
+    F, G = np.zeros((5, 3)), np.zeros((5, 3))
+    F[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        near_intersection_intervals(F, G, D6, PLANAR_DOMAIN)
+    with pytest.raises(ValueError, match="finite"):
+        near_intersection_intervals(G, F, D6, PLANAR_DOMAIN)
+    with pytest.raises(ValueError, match="delta"):
+        near_intersection_intervals(G, G, bad, PLANAR_DOMAIN)
+
+
+def test_near_intersection_rows_reject_bad_shapes():
+    with pytest.raises(ValueError, match="arrays"):
+        near_intersection_intervals(np.zeros((4, 3)), np.zeros((3, 3)), D6, PLANAR_DOMAIN)
+    with pytest.raises(ValueError, match="arrays"):
+        near_intersection_intervals(np.zeros(3), np.zeros(3), D6, PLANAR_DOMAIN)
+
+
+def test_near_intersection_more_than_two_pieces_raise(monkeypatch):
+    # three disjoint sublevel pieces can only come from a broken solver:
+    # the structure check must flag them rather than drop one
+    def split(a, b, c):
+        lo = np.where(np.arange(len(a))[:, None] < len(a) // 2, [[-1.0, 0.5]], [[-1.0, -0.5]])
+        hi = np.where(np.arange(len(a))[:, None] < len(a) // 2, [[0.0, 1.0]], [[-0.75, 1.0]])
+        return lo, hi
+
+    monkeypatch.setattr(quadratics, "_sublevel_pieces", split)
+    with pytest.raises(RuntimeError, match="3 intervals"):
+        near_intersection_intervals(np.zeros((1, 3)), np.zeros((1, 3)), D6, PLANAR_DOMAIN)
+
+
 # ---------------------------------------------------------------------------
 # tangency
 
