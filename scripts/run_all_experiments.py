@@ -5,6 +5,8 @@ order) at its default desk-scale parameters.
 Results land in results/<name>.csv plus a .manifest per run; the summary at
 the end lists each experiment's exit status, wall time and peak resident set
 size (the child's `ru_maxrss` from `os.wait4`, KiB on Linux, printed in MB).
+The script exits with the largest exit status of an experiment, and with 1
+when an experiment died from a signal, so a crash fails the batch.
 Pass --quick for reduced ladders and sample counts (about a minute total).
 """
 
@@ -63,7 +65,8 @@ def main() -> int:
     for name, code, wall, peak_mb in statuses:
         mark = "ok" if code == 0 else f"exit {code}"
         print(f"  {name:28s} {mark:8s} {wall:6.1f}s {peak_mb:7.1f} MB peak RSS")
-        worst = max(worst, code)
+        if code != 0:
+            worst = max(worst, code, 1)  # an experiment killed by a signal has code -signum
     return worst
 
 

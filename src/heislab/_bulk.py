@@ -2,9 +2,17 @@
 
 Points are float64 (n, 3) arrays, or three rows x, y, t where a docstring
 says so.  These mirror the scalar closed forms in `heis` exactly; tests
-cross-check the two paths.  Batched tube membership is cull-then-classify:
-`core_candidates` keeps the points that meet closed-form necessary bounds,
-and `count_members` runs the exact core-distance kernel on those only.
+cross-check the two paths.
+
+Everything about a tube starts from a point's frame against it:
+`tube_frame` left-translates the point by the tube's center inverse and
+turns it to the tube's direction, giving (beta, gamma, w), and no other
+code forms it.  The exact core-distance kernel `core_distance_elementwise`
+is a function of the frame alone.  Batched tube membership is
+cull-then-classify: `core_candidates` keeps the points whose frame meets
+closed-form necessary bounds and hands their frame rows to
+`count_members`, which runs the kernel on those only.  `tube_sections`
+gives the t-section of a tube above a column from the same frame.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ CULL_CHUNK = 8192
 # rows per exact-kernel call in the batched membership paths: large enough
 # to amortize the call, small enough to bound the kernel's temporaries
 KERNEL_BLOCK = 32768
+# the empty (indices, beta, gamma, w) that every cull's concatenation starts from
+NO_CANDIDATES = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
 
 
 def finite_points(pts) -> np.ndarray:
@@ -72,18 +82,31 @@ def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndar
     return z[:, :n]
 
 
-def core_distance_elementwise(
-    centers: np.ndarray, dir_a, dir_b, pts: np.ndarray
-) -> np.ndarray:
-    """Exact gauge distance from each point to the unit core segment of a tube.
+def tube_frame(x, y, t, center, dir_a, dir_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame (beta, gamma, w) of the points (x, y, t) against the unit core
+    through `center` with direction e = (dir_a, dir_b).
 
-    The core is {center * (s*e) : s in [-1/2, 1/2]} with e = (dir_a, dir_b).
-    `centers` is one center or one per point (broadcastable against the
-    (n, 3) point array), and `dir_a`, `dir_b` are scalars or one component
-    per point, so one call can measure each point against its own tube.
+    x, y and t are arrays that broadcast together, `center` a point or three
+    rows, each direction component a scalar or one per point.  With
+    u = center^{-1} * p by `mul`'s operations in its order, beta = a*u0 + b*u1
+    runs along e, gamma = b*u0 - a*u1 across it, and w = u2 + gamma*beta/2.
+    Every frame is formed here, so the cull, the t-sections and the kernel
+    see the same bits.
+    """
+    c0, c1, c2 = center
+    u0 = -c0 + x
+    u1 = -c1 + y
+    beta = dir_a * u0 + dir_b * u1
+    gamma = dir_b * u0 - dir_a * u1
+    w = (-c2 + t) + 0.5 * (-c0 * y - x * -c1) + 0.5 * gamma * beta
+    return beta, gamma, w
 
-    With u = center^{-1} * p, beta = a*u0 + b*u1, gamma = b*u0 - a*u1,
-    w = u2 + gamma*beta/2 and x = s - beta, a unit direction gives
+
+def core_distance_elementwise(beta, gamma, w) -> np.ndarray:
+    """Exact gauge distance to the unit core {center * (s*e) : s in [-1/2, 1/2]}
+    of a tube, from each point's frame rows (beta, gamma, w) (`tube_frame`).
+
+    With u = center^{-1} * p and x = s - beta, a unit direction gives
     beta^2 + gamma^2 = u0^2 + u1^2, so the fourth power of the distance to
     the core point at s is the quartic
 
@@ -98,14 +121,10 @@ def core_distance_elementwise(
     T = 0 only when gamma = 0, and then x* = 0.  The quartic is evaluated in
     these centred coordinates, where no expanded coefficient cancels.  Every
     step is elementwise, so a point's distance does not depend on its batch.
+    A non-finite frame row raises ValueError.
     """
-    pts = finite_points(pts)
-    u = mul(inv(np.asarray(centers, dtype=np.float64)), pts)  # center^{-1} * p
-    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-
-    beta = dir_a * u0 + dir_b * u1
-    gamma = dir_b * u0 - dir_a * u1
-    w = u2 + 0.5 * gamma * beta
+    if not (np.isfinite(beta).all() and np.isfinite(gamma).all() and np.isfinite(w).all()):
+        raise ValueError("frame rows must be finite")
     g2 = gamma * gamma
     gw = gamma * w
     t = np.cbrt(-2.0 * gw - np.copysign(np.sqrt(4.0 * gw * gw + g2 * g2 * g2), gw))
@@ -117,8 +136,8 @@ def core_distance_elementwise(
 
 
 def core_cull_bounds(delta: float) -> tuple[float, float, float]:
-    """Bounds (on |beta|, |gamma|, |w|) that every point within gauge distance
-    delta of a unit core satisfies, in the kernel's coordinates (see
+    """Bounds (on |beta|, |gamma|, |w|) that the frame (`tube_frame`) of every
+    point within gauge distance delta of a unit core satisfies (see
     `core_distance_elementwise`), each with the slack `CULL_SLACK`.
 
     d <= delta means q(x) <= delta^4 at some x = s - beta with |s| <= 1/2.
@@ -136,34 +155,34 @@ def core_cull_bounds(delta: float) -> tuple[float, float, float]:
 
 
 def core_candidates(
-    cols: np.ndarray, center: tuple[float, float, float], dir_a: float, dir_b: float, delta: float
-) -> np.ndarray:
-    """Indices of the points that may lie within gauge distance delta of the
-    unit core through `center` with direction (dir_a, dir_b): a necessary
-    test only, the exact judge being `core_distance_elementwise`.
+    cols: np.ndarray, center, dir_a: float, dir_b: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The points that may lie within gauge distance delta of the unit core
+    through `center` with direction (dir_a, dir_b): a necessary test only,
+    the exact judge being `core_distance_elementwise`.
 
-    `cols` holds the points as three contiguous rows x, y, t.  beta, gamma
-    and w are formed with the kernel's operations in the kernel's order, so
-    they carry the kernel's bits, and a point is kept when it meets all three
-    bounds of `core_cull_bounds`.  The cull may keep points the kernel
-    rejects; it never drops one the kernel accepts.  Points are taken
-    `CULL_CHUNK` at a time, so the temporaries stay small and are reused.
+    `cols` holds the points as three contiguous rows x, y, t.  A point is
+    kept when its `tube_frame` meets all three bounds of `core_cull_bounds`;
+    the cull may keep points the kernel rejects, but never drops one the
+    kernel accepts.  Returns the kept indices and their frame rows beta,
+    gamma, w, ready for `count_members`.  Points are taken `CULL_CHUNK` at a
+    time, so the temporaries stay small and are reused, and only chunks that
+    keep a point are gathered from.
     """
     beta_max, gamma_max, w_max = core_cull_bounds(delta)
-    c0, c1, c2 = center
-    keep = np.empty(cols.shape[1], dtype=bool)
+    found = [NO_CANDIDATES]
     for lo in range(0, cols.shape[1], CULL_CHUNK):
         x, y, t = cols[:, lo : lo + CULL_CHUNK]
-        u0 = -c0 + x
-        u1 = -c1 + y
-        beta = dir_a * u0 + dir_b * u1
-        gamma = dir_b * u0 - dir_a * u1
-        w = (-c2 + t) + 0.5 * (-c0 * y - x * -c1) + 0.5 * gamma * beta
-        ok = keep[lo : lo + CULL_CHUNK]
-        np.less_equal(np.abs(w), w_max, out=ok)
+        frame = tube_frame(x, y, t, center, dir_a, dir_b)
+        beta, gamma, w = frame
+        ok = np.abs(w) <= w_max
         ok &= np.abs(gamma) <= gamma_max
         ok &= np.abs(beta) <= beta_max
-    return np.flatnonzero(keep)
+        idx = np.flatnonzero(ok)
+        if len(idx):
+            found.append((idx + lo, *(r.take(idx) for r in frame)))
+    # one kept chunk, as for a few probes, needs no copy
+    return found[1] if len(found) == 2 else tuple(map(np.concatenate, zip(*found)))
 
 
 def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +192,8 @@ def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.nda
     x and y are rows of columns, and the tube parameters scalars or arrays
     that broadcast against them (`center` is a point or three rows), so
     x[:, None] against rows of K tubes gives every (column, tube) pair.
-    beta, gamma and the shift w - t are formed with `core_candidates`'s
-    operations in its order.  In the kernel's coordinates (see
+    w = t + shift, the shift being the `tube_frame` w at t = -0.0 (the
+    additive identity, which keeps the bits of -c2).  In the frame (see
     `core_distance_elementwise`) the point is a member iff, for some
     z = beta - s with |s| <= 1/2, that is z in [beta - 1/2, beta + 1/2],
 
@@ -191,12 +210,7 @@ def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.nda
     the same z (or are 0, when |gamma| >= delta), so an empty section comes
     back as lo == hi, with no further test; so does a one-point section.
     """
-    c0, c1, c2 = center
-    u0 = -c0 + x
-    u1 = -c1 + y
-    beta = dir_a * u0 + dir_b * u1
-    gamma = dir_b * u0 - dir_a * u1
-    shift = -c2 + 0.5 * (-c0 * y - x * -c1) + 0.5 * gamma * beta
+    beta, gamma, shift = tube_frame(x, y, -0.0, center, dir_a, dir_b)
     d2 = delta * delta
     g2 = gamma * gamma
     z = np.cbrt(g2)
@@ -226,20 +240,18 @@ def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.nda
     return lo, hi
 
 
-def count_members(
-    pts: np.ndarray, rows: np.ndarray, centers: np.ndarray, dir_a, dir_b, delta
-) -> np.ndarray:
-    """For each point, how many of its candidate rows hold it: row j pairs
-    the point pts[rows[j]] with the tube of center centers[j], direction
-    (dir_a, dir_b) and radius delta, each a scalar or one value per row.
-    The exact kernel judges the rows in blocks of `KERNEL_BLOCK`."""
-    dir_a, dir_b, delta = (np.broadcast_to(v, rows.shape) for v in (dir_a, dir_b, delta))
+def count_members(n: int, rows: np.ndarray, beta, gamma, w, delta) -> np.ndarray:
+    """For each of n points, how many of its candidate rows hold it: row j
+    holds the point rows[j] when the core distance of its frame row
+    (beta[j], gamma[j], w[j]) is at most delta (a scalar or one value per
+    row).  The exact kernel judges the rows in blocks of `KERNEL_BLOCK`."""
+    delta = np.broadcast_to(delta, rows.shape)
     hits = [rows[:0]]
     for lo in range(0, len(rows), KERNEL_BLOCK):
         blk = slice(lo, lo + KERNEL_BLOCK)
-        d = core_distance_elementwise(centers[blk], dir_a[blk], dir_b[blk], pts[rows[blk]])
+        d = core_distance_elementwise(beta[blk], gamma[blk], w[blk])
         hits.append(rows[blk][d <= delta[blk]])
-    return np.bincount(np.concatenate(hits), minlength=len(pts))
+    return np.bincount(np.concatenate(hits), minlength=n)
 
 
 def tube_points(center, dir_a, dir_b, s: np.ndarray, z=(0.0, 0.0, 0.0)) -> np.ndarray:

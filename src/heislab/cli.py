@@ -63,7 +63,7 @@ from .quadratics import (
     near_intersection_intervals,
     tau,
 )
-from .tubes import HTube, line_broadness
+from .tubes import HTube, line_broadness, tube_params
 
 EXPERIMENTS = {}
 
@@ -489,7 +489,7 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
         # draw the tubes in order, each point from its own stream, then project all
         tubes = [_random_tube(rng, d, min_axis_sum=1 / math.sqrt(2)) for _ in range(samples)]
         s, z = zip(*(tube_draws(d, 1, seed * 1000 + i) for i in range(samples)))
-        c = np.array([t.center.as_tuple() + (t.dir.a, t.dir.b) for t in tubes]).T
+        c = tube_params(tubes)
         pts = _bulk.tube_points(c[:3], c[3], c[4], np.concatenate(s), np.concatenate(z, axis=1))
         worst, total = 0.0, 0.0
         for tube, w in zip(tubes, project_W_batch(pts.T).tolist()):
@@ -601,12 +601,6 @@ QUAD_COLUMNS = ["a", "b", "c"]
 RECT_COLUMNS = ["a", "b", "c", "lo", "hi", "delta"]
 
 
-def _tube_rows(tubes):
-    return [
-        [t.center.x, t.center.y, t.center.t, t.dir.a, t.dir.b, t.delta] for t in tubes
-    ]
-
-
 def _quad_rows(quads):
     return [[q.a, q.b, q.c] for q in quads]
 
@@ -619,7 +613,7 @@ def _rect_rows(rects):
 
 
 def _tube_file(t1, t2):
-    return [("", TUBE_COLUMNS, _tube_rows(t1) + _tube_rows(t2))]
+    return [("", TUBE_COLUMNS, tube_params(t1 + t2).T.tolist())]
 
 
 def _quad_file(pair):

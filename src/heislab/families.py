@@ -294,15 +294,15 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     """Exact tube multiplicity of the net family at each point.
 
     Cull, then classify.  For the e1-tube centered at (x0, y0, t0) the
-    kernel's coordinates of a point (x, y, t) are beta = x - x0,
+    frame (`_bulk.tube_frame`) of a point (x, y, t) is beta = x - x0,
     gamma = y0 - y and w = t - t0 + x*y0 - x0*y0/2 - x*y/2, and every member
     has |beta| <= 1/2 + delta, |gamma| <= delta and
     |w| <= (sqrt(2)/4)*delta^2 (`_bulk.core_cull_bounds`).  So per sheet x0
     only the grid rows y0 within reach of the nearest one can hold a
     member, and in each such (sheet, row) strip only the grid heights t0
     within reach of the nearest one to t0 = t + x*y0 - x0*y0/2 - x*y/2.
-    The (point, tube) pairs among these that meet all three bounds go to
-    the exact kernel together, in one `_bulk.count_members` call.
+    The frames of the (point, tube) pairs among these that meet all three
+    bounds go to the exact kernel in one `_bulk.count_members` call.
     """
     pts = _bulk.finite_points(pts)
     if family == 2:
@@ -317,25 +317,22 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     nt = int(math.floor(spec.t_halfrange / spec.t_step))
     x, y, t = (np.ascontiguousarray(c) for c in pts.T)
     i0 = np.round(y / spec.y_step)
-    rows, centers = [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
+    found = [_bulk.NO_CANDIDATES]
     for x0 in spec.sheets:
         in_x = np.abs(x - x0) <= beta_max
         for di in range(-reach_y, reach_y + 1):
             yi = (i0 + di) * spec.y_step
             strip = np.flatnonzero(in_x & (np.abs(i0 + di) <= ny) & (np.abs(y - yi) <= gamma_max))
             xs, ys, ts, yi = x[strip], y[strip], t[strip], yi[strip]
-            # the kernel's w is (t - t0) + twist - gb, to the bit
-            twist = 0.5 * (xs * yi - x0 * ys)
-            gb = 0.5 * (ys - yi) * (xs - x0)
-            k0 = np.round((ts + twist - gb) / spec.t_step)
+            k0 = np.round(_bulk.tube_frame(xs, ys, ts, (x0, yi, 0.0), 1.0, 0.0)[2] / spec.t_step)
             for dk in range(-reach_t, reach_t + 1):
                 tk = (k0 + dk) * spec.t_step
-                ok = (np.abs((ts - tk) + twist - gb) <= w_max) & (np.abs(k0 + dk) <= nt)
-                rows.append(strip[ok])
-                centers.append(np.stack([np.full(len(rows[-1]), x0), yi[ok], tk[ok]], axis=1))
+                frame = _bulk.tube_frame(xs, ys, ts, (x0, yi, tk), 1.0, 0.0)
+                ok = np.flatnonzero((np.abs(frame[2]) <= w_max) & (np.abs(k0 + dk) <= nt))
+                found.append((strip.take(ok), *(r.take(ok) for r in frame)))
     # rebinding frees the per-window pieces before the kernel runs
-    rows, centers = np.concatenate(rows), np.concatenate(centers)
-    return _bulk.count_members(pts, rows, centers, 1.0, 0.0, d)
+    found = tuple(map(np.concatenate, zip(*found)))
+    return _bulk.count_members(len(pts), *found, d)
 
 
 def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:

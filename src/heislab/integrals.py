@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _bulk
 from .quadratics import Quadratic, coeff_array
-from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box, tube_multiplicity
+from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box
+from .tubes import tube_multiplicity, tube_params
 
 __all__ = [
     "SampleSpec",
@@ -225,15 +226,6 @@ def bilinear_integral_from_multiplicity(
     return MCEstimate(vol * mean, vol * stderr, samples)
 
 
-def _tube_rows(tubes: list[HTube]):
-    """The tubes' centers as three rows, and rows of their direction
-    components and radii."""
-    c0, c1, c2, a, b, d = np.array(
-        [(*t.center.as_tuple(), t.dir.a, t.dir.b, t.delta) for t in tubes]
-    ).T
-    return (c0, c1, c2), a, b, d
-
-
 def _column_integrator(t1: list[HTube], t2: list[HTube], p: float):
     """The function (x, y) -> per column, the integral over t of
     m1(x, y, t)^p * m2(x, y, t)^p, m_i counting the tubes of t_i.
@@ -245,7 +237,7 @@ def _column_integrator(t1: list[HTube], t2: list[HTube], p: float):
     adds its length times the key's weight, from `_power_product`'s table.
     """
     k1, k2 = len(t1), len(t2)
-    center, a, b, d = _tube_rows(t1 + t2)
+    params = tube_params(t1 + t2)
     step = np.concatenate([np.ones(k1, dtype=np.int64), np.full(k2, k1 + 1)])
     step = np.concatenate([step, -step])
     key = np.arange((k1 + 1) * (k2 + 1))
@@ -256,7 +248,7 @@ def _column_integrator(t1: list[HTube], t2: list[HTube], p: float):
         out = np.empty(len(x))
         for start in range(0, len(x), block):
             cols = slice(start, start + block)
-            lo, hi = _bulk.tube_sections(x[cols, None], y[cols, None], center, a, b, d)
+            lo, hi = _bulk.tube_sections(x[cols, None], y[cols, None], params[:3], *params[3:])
             ends = np.concatenate([lo, hi], axis=1)
             order = np.argsort(ends, axis=1, kind="stable")
             gaps = np.diff(np.take_along_axis(ends, order, axis=1), axis=1)
@@ -327,7 +319,8 @@ def section_mismatch(t1: list[HTube], t2: list[HTube], rng, probes: int) -> str:
         return ""
     u = rng.random((3, probes))
     x, y = (region[i, 0] + u[i] * (region[i, 1] - region[i, 0]) for i in (0, 1))
-    lo, hi = _bulk.tube_sections(x[:, None], y[:, None], *_tube_rows(t1 + t2))
+    params = tube_params(t1 + t2)
+    lo, hi = _bulk.tube_sections(x[:, None], y[:, None], params[:3], *params[3:])
     # a column with no nonempty section is probed on the hull of its empty ones
     full = lo < hi
     hull = full | ~full.any(axis=1, keepdims=True)

@@ -164,9 +164,7 @@ def fiber_length(tube: HTube, w: PlanePoint, resolution: float) -> float:
             return 0.0
     n = int(math.floor((hi - lo) / resolution)) + 1
     s = lo + np.arange(n) * resolution
-    pts = np.empty((n, 3))
-    pts[:, 0] = X + s
-    pts[:, 1] = X - s
-    pts[:, 2] = w.height - X * s
-    d = _bulk.core_distance_elementwise(c.as_tuple(), a, b, pts)
+    d = _bulk.core_distance_elementwise(
+        *_bulk.tube_frame(X + s, X - s, w.height - X * s, c.as_tuple(), a, b)
+    )
     return float(np.count_nonzero(d <= tube.delta)) * resolution

@@ -27,6 +27,7 @@ __all__ = [
     "tube_contains",
     "tube_contains_batch",
     "tube_multiplicity",
+    "tube_params",
     "core_distance",
     "tube_bounding_box",
     "tube_intersection_volume",
@@ -97,38 +98,39 @@ class MCEstimate:
 
 def core_distance(tube: HTube, p: HPoint) -> float:
     """Min over s in [-1/2, 1/2] of the gauge distance from p to the core."""
-    d = _bulk.core_distance_elementwise(
-        tube.center.as_tuple(), tube.dir.a, tube.dir.b, p.as_tuple()
-    )
-    return float(d[0])
+    x, y, t = np.array([p.as_tuple()]).T
+    frame = _bulk.tube_frame(x, y, t, tube.center.as_tuple(), tube.dir.a, tube.dir.b)
+    return float(_bulk.core_distance_elementwise(*frame)[0])
 
 
 def tube_contains(tube: HTube, p: HPoint) -> bool:
     return core_distance(tube, p) <= tube.delta
 
 
+def tube_params(tubes: list[HTube]) -> np.ndarray:
+    """Six rows: the tubes' center coordinates x, y, t, direction a, b and radius delta."""
+    rows = [(*t.center.as_tuple(), t.dir.a, t.dir.b, t.delta) for t in tubes]
+    return np.array(rows, dtype=np.float64).reshape(-1, 6).T
+
+
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
     """Number of tubes containing each point (exact membership test).
 
     Cull, then classify: per tube, `_bulk.core_candidates` keeps the points
-    that meet the closed-form bounds every member meets, |beta| <= 1/2 + delta,
-    |gamma| <= delta and |w| <= (sqrt(2)/4)*delta^2 (derived in
-    `_bulk.core_cull_bounds`); then one `_bulk.count_members` call runs the
-    exact kernel on the candidates of all tubes, each against its own tube.
-    The kernel is elementwise, so the counts are those of the kernel run on
-    every (point, tube) pair.
+    whose frame meets the closed-form bounds every member meets,
+    |beta| <= 1/2 + delta, |gamma| <= delta and |w| <= (sqrt(2)/4)*delta^2
+    (derived in `_bulk.core_cull_bounds`), with their frame rows; then one
+    `_bulk.count_members` call runs the exact kernel on the frames of all
+    tubes' candidates.  The kernel is elementwise, so the counts are those
+    of the kernel run on every (point, tube) pair.
     """
     pts = _bulk.finite_points(pts)
     cols = np.ascontiguousarray(pts.T)
-    rows = [
-        _bulk.core_candidates(cols, t.center.as_tuple(), t.dir.a, t.dir.b, t.delta)
-        for t in tubes
-    ]
-    owner = np.repeat(np.arange(len(tubes)), [len(r) for r in rows])
-    params = np.array([(*t.center.as_tuple(), t.dir.a, t.dir.b, t.delta) for t in tubes])
-    p = params.reshape(-1, 6)[owner]
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *rows])
-    return _bulk.count_members(pts, rows, p[:, :3], p[:, 3], p[:, 4], p[:, 5])
+    params = tube_params(tubes)
+    found = [_bulk.core_candidates(cols, p[:3], *p[3:]) for p in params.T.tolist()]
+    delta = np.repeat(params[5], [len(f[0]) for f in found])
+    rows, beta, gamma, w = map(np.concatenate, zip(_bulk.NO_CANDIDATES, *found))
+    return _bulk.count_members(len(pts), rows, beta, gamma, w, delta)
 
 
 def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:
@@ -243,8 +245,10 @@ def _arc_profile(cores: list[tuple[HPoint, HDirection]], delta: float, probes: P
     angles = np.array([e.angle for _, e in cores])
     # distance matrix: lines x centers, min gauge distance from center to core
     dist = np.empty((len(cores), len(centers)))
+    x, y, t = np.ascontiguousarray(centers.T)
     for j, (p, e) in enumerate(cores):
-        dist[j] = _bulk.core_distance_elementwise(p.as_tuple(), e.a, e.b, centers)
+        frame = _bulk.tube_frame(x, y, t, p.as_tuple(), e.a, e.b)
+        dist[j] = _bulk.core_distance_elementwise(*frame)
 
     halves = np.array(_dyadic_down(math.pi, min(delta * delta, math.pi)))[:, None]
     widths = (2.0 * halves[:, 0]).tolist()

@@ -94,7 +94,8 @@ def line_broadness(
     # distance matrix: lines x centers, min gauge distance from center to core
     dist = np.empty((len(cores), len(centers)))
     for j, (p, e) in enumerate(cores):
-        dist[j] = _bulk.core_distance_elementwise(p.as_tuple(), e.a, e.b, centers)
+        frame = _bulk.tube_frame(*centers.T, p.as_tuple(), e.a, e.b)
+        dist[j] = _bulk.core_distance_elementwise(*frame)
 
     halves = _dyadic_down(math.pi, min(delta * delta, math.pi))
     c_ball = 4.0  # C in B(z, C*sigma)

@@ -209,23 +209,28 @@ def test_criterion_05_near_intersection_structure():
     d = 2.0 ** -6
     rng = np.random.default_rng([SEED, 5])
     window = PLANAR_DOMAIN.shrink(4.0)
-    max_pieces = 0
-    max_factor, min_factor = 0.0, math.inf
+    fs, gs, thetas = [], [], []
     for _ in range(10_000):
         f = Quadratic(*rng.normal(size=3))
         theta0 = rng.uniform(-0.625, 0.625)
         v = rng.uniform(-0.5, 0.5) * d
         u = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.3)
         w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5)
-        g = Quadratic.from_jet(theta0, f(theta0) + v, f.deriv(theta0) + u, f.a + w)
-        pieces = near_intersection_intervals(f, g, d, window)
-        max_pieces = max(max_pieces, len(pieces))
-        x = d / math.sqrt((tau(f, g) + d) * (delta_gauge(f, g) + d))
-        for piece in pieces:
-            max_factor = max(max_factor, piece.length / x)
-        home = [p for p in pieces if p.contains(theta0, slack=1e-12)]
-        assert home, "forced near-contact point must lie in a piece"
-        min_factor = min(min_factor, home[0].length / x)
+        fs.append(f)
+        gs.append(Quadratic.from_jet(theta0, f(theta0) + v, f.deriv(theta0) + u, f.a + w))
+        thetas.append(theta0)
+    F, G, theta = coeff_array(fs), coeff_array(gs), np.array(thetas)[:, None]
+    # each row's at most two pieces [lo, hi], NaN where it has fewer
+    pieces = near_intersection_intervals(F, G, d, window)
+    lo, hi = pieces[..., 0], pieces[..., 1]
+    max_pieces = int((lo <= hi).sum(axis=1).max())
+    x = d / np.sqrt((tau(F, G) + d) * (delta_gauge(F, G) + d))
+    factors = (hi - lo) / x[:, None]
+    max_factor = float(np.nanmax(factors))
+    home = (lo - 1e-12 <= theta) & (theta <= hi + 1e-12)
+    assert home.any(axis=1).all(), "forced near-contact point must lie in a piece"
+    # the first piece that holds theta0, as the scalar loop took it
+    min_factor = float(factors[np.arange(len(F)), home.argmax(axis=1)].min())
     runtime = time.monotonic() - t0
     ok = (
         max_pieces <= 2

@@ -2,8 +2,10 @@
 
 import importlib.util
 import math
+import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import jet_reference
@@ -470,6 +472,38 @@ def test_batch_script_quick_flags_are_read():
     for name, args in script.QUICK_ARGS.items():
         keys = [a[2:] for a in args if a.startswith("--")]
         assert set(keys) <= set(reads(EXPERIMENTS[name])), name
+
+
+class _FakeChild:
+    """Stands in for an experiment's process; `os.wait4` reports its end."""
+
+    pid = 4242
+    returncode = None
+
+    def __init__(self, cmd):
+        self.cmd = cmd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+# wait statuses as os.wait4 returns them: a normal exit with code c is
+# c << 8, and a death by signal s without a core dump is s itself
+@pytest.mark.parametrize("status, code", [(0, 0), (2 << 8, 2), (signal.SIGSEGV, 1),
+                                          (signal.SIGKILL, 1)])
+def test_batch_script_exit_status(status, code, tmp_path, monkeypatch, capsys):
+    script = _load_script(Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py")
+    # the second experiment ends with `status`, every other one exits 0
+    statuses = iter([0, status] + [0] * len(EXPERIMENTS))
+    usage = types.SimpleNamespace(ru_maxrss=1024)
+    monkeypatch.setattr(script.subprocess, "Popen", _FakeChild)
+    monkeypatch.setattr(script.os, "wait4", lambda pid, options: (pid, next(statuses), usage))
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--outdir", str(tmp_path)])
+    assert script.main() == code
+    assert ("exit" in capsys.readouterr().out) == (code != 0)
 
 
 def test_benchmark_workload_flags_are_read():

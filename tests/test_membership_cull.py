@@ -29,8 +29,8 @@ EPS = 2.0 ** -40
 
 
 def oracle_members(tube, pts):
-    d = _bulk.core_distance_elementwise(tube.center.as_tuple(), tube.dir.a, tube.dir.b, pts)
-    return d <= tube.delta
+    frame = _bulk.tube_frame(*pts.T, tube.center.as_tuple(), tube.dir.a, tube.dir.b)
+    return _bulk.core_distance_elementwise(*frame) <= tube.delta
 
 
 def oracle_multiplicity(tubes, pts):
@@ -88,7 +88,10 @@ def assert_cull_keeps_every_member(tubes, pts):
     cols = np.ascontiguousarray(pts.T)
     for t in tubes:
         kept = np.zeros(len(pts), bool)
-        kept[_bulk.core_candidates(cols, t.center.as_tuple(), t.dir.a, t.dir.b, t.delta)] = True
+        rows, *frame = _bulk.core_candidates(cols, t.center.as_tuple(), t.dir.a, t.dir.b, t.delta)
+        kept[rows] = True
+        # the cull hands over each kept point's frame rows
+        assert all(np.array_equal(f, r[rows]) for f, r in zip(frame, cull_coordinates(t, pts)))
         members = oracle_members(t, pts)
         assert not (members & ~kept).any()
         assert np.array_equal(tube_contains_batch(t, pts), members)

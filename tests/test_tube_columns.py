@@ -20,26 +20,26 @@ from heislab.integrals import (
     tube_multiplicity,
 )
 from heislab.quadratics import Quadratic
-from heislab.tubes import HTube
+from heislab.tubes import HTube, tube_params
 
 ORIGIN = HPoint(0.0, 0.0, 0.0)
 
 
 def _params(tubes):
-    """Centers as an (n, 3) array, and rows of directions and radii."""
-    p = np.array([(*tb.center.as_tuple(), tb.dir.a, tb.dir.b, tb.delta) for tb in tubes])
-    return p[:, :3], p[:, 3], p[:, 4], p[:, 5]
+    """Centers as three rows, and rows of directions and radii."""
+    p = tube_params(tubes)
+    return p[:3], p[3], p[4], p[5]
 
 
 def _kernel(tubes, x, y, t):
     """Exact core distance of each point (x[i], y[i], t[i]) to tubes[i]."""
     c, a, b, _ = _params(tubes)
-    return _bulk.core_distance_elementwise(c, a, b, np.stack([x, y, t], axis=1))
+    return _bulk.core_distance_elementwise(*_bulk.tube_frame(x, y, t, c, a, b))
 
 
 def _sections(tubes, x, y):
     c, a, b, d = _params(tubes)
-    return _bulk.tube_sections(np.asarray(x, float), np.asarray(y, float), c.T, a, b, d)
+    return _bulk.tube_sections(np.asarray(x, float), np.asarray(y, float), c, a, b, d)
 
 
 def _bisect(tubes, x, y, inside, outside, steps=200):
@@ -57,7 +57,7 @@ def _bisect(tubes, x, y, inside, outside, steps=200):
 def _w0(tubes, x, y):
     """The t at which w = 0 in each tube's frame (w is t plus a shift)."""
     c, a, b, _ = _params(tubes)
-    u = _bulk.mul(_bulk.inv(c), np.stack([x, y, np.zeros_like(x)], axis=1))
+    u = _bulk.mul(_bulk.inv(c.T), np.stack([x, y, np.zeros_like(x)], axis=1))
     beta = a * u[:, 0] + b * u[:, 1]
     gamma = b * u[:, 0] - a * u[:, 1]
     return -(u[:, 2] + 0.5 * gamma * beta)
