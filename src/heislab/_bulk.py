@@ -82,6 +82,19 @@ def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndar
     return z[:, :n]
 
 
+# the largest k for which dilating sample_gauge_ball(rng, 1.0, n) by 2^-k
+# gives sample_gauge_ball(rng, 2^-k, n) bit for bit: every nonzero r^2 of the
+# sampler is at least 2^-104 * delta^2, so its delta^4 test multiplies normal
+# floats only while 2^-208 * delta^4 >= 2^-1022
+EXACT_DILATION_EXP = 203
+
+
+def dilate(lam: float, rows: np.ndarray) -> np.ndarray:
+    """`heis.dilate` of three rows x, y, t: (lam*x, lam*y, lam^2*t).  A power
+    of two only shifts exponents, see EXACT_DILATION_EXP."""
+    return rows * np.array([[lam], [lam], [lam * lam]])
+
+
 def tube_frame(x, y, t, center, dir_a, dir_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frame (beta, gamma, w) of the points (x, y, t) against the unit core
     through `center` with direction e = (dir_a, dir_b).

@@ -457,19 +457,25 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
     n_tubes = 20
     if samples < n_tubes:
         raise OptionError(f"projection-containment needs --samples >= {n_tubes}, got {samples}")
-    rows, maxima = [], []
-    for k in delta_exps:
-        d = 2.0 ** -k
-        rng = np.random.default_rng([seed, k])
-        worst = 0.0
-        for i in range(n_tubes):
-            tube = _random_tube(rng, d)
-            # the first samples % n_tubes tubes take one point more
-            n_i = samples // n_tubes + (i < samples % n_tubes)
-            worst = max(worst, projection_containment_ratio(tube, n_i, seed=seed + i))
-        maxima.append((d, worst))
-        rows.append([d, worst])
-    worst_all = max(r for _, r in maxima)
+    if max(delta_exps) > _bulk.EXACT_DILATION_EXP:
+        raise OptionError(f"projection-containment needs --delta-exps <= "
+                          f"{_bulk.EXACT_DILATION_EXP}, got {_ladder_text(delta_exps)}")
+    deltas = [2.0 ** -k for k in delta_exps]
+    # one tube stream per rung, drawn tube by tube in the rung's order
+    rngs = [np.random.default_rng([seed, k]) for k in delta_exps]
+    worst = [0.0] * len(deltas)
+    for i in range(n_tubes):
+        # the first samples % n_tubes tubes take one point more
+        n_i = samples // n_tubes + (i < samples % n_tubes)
+        # tube i of every rung samples the same stream: draw B(0, 1) once and
+        # dilate it onto each rung's B(0, delta), exactly for dyadic delta
+        s, z = tube_draws(1.0, n_i, seed + i)
+        for j, (d, rng) in enumerate(zip(deltas, rngs)):
+            ratio = projection_containment_ratio(_random_tube(rng, d), s, _bulk.dilate(d, z))
+            worst[j] = max(worst[j], ratio)
+    maxima = list(zip(deltas, worst))
+    rows = [list(m) for m in maxima]
+    worst_all = max(worst)
     extras = {}
     checks = [
         ("max vertical distance / delta^2 <= 8", worst_all <= 8.0, f"max {worst_all:.3f}"),

@@ -112,15 +112,16 @@ def tube_points_sample(tube: HTube, n: int, seed: int = 0) -> np.ndarray:
     return _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z).T
 
 
-def projection_containment_ratio(tube: HTube, samples: int, seed: int = 0) -> float:
-    """Max over sampled points of T inside B(0,1) of the vertical distance of
-    the projection to the projected-curve graph, divided by delta^2.
+def projection_containment_ratio(tube: HTube, s: np.ndarray, z: np.ndarray) -> float:
+    """Max over the points core(s) * z of T inside B(0,1) of the vertical
+    distance of the projection to the projected-curve graph, divided by delta^2.
 
-    The asserted content of the containment statement is that this stays
-    below an absolute constant; points outside the unit ball are discarded.
+    s and z are draws as `tube_draws(tube.delta, ...)` returns them.  The
+    asserted content of the containment statement is that this stays below an
+    absolute constant; points outside the unit ball are discarded.
     """
     curve = tube_to_curve(tube)
-    rows = tube_points_sample(tube, samples, seed).T
+    rows = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z)
     rows = rows.compress(_bulk.norm4(rows.T) <= 1.0, axis=1)
     if rows.shape[1] == 0:
         return 0.0

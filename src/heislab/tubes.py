@@ -240,7 +240,9 @@ def _arc_profile(cores: list[tuple[HPoint, HDirection]], delta: float, probes: P
     """
     sigmas = _dyadic_down(1.0, delta)
     mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
-    centers = _subsample(np.unique(np.round(mids, 12), axis=0), probes.max_centers)
+    # asking for the first indices keeps np.unique from importing numpy.ma
+    rounded = np.unique(np.round(mids, 12), axis=0, return_index=True)[0]
+    centers = _subsample(rounded, probes.max_centers)
 
     angles = np.array([e.angle for _, e in cores])
     # distance matrix: lines x centers, min gauge distance from center to core

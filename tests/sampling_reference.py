@@ -4,7 +4,9 @@
 and `projection.projection_containment_ratio` work on three contiguous rows
 x, y, t.  These are the (n, 3) bodies they replaced: the same generator draws
 and the same elementwise operations on (n, 3) arrays, with boolean row
-gathers.  The tests pin the row path to them bit for bit.
+gathers.  `fiber_rows` and `projection_rows` are the experiments' former
+loops, which drew every tube's points afresh at its delta.  The tests pin the
+row path to them bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +70,22 @@ def projection_containment_ratio(tube, samples: int, seed: int = 0) -> float:
     u = proj[:, 0] - curve.theta0
     graph = (curve.kappa * u + curve.slope) * u + curve.offset
     return float(np.max(np.abs(proj[:, 1] - graph))) / (tube.delta ** 2)
+
+
+def projection_rows(delta_exps, samples: int, seed: int, random_tube, n_tubes=20) -> list:
+    """`projection-containment`'s rows by its former rung-by-rung loop: each
+    tube draws its own points at its delta."""
+    rows = []
+    for k in delta_exps:
+        d = 2.0 ** -k
+        rng = np.random.default_rng([seed, k])
+        worst = 0.0
+        for i in range(n_tubes):
+            tube = random_tube(rng, d)
+            n_i = samples // n_tubes + (i < samples % n_tubes)
+            worst = max(worst, projection_containment_ratio(tube, n_i, seed=seed + i))
+        rows.append([d, worst])
+    return rows
 
 
 def fiber_rows(delta_exps, samples: int, seed: int, random_tube, fiber_length) -> list:

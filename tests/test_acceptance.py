@@ -41,6 +41,7 @@ from heislab.projection import (
     fiber_length,
     project_W_batch,
     projection_containment_ratio,
+    tube_draws,
     tube_points_sample,
 )
 from heislab.quadratics import (
@@ -160,7 +161,7 @@ def test_criterion_03_projection_containment():
         worst = 0.0
         for i in range(20):
             tube = _random_curve_friendly_tube(rng, d)
-            worst = max(worst, projection_containment_ratio(tube, 5000, seed=SEED + i))
+            worst = max(worst, projection_containment_ratio(tube, *tube_draws(d, 5000, SEED + i)))
         maxima.append((d, worst))
     fit = fit_exponent(maxima)
     worst_all = max(v for _, v in maxima)

@@ -474,6 +474,26 @@ def test_batch_script_quick_flags_are_read():
         assert set(keys) <= set(reads(EXPERIMENTS[name])), name
 
 
+def test_quick_batch_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs 11-18 ms to import, paid by every fresh run that loads it
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import run_all_experiments as batch\n"
+        "from heislab.cli import main\n"
+        "codes = [main(['run', name, '--seed', '0', '--out', f'{sys.argv[3]}/{name}.csv',\n"
+        "               *batch.QUICK_ARGS.get(name, [])]) for name in batch.EXPERIMENTS]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "scripts"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(EXPERIMENTS)} False"
+
+
 class _FakeChild:
     """Stands in for an experiment's process; `os.wait4` reports its end."""
 
@@ -608,6 +628,31 @@ def test_projection_containment_rejects_fewer_samples_than_tubes(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exps", ["204", "203..204", "270"])
+def test_projection_containment_rejects_rungs_past_exact_dilation(
+    tmp_path, capsys, monkeypatch, exps
+):
+    # past delta = 2^-203 the sampler's delta^4 test multiplies subnormal floats;
+    # at 2^-270 it underflowed and the experiment reported a ratio of 7.5e148
+    from heislab import cli
+
+    drawn = []
+    monkeypatch.setattr(cli, "tube_draws", lambda *a: drawn.append(a))
+    monkeypatch.setattr(cli, "_random_tube", lambda *a: drawn.append(a))
+    out = tmp_path / "p.csv"
+    args = ["run", "projection-containment", "--delta-exps", exps, "--samples", "20",
+            "--out", str(out)]
+    assert main(args) == 2
+    assert "--delta-exps <= 203" in capsys.readouterr().err
+    assert not out.exists()
+    assert drawn == []
+
+
+def test_projection_containment_takes_the_last_exact_rung():
+    rows = EXPERIMENTS["projection-containment"](delta_exps=[203], samples=20, seed=0).rows
+    assert [d for d, _ in rows] == [2.0 ** -203]
+
+
 def test_fiber_length_measures_each_sample_with_its_own_kernel_call(monkeypatch):
     # probe-scan times these small batches; bulk drawing must not merge them
     from heislab import _bulk
@@ -626,9 +671,24 @@ def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
     calls = []
     ratio = cli.projection_containment_ratio
     monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda *a, **k: calls.append(a[1]) or ratio(*a, **k))
+                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
     EXPERIMENTS["projection-containment"](delta_exps=[4, 5], samples=400, seed=0)
     assert calls == [20] * 40
+
+
+def test_projection_containment_draws_once_per_tube_index(monkeypatch):
+    # tube i of every rung reads stream seed + i: its unit draws serve all rungs
+    from heislab import cli
+
+    draws, calls = [], []
+    tube_draws, ratio = cli.tube_draws, cli.projection_containment_ratio
+    monkeypatch.setattr(cli, "tube_draws",
+                        lambda *a: draws.append(a) or tube_draws(*a))
+    monkeypatch.setattr(cli, "projection_containment_ratio",
+                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
+    EXPERIMENTS["projection-containment"](delta_exps=range(4, 9), samples=400, seed=3)
+    assert draws == [(1.0, 20, 3 + i) for i in range(20)]
+    assert calls == [20] * 100
 
 
 def test_projection_containment_measures_every_sample(monkeypatch):
@@ -638,7 +698,7 @@ def test_projection_containment_measures_every_sample(monkeypatch):
     calls = []
     ratio = cli.projection_containment_ratio
     monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda *a, **k: calls.append(a[1]) or ratio(*a, **k))
+                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
     EXPERIMENTS["projection-containment"](delta_exps=[4], samples=39, seed=0)
     assert calls == [2] * 19 + [1]
     assert sum(calls) == 39

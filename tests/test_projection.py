@@ -15,6 +15,7 @@ from heislab.projection import (
     project_W,
     project_W_batch,
     projection_containment_ratio,
+    tube_draws,
     tube_points_sample,
     tube_to_curve,
 )
@@ -120,7 +121,7 @@ def test_containment_ratio_core_points_are_exact():
     # points on the core project onto the graph, so a zero-radius tube has
     # ratio 0 up to rounding; emulate with a tiny gauge ball
     tube = HTube(HPoint(0.1, 0.2, 0.0), HDirection.from_angle(0.2), 2.0 ** -9)
-    assert projection_containment_ratio(tube, 2000, seed=1) < 1.0
+    assert projection_containment_ratio(tube, *tube_draws(tube.delta, 2000, seed=1)) < 1.0
 
 
 def test_containment_ratio_bounded(rng):
@@ -135,7 +136,7 @@ def test_containment_ratio_bounded(rng):
             c = HPoint(*(rng.normal(scale=0.15, size=3) * [1, 1, 0.25]))
             worst = max(
                 worst,
-                projection_containment_ratio(HTube(c, e, d), 3000, seed=i),
+                projection_containment_ratio(HTube(c, e, d), *tube_draws(d, 3000, seed=i)),
             )
     assert 0 < worst <= 8.0
 

@@ -8,7 +8,12 @@ import pytest
 import sampling_reference as ref
 
 from heislab import _bulk, cli
-from heislab.projection import fiber_length, projection_containment_ratio, tube_points_sample
+from heislab.projection import (
+    fiber_length,
+    projection_containment_ratio,
+    tube_draws,
+    tube_points_sample,
+)
 from heislab.tubes import tube_bounding_box
 
 # dyadic radii scale exactly; 0.3 also tests the rounding of each scaling
@@ -79,9 +84,8 @@ def test_tube_points_sample_equals_reference(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_containment_ratio_equals_reference_on_experiment_tubes(seed):
     for tube, s in experiment_tubes(seed):
-        assert projection_containment_ratio(tube, 5000, s) == ref.projection_containment_ratio(
-            tube, 5000, s
-        )
+        got = projection_containment_ratio(tube, *tube_draws(tube.delta, 5000, s))
+        assert got == ref.projection_containment_ratio(tube, 5000, s)
 
 
 def test_bounding_box_equals_reference_core_ends():
@@ -103,3 +107,27 @@ def test_fiber_experiment_equals_per_sample_reference(seed):
     got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=60, seed=seed).rows
     want = ref.fiber_rows([5, 6], 60, seed, cli._random_tube, fiber_length)
     assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 8, 100, _bulk.EXACT_DILATION_EXP])
+@pytest.mark.parametrize("n", [1, 64, 5000])
+def test_dilated_unit_draws_equal_draws_at_dyadic_delta(k, n):
+    # 2^-k only shifts exponents, so every draw and every rejection is the same
+    d = 2.0 ** -k
+    for seed in (0, 1, 2):
+        s_unit, z_unit = tube_draws(1.0, n, seed)
+        s, z = tube_draws(d, n, seed)
+        assert same_bits(s_unit, s)
+        dilated = _bulk.dilate(d, z_unit)
+        assert dilated.shape == z.shape == (3, n)
+        assert np.array_equal(dilated.view(np.int64), z.view(np.int64))
+
+
+@pytest.mark.parametrize("samples", [39, 999, 100_000])
+@pytest.mark.parametrize("delta_exps", [range(4, 9), range(1, 13)], ids=["4..8", "1..12"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_experiment_equals_per_rung_reference(seed, delta_exps, samples):
+    got = cli.EXPERIMENTS["projection-containment"](
+        delta_exps=delta_exps, samples=samples, seed=seed
+    ).rows
+    assert got == ref.projection_rows(delta_exps, samples, seed, cli._random_tube)
