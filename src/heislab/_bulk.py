@@ -88,6 +88,13 @@ def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndar
 # floats only while 2^-208 * delta^4 >= 2^-1022
 EXACT_DILATION_EXP = 203
 
+# the largest k for which a vertical distance between points of unit size
+# still measures geometry at delta = 2^-k: delta^2 = 2^-2k, and one ulp of a
+# unit coordinate, 2^-52, is 2^-12 of delta^2 at k = 20; from k = 21 on,
+# `projection-containment`'s ratios to delta^2 are short dyadic fractions of
+# rounding, and from k = 29 false failures (8.0, 32.0, 128.0 at k = 29..31)
+PRECISE_DELTA_EXP = 20
+
 
 def dilate(lam: float, rows: np.ndarray) -> np.ndarray:
     """`heis.dilate` of three rows x, y, t: (lam*x, lam*y, lam^2*t).  A power

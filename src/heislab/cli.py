@@ -457,9 +457,11 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
     n_tubes = 20
     if samples < n_tubes:
         raise OptionError(f"projection-containment needs --samples >= {n_tubes}, got {samples}")
-    if max(delta_exps) > _bulk.EXACT_DILATION_EXP:
+    # a deeper rung's ratio would report rounding; its dilated draws would
+    # still be exact up to EXACT_DILATION_EXP
+    if max(delta_exps) > _bulk.PRECISE_DELTA_EXP:
         raise OptionError(f"projection-containment needs --delta-exps <= "
-                          f"{_bulk.EXACT_DILATION_EXP}, got {_ladder_text(delta_exps)}")
+                          f"{_bulk.PRECISE_DELTA_EXP}, got {_ladder_text(delta_exps)}")
     deltas = [2.0 ** -k for k in delta_exps]
     # one tube stream per rung, drawn tube by tube in the rung's order
     rngs = [np.random.default_rng([seed, k]) for k in delta_exps]

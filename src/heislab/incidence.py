@@ -97,36 +97,78 @@ def _jet_window_counts(targets, sources, am, ai, delta: float, t: float) -> np.n
     curve ai[k] of `sources` at midpoint am[k] (jets as `_jets_at` gives them),
     by the differences and comparisons of in_jet_window, so each count equals
     the dense mask's sum; in place, on blocks of _PROFILE_BLOCK_CELLS cells.
-    A curvature jet is the curve's a at every midpoint, so the anchors go in
-    source-curve order and a block gathers the curvature mask of its curves."""
-    order = np.argsort(ai, kind="stable")
-    am, ai = am[order], ai[order]
-    new = np.concatenate(([True], ai[1:] != ai[:-1]))[: len(ai)]  # first on its curve
-    group, source_curv = np.cumsum(new) - 1, sources[2][0, ai[new]]
+    A curvature jet is the curve's a at every midpoint, so a block gathers
+    each anchor's row of a (source curve, target) curvature mask.  When the
+    mask of every source curve fits a block, it is formed once per column
+    block; otherwise the anchors go in source-curve order and each block
+    forms the rows of its own curves."""
+    n, curv = targets[0].shape[1], sources[2][0]
+    grouped = len(curv) * min(n, _PROFILE_BLOCK_CELLS) > _PROFILE_BLOCK_CELLS
+    if grouped:
+        order = np.argsort(ai, kind="stable")
+        am, ai = am[order], ai[order]
     jets = [(x, y[am, ai, None]) for x, y in zip(targets[:2], sources[:2])]
+    if grouped:
+        new = np.concatenate(([True], ai[1:] != ai[:-1]))[: len(ai)]  # first on its curve
+        ai, curv = np.cumsum(new) - 1, curv[ai[new]]  # each anchor's row of its block
     bounds = _jet_window_bounds(_C_JET, delta, t)
     counts = np.zeros(len(am), dtype=np.int64)
-    n = targets[0].shape[1]
     for j in range(0, n, _PROFILE_BLOCK_CELLS):
         width = min(n - j, _PROFILE_BLOCK_CELLS)
         # a row's count is the sum of a uint8 view, in a type that holds width
         rows, count_type = _PROFILE_BLOCK_CELLS // width, np.min_scalar_type(width)
         diff, (ok, inside) = np.empty((rows, width)), np.empty((2, rows, width), dtype=bool)
+        target_curv = targets[2][0, j : j + width]
         for s in range(0, len(am), rows):
-            block, g = am[s : s + rows], group[s : s + rows]
+            block, a = am[s : s + rows], ai[s : s + rows]
             d, good = diff[: len(block)], ok[: len(block)]
-            mask = np.subtract(targets[2][0, j : j + width], source_curv[g[0] : g[-1] + 1, None],
-                               out=d[: g[-1] - g[0] + 1])
-            mask = np.less_equal(np.abs(mask, out=mask), bounds[2], out=inside[: len(mask)])
-            np.take(mask, g - g[0], axis=0, out=good, mode="clip")
+            if grouped or s == 0:  # the curvature rows of the block's curves, or of all
+                first, last = (a[0], a[-1] + 1) if grouped else (0, len(curv))
+                mask = np.subtract(target_curv, curv[first:last, None], out=diff[: last - first])
+                mask = np.less_equal(np.abs(mask, out=mask), bounds[2],
+                                     out=inside[: len(mask)] if grouped else None)
+            np.take(mask, a - first, axis=0, out=good, mode="clip")
             for (target, anchor), bound in zip(jets, bounds):
                 # mode="clip" writes straight into d; the rows are in range
                 np.take(target[:, j : j + width], block, axis=0, out=d, mode="clip")
                 d -= anchor[s : s + rows]
                 good &= np.less_equal(np.abs(d, out=d), bound, out=inside[: len(block)])
             counts[s : s + rows] += np.add.reduce(good.view(np.uint8), axis=1, dtype=count_type)
-    counts[order] = counts.copy()
+    if grouped:
+        counts[order] = counts.copy()
     return counts
+
+
+def _value_window_hits(targets: np.ndarray, sources: np.ndarray, bound: float) -> np.ndarray:
+    """Whether some target value t of the same row has |t - s| <= bound, for
+    every source value s of rows of values (one row per midpoint), as a bool
+    array shaped like `sources`, with the float differences of the jet-window
+    counter.  t - s never decreases as t grows, so some target passes exactly
+    when the nearest target at or below s or the nearest one at or above s
+    does.  One unstable sort per row of targets and sources together finds
+    both: the targets placed before s in the sorted row are its nearest
+    targets below, a padded row of the sorted targets ([-inf, ..., +inf],
+    whose pads never pass) gives them by count.  A tie between a target and
+    s passes on either side, and a NaN difference (inf - inf) fails, as in
+    the counter."""
+    rows, nt = targets.shape
+    both = np.concatenate([targets, sources], axis=1)
+    width = both.shape[1]
+    order = np.argsort(both, axis=1)
+    # per sorted cell, its padded row's index of the last target at or before it
+    below = np.cumsum(order < nt, axis=1)
+    below += np.arange(0, rows * (nt + 2), nt + 2)[:, None]
+    padded = np.empty((rows, nt + 2))
+    padded[:, 0], padded[:, -1] = -np.inf, np.inf
+    padded[:, 1:-1] = np.sort(targets, axis=1)
+    order += np.arange(0, rows * width, width)[:, None]  # flat indices into both
+    value, padded = both.ravel()[order], padded.ravel()
+    with np.errstate(invalid="ignore"):  # inf - inf, which fails
+        hit = padded[below] - value >= -bound
+        hit |= padded[below + 1] - value <= bound
+    out = np.empty(rows * width, dtype=bool)
+    out[order] = hit
+    return out.reshape(rows, width)[:, nt:]
 
 
 def max_incomparable_rich(
@@ -150,11 +192,16 @@ def max_incomparable_rich(
         raise ValueError(f"need 0 < delta <= t <= 1, got delta={delta}, t={t}")
     fc, gc = coeff_array(F), coeff_array(G)
     mids = _anchor_grid(math.sqrt(delta / t))
-    ci, cm = np.divmod(np.arange(len(F) * len(mids)), len(mids))  # scan order
-    fj = _jets_at(fc, mids)
+    fj, gj = _jets_at(fc, mids), _jets_at(gc, mids)
+    # an anchor with no G value in its value window counts no G curve, so
+    # nu >= 1 drops it before any count
+    reach = np.ones(fj[0].shape, dtype=bool)
+    if nu >= 1:
+        reach = _value_window_hits(gj[0], fj[0], _jet_window_bounds(_C_JET, delta, t)[0])
+    ci, cm = np.nonzero(reach.T)  # scan order: curve, then midpoint
     # every F anchor counts its own curve at zero difference, so its mu count
     # is at least 1: the nu test goes first, and mu <= 1 needs no count
-    for jets, least in [(_jets_at(gc, mids), nu)] + [(fj, mu)] * (mu > 1):
+    for jets, least in [(gj, nu)] + [(fj, mu)] * (mu > 1):
         rich = _jet_window_counts(jets, fj, cm, ci, delta, t) >= least
         ci, cm = ci[rich], cm[rich]
     # each midpoint's base and own t as dt_rectangle and rect_t_scale make them

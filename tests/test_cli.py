@@ -633,7 +633,8 @@ def test_projection_containment_rejects_rungs_past_exact_dilation(
     tmp_path, capsys, monkeypatch, exps
 ):
     # past delta = 2^-203 the sampler's delta^4 test multiplies subnormal floats;
-    # at 2^-270 it underflowed and the experiment reported a ratio of 7.5e148
+    # at 2^-270 it underflowed and the experiment reported a ratio of 7.5e148;
+    # the precision bound k <= 20 now rejects these rungs before any draw
     from heislab import cli
 
     drawn = []
@@ -643,14 +644,29 @@ def test_projection_containment_rejects_rungs_past_exact_dilation(
     args = ["run", "projection-containment", "--delta-exps", exps, "--samples", "20",
             "--out", str(out)]
     assert main(args) == 2
-    assert "--delta-exps <= 203" in capsys.readouterr().err
+    assert "--delta-exps <= 20," in capsys.readouterr().err
     assert not out.exists()
     assert drawn == []
 
 
+@pytest.mark.parametrize("exps", ["21", "4..21", "29..31"])
+def test_projection_containment_rejects_rungs_past_float_precision(tmp_path, capsys, exps):
+    # past delta = 2^-20 one ulp of a unit coordinate is more than 2^-12 of
+    # delta^2: at --samples 20, k = 29, 30 and 31 reported ratios of 8.0, 32.0
+    # and 128.0, false failures made of rounding
+    out = tmp_path / "p.csv"
+    args = ["run", "projection-containment", "--delta-exps", exps, "--samples", "20",
+            "--out", str(out)]
+    assert main(args) == 2
+    assert f"--delta-exps <= 20, got {exps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_projection_containment_takes_the_last_exact_rung():
-    rows = EXPERIMENTS["projection-containment"](delta_exps=[203], samples=20, seed=0).rows
-    assert [d for d, _ in rows] == [2.0 ** -203]
+    # the last rung whose ratio measures geometry, not rounding
+    rows = EXPERIMENTS["projection-containment"](delta_exps=[20], samples=20, seed=0).rows
+    assert [d for d, _ in rows] == [2.0 ** -20]
+    assert 0.0 < rows[0][1] <= 8.0
 
 
 def test_fiber_length_measures_each_sample_with_its_own_kernel_call(monkeypatch):

@@ -123,7 +123,7 @@ def _wolff_instances(seed):
         yield [F[j] for j in fi], [G[j] for j in gi], d, pair.rho
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_equals_reference_on_wolff_instances(seed):
     for F, G, d, rho in _wolff_instances(seed):
         assert _assert_greedy_equals_reference(F, G, d, rho, 1, 1)
@@ -307,6 +307,91 @@ def test_jet_window_counts_hold_a_full_block_width():
     jets = _jets_at(qc, np.array([0.0, 0.5]))
     am, ai = np.array([1, 0, 1]), np.array([5, n - 1, 0])
     assert _jet_window_counts(jets, jets, am, ai, 2.0 ** -6, 0.25).tolist() == [n, n, n]
+
+
+# (cells, source curves, target curves): one curvature mask serves several
+# anchor blocks; one source curve, its mask row split into column blocks
+@pytest.mark.parametrize("cells, n_src, n_tgt", [(128, 4, 16), (4, 1, 11)])
+def test_jet_window_counts_need_no_source_order_when_every_mask_row_fits(
+    monkeypatch, cells, n_src, n_tgt
+):
+    # n_src * min(n_tgt, cells) <= cells: no argsort by source curve, and the
+    # counts still equal the dense mask's, edges and one-ulp misses included
+    monkeypatch.setattr(incidence, "_PROFILE_BLOCK_CELLS", cells)
+    delta, t = 2.0 ** -6, 2.0 ** -2
+    bounds = np.array([2.0 ** -4, 2.0 ** -2, 1.0])
+    rng = np.random.default_rng(23)
+
+    def jets(n):
+        x = rng.integers(-3, 4, size=(3, 3, n)) * (bounds[:, None, None] / 2)
+        x[:, :, ::3] = np.nextafter(x[:, :, ::3], 9.0)
+        return x[0], x[1], np.broadcast_to(x[2, 0], x[0].shape)
+
+    sources, targets = jets(n_src), jets(n_tgt)
+    am, ai = rng.integers(0, 3, size=30), rng.integers(0, n_src, size=30)
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+    counts = _jet_window_counts(targets, sources, am, ai, delta, t)
+    assert sorts == []
+    assert counts.tolist() == _dense_counts(targets, sources, am, ai, delta, t)
+    assert 0 < counts.sum() < 30 * n_tgt
+
+
+def _dense_value_hits(targets, sources, bound):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return (np.abs(targets[:, None, :] - sources[:, :, None]) <= bound).any(axis=2)
+
+
+def test_value_window_hits_equal_dense_value_mask():
+    # values on multiples of half the bound tie with each other and sit on
+    # the window's edge or inside it; every third source moves one ulp up,
+    # which puts some edge differences just past it; rows long enough that
+    # the unstable sort partitions them, and +-inf values, whose inf - inf
+    # is NaN and passes nowhere
+    bound = 2.0 ** -4
+    rng = np.random.default_rng(5)
+    targets = rng.integers(-40, 41, size=(6, 40)) * (bound / 2)
+    sources = rng.integers(-40, 41, size=(6, 60)) * (bound / 2)
+    sources[:, ::3] = np.nextafter(sources[:, ::3], np.inf)
+    targets[0, :5], targets[1, :5] = np.inf, -np.inf
+    targets[2] = np.inf  # a row with no finite target
+    sources[0, :2], sources[1, :2], sources[2, :2] = np.inf, -np.inf, 0.0
+    # a row of tied targets at 3: sources on both edges and one ulp past them
+    targets[4] = 3.0
+    edges = [3.0 + bound, 3.0 - bound, 3.0]
+    sources[4, :5] = edges + [np.nextafter(e, 2 * e - 3.0) for e in edges[:2]]
+    hits = incidence._value_window_hits(targets, sources, bound)
+    dense = _dense_value_hits(targets, sources, bound)
+    assert hits.tolist() == dense.tolist()
+    assert hits[4, :5].tolist() == [True, True, True, False, False]
+    assert dense.any() and not dense.all()
+    # the edges and the cells one ulp past them decide other sources too
+    assert not (_dense_value_hits(targets, sources, np.nextafter(bound, 0.0)) == dense).all()
+    assert not (_dense_value_hits(targets, sources, bound * (1 + 1e-12)) == dense).all()
+    assert (sources[:, :, None] == targets[:, None, :]).any()  # ties
+
+
+def test_value_window_hits_with_no_targets_or_no_sources():
+    bound, values = 2.0 ** -4, np.array([[0.0, np.inf, -1.0], [2.0, 0.5, -np.inf]])
+    assert incidence._value_window_hits(np.zeros((2, 0)), values, bound).tolist() == [
+        [False] * 3, [False] * 3]
+    assert incidence._value_window_hits(values, np.zeros((2, 0)), bound).shape == (2, 0)
+
+
+def test_greedy_drops_anchors_out_of_value_reach_only_for_nu_positive(monkeypatch):
+    # nu = 0 holds everywhere, so it takes no value-window test; the drop at
+    # nu >= 1 leaves the rectangles as the reference makes them
+    calls = []
+    hits = incidence._value_window_hits
+    monkeypatch.setattr(incidence, "_value_window_hits",
+                        lambda *args: calls.append(args[0].shape) or hits(*args))
+    pair = build_bipartite_balls(2.0 ** -5, 0.25)
+    F, G = list(pair.F[::20]), list(pair.G[::20])
+    for nu, n_calls in ((0, 0), (1, 1), (3, 1)):
+        calls.clear()
+        rects = max_incomparable_rich(F, G, 2.0 ** -5, 0.25, 1, nu)
+        assert len(calls) == n_calls
+        assert rects == incomparable_reference.max_incomparable_rich(F, G, 2.0 ** -5, 0.25, 1, nu)
 
 
 def test_greedy_skips_the_mu_count_at_mu_one(monkeypatch):

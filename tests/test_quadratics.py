@@ -287,6 +287,31 @@ def test_validate_bipartite_equals_scalar_reference(k):
     assert validate_bipartite(pair, 2.0 ** -k) == ref.validate_bipartite(pair, 2.0 ** -k)
 
 
+# (n1, n2, max_pairs, within): a family in blocks of two rows, in column
+# blocks (n > chunk) and of one curve; cross pairs in row blocks and in
+# column blocks; the draws of a family and of cross pairs
+@pytest.mark.parametrize("n1, n2, max_pairs, within", [
+    (4, 4, 6, True), (9, 9, 36, True), (1, 1, 36, True), (7, 5, 35, False),
+    (2, 23, 46, False), (9, 9, 35, True), (7, 5, 34, False),
+])
+def test_pair_differences_follow_the_scalar_reference_order(monkeypatch, n1, n2, max_pairs,
+                                                           within):
+    # the broadcast blocks hold exactly the rows P[i] - Q[j] of the scalar
+    # reference's pairs, in its order, bit for bit, at most a chunk per block
+    monkeypatch.setattr(quadratics, "_PAIR_CHUNK", 8)
+    rng = np.random.default_rng(3)
+    P = rng.normal(size=(n1, 3))
+    Q = P if within else rng.normal(size=(n2, 3))
+    blocks = list(quadratics._pair_differences(P, Q, max_pairs, 5, within))
+    assert all(0 < len(h) <= 8 for h in blocks)
+    pairs = ref._scalar_pairs(n1, n2, max_pairs, 5, within)
+    expected = np.array([P[i] - Q[j] for i, j in pairs]).reshape(-1, 3)
+    got = np.concatenate(blocks) if blocks else np.zeros((0, 3))
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    # jet_gauges reads a block as its contiguous coefficient rows
+    assert all(h.T.flags.c_contiguous for h in blocks)
+
+
 def test_validate_bipartite_exhaustive_while_unordered_pairs_fit():
     # n = 400: 79,800 pairs i < j per family fit the 100,000 budget
     pair = build_bipartite_balls(2.0 ** -6, 0.25)
