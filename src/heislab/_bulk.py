@@ -138,18 +138,22 @@ def core_distance_elementwise(beta, gamma, w) -> np.ndarray:
     s* = clip(beta + x*, -1/2, 1/2).  Cardano's formula in the form that
     avoids cancellation gives x* = T - gamma^2/T with
     T = cbrt(-2*gamma*w - copysign(sqrt(4*gamma^2*w^2 + gamma^6), gamma*w));
-    T = 0 only when gamma = 0, and then x* = 0.  The quartic is evaluated in
-    these centred coordinates, where no expanded coefficient cancels.  Every
-    step is elementwise, so a point's distance does not depend on its batch.
-    A non-finite frame row raises ValueError.
+    T = 0 only when gamma = 0, and then x* = 0.  In floats T is also 0 where
+    gamma*w rounds to 0 and gamma^6 underflows with gamma != 0 (so
+    |gamma| < 2^-179); x* = -gamma^2 there gives the bits of x* = 0, as what
+    it adds to h and v is far below their rounding.  The quartic is evaluated
+    in these centred coordinates, where no expanded coefficient cancels.
+    Every step is elementwise, so a point's distance does not depend on its
+    batch.  A non-finite frame row raises ValueError, before any arithmetic.
     """
     if not (np.isfinite(beta).all() and np.isfinite(gamma).all() and np.isfinite(w).all()):
         raise ValueError("frame rows must be finite")
     g2 = gamma * gamma
     gw = gamma * w
     t = np.cbrt(-2.0 * gw - np.copysign(np.sqrt(4.0 * gw * gw + g2 * g2 * g2), gw))
-    root = t - np.divide(g2, t, out=np.zeros_like(t), where=t != 0.0)
-    x = np.clip(beta + root, -0.5, 0.5) - beta
+    # t == 0 takes the divisor 1 (see the docstring)
+    root = t - g2 / (t + (t == 0.0))
+    x = np.minimum(np.maximum(beta + root, -0.5), 0.5) - beta
     h = x * x + g2
     v = 4.0 * w + 2.0 * gamma * x
     return (h * h + v * v) ** 0.25

@@ -49,7 +49,6 @@ from .integrals import (
     strip_multiplicity,
 )
 from .projection import (
-    PlanePoint,
     fiber_length,
     project_W_batch,
     projection_containment_ratio,
@@ -500,8 +499,8 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
         c = tube_params(tubes)
         pts = _bulk.tube_points(c[:3], c[3], c[4], np.concatenate(s), np.concatenate(z, axis=1))
         worst, total = 0.0, 0.0
-        for tube, w in zip(tubes, project_W_batch(pts.T).tolist()):
-            length = fiber_length(tube, PlanePoint(*w), d / 100)
+        # summed in order, not pairwise, so the mean keeps its bytes
+        for length in fiber_length(tubes, project_W_batch(pts.T), d / 100).tolist():
             worst = max(worst, length / d)
             total += length / d
         worst_all = max(worst_all, worst)

@@ -17,7 +17,7 @@ import numpy as np
 from . import _bulk
 from .heis import HPoint
 from .quadratics import Interval, Quadratic
-from .tubes import HTube, tube_bounding_box
+from .tubes import HTube, tube_bounding_box, tube_params
 
 __all__ = [
     "PlanePoint",
@@ -34,6 +34,11 @@ __all__ = [
 PROJECTION_DOMAIN = Interval(-10.0, 10.0)
 
 _MIN_AXIS_SUM = 0.5  # |a + b| floor: direction far from the line {(s, -s, 0)}
+
+# grid rows per kernel call of `fiber_length`, in whole samples: at 4,096 a
+# probe-scan pass peaks at the ru_maxrss of one call per sample, while
+# 8,192 (`_bulk.CULL_CHUNK`) raised it by 0.6-0.8 MB
+FIBER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,36 +141,77 @@ def fiber_point(w: PlanePoint, s: float) -> HPoint:
     return HPoint(w.theta + s, w.theta - s, w.height - w.theta * s)
 
 
-def fiber_length(tube: HTube, w: PlanePoint, resolution: float) -> float:
+def fiber_length(tube, w, resolution: float):
     """1-D measure of the fiber through w inside the tube, by counting
     resolution-spaced parameter samples and multiplying by the spacing.
 
     The fiber parametrization s -> w * (s, -s, 0) is a quasi-isometry; the
     raw count * resolution is reported (quasi-isometry constant folded into
     downstream thresholds).
+
+    Array form: a list of n `HTube`s and an (n, 2) array of plane points
+    (theta, height), as `project_W_batch` returns them, give the array of the
+    n lengths, each with the bits of its one-row call `fiber_length(tube,
+    PlanePoint, resolution)`, which is the same code.  Each sample's grid
+    s = lo + k * resolution, k < floor((hi - lo) / resolution) + 1, covers
+    the crossing of the fiber's shadow (X + s, X - s) with the core line
+    widened by delta / |a + b|, or, when |a + b| < 0.1, the tube's bounding
+    box (an empty box window counts 0).  The grid rows go to the kernel in
+    blocks of whole samples of at most `FIBER_BLOCK` rows, a longer sample
+    being a block of its own, so the temporaries stay small whatever n is.  A non-finite plane point or resolution, a resolution <= 0, or a
+    count of points other than one per tube raises ValueError.
     """
-    if not (resolution > 0.0):
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    a, b = tube.dir.a, tube.dir.b
+    if isinstance(tube, HTube):
+        return float(_fiber_lengths([tube], np.array([[w.theta, w.height]]), resolution)[0])
+    return _fiber_lengths(tube, w, resolution)
+
+
+def _fiber_lengths(tubes: list[HTube], w, resolution: float) -> np.ndarray:
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != 2 or len(w) != len(tubes):
+        raise ValueError(f"need one plane point (theta, height) per tube, got "
+                         f"{len(tubes)} tubes and points of shape {w.shape}")
+    bad = ~np.isfinite(w).all(axis=1)
+    if bad.any():
+        raise ValueError(f"plane point {tuple(w[bad][0].tolist())} is not finite")
+    params = tube_params(tubes)
+    cx, cy, _, a, b, delta = params
+    X = w[:, 0]
     axis_sum = a + b
-    X = w.theta
-    c = tube.center
-    if abs(axis_sum) >= 0.1:
-        # planar crossing of the fiber shadow (X+s, X-s) with the core line
-        u_star = (2.0 * X - c.x - c.y) / axis_sum
-        s_star = c.x + u_star * a - X
-        halfwidth = tube.delta / abs(axis_sum)
+    flat = np.flatnonzero(np.abs(axis_sum) < 0.1)
+    # planar crossing of the fiber shadow (X+s, X-s) with the core line; the
+    # rows of `flat` are near-degenerate and take their box window below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_star = (2.0 * X - cx - cy) / axis_sum
+        s_star = cx + u_star * a - X
+        halfwidth = delta / np.abs(axis_sum)
         lo, hi = s_star - halfwidth, s_star + halfwidth
-    else:
-        # near-degenerate direction: fall back to the bounding-box window
-        box = tube_bounding_box(tube)
-        lo = max(box[0, 0] - X, X - box[1, 1])
-        hi = min(box[0, 1] - X, X - box[1, 0])
-        if lo > hi:
-            return 0.0
-    n = int(math.floor((hi - lo) / resolution)) + 1
-    s = lo + np.arange(n) * resolution
-    d = _bulk.core_distance_elementwise(
-        *_bulk.tube_frame(X + s, X - s, w.height - X * s, c.as_tuple(), a, b)
-    )
-    return float(np.count_nonzero(d <= tube.delta)) * resolution
+    for i in flat.tolist():
+        box, x = tube_bounding_box(tubes[i]), X[i]
+        lo[i] = max(box[0, 0] - x, x - box[1, 1])
+        hi[i] = min(box[0, 1] - x, x - box[1, 0])
+    # an empty window has no rows and counts 0
+    live = np.flatnonzero(lo <= hi)
+    n = np.floor((hi[live] - lo[live]) / resolution).astype(np.int64) + 1
+    ends = np.cumsum(n)
+    # per sample: center, a, b, delta, theta, height and the window's start
+    table = (*params, *w.T, lo)
+    counts = np.zeros(len(w), dtype=np.int64)
+    start = 0
+    while start < len(live):
+        base = ends[start] - n[start]
+        stop = max(int(np.searchsorted(ends, base + FIBER_BLOCK, side="right")), start + 1)
+        rows = n[start:stop]
+        first = ends[start:stop] - rows - base
+        owner = np.repeat(live[start:stop], rows)
+        # one gather per row: one (9, rows) gather measured a higher peak RSS
+        c0, c1, c2, ra, rb, rdelta, x, h, rlo = (r.take(owner) for r in table)
+        s = rlo + (np.arange(len(owner)) - np.repeat(first, rows)) * resolution
+        d = _bulk.core_distance_elementwise(
+            *_bulk.tube_frame(x + s, x - s, h - x * s, (c0, c1, c2), ra, rb)
+        )
+        counts[live[start:stop]] = np.add.reduceat(d <= rdelta, first)
+        start = stop
+    return counts * resolution

@@ -20,6 +20,12 @@ def core_distance(centers, dir_a, dir_b, pts):
     beta = dir_a * u0 + dir_b * u1
     gamma = dir_b * u0 - dir_a * u1
     w = u2 + 0.5 * gamma * beta
+    return frame_distance(beta, gamma, w)
+
+
+def frame_distance(beta, gamma, w):
+    """The closed-form quartic's minimum on the frame rows, as it was first
+    written: the division by T skipped where T = 0, and np.clip."""
     g2 = gamma * gamma
     gw = gamma * w
     t = np.cbrt(-2.0 * gw - np.copysign(np.sqrt(4.0 * gw * gw + g2 * g2 * g2), gw))

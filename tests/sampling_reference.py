@@ -5,8 +5,9 @@ and `projection.projection_containment_ratio` work on three contiguous rows
 x, y, t.  These are the (n, 3) bodies they replaced: the same generator draws
 and the same elementwise operations on (n, 3) arrays, with boolean row
 gathers.  `fiber_rows` and `projection_rows` are the experiments' former
-loops, which drew every tube's points afresh at its delta.  The tests pin the
-row path to them bit for bit.
+loops, which drew every tube's points afresh at its delta, and
+`fiber_length` the former one-sample fiber count, one kernel call per
+sample.  The tests pin the row path to them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import math
 
 import numpy as np
 
+from core_distance_reference import frame_distance
 from heislab import _bulk
 from heislab.projection import PlanePoint, tube_to_curve
+from heislab.tubes import tube_bounding_box
 
 
 def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
@@ -88,7 +91,7 @@ def projection_rows(delta_exps, samples: int, seed: int, random_tube, n_tubes=20
     return rows
 
 
-def fiber_rows(delta_exps, samples: int, seed: int, random_tube, fiber_length) -> list:
+def fiber_rows(delta_exps, samples: int, seed: int, random_tube) -> list:
     """`fiber-length`'s rows by its former per-sample loop: draw a tube, then
     its one point, project it and measure the fiber through it."""
     rows = []
@@ -105,3 +108,31 @@ def fiber_rows(delta_exps, samples: int, seed: int, random_tube, fiber_length) -
             total += length / d
         rows.append([d, samples, worst, total / samples])
     return rows
+
+
+def fiber_length(tube, w: PlanePoint, resolution: float) -> float:
+    """The fiber through w inside the tube, by one sample's own count: its
+    resolution-spaced parameters s in the window, judged in one kernel call."""
+    if not (resolution > 0.0):
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    a, b = tube.dir.a, tube.dir.b
+    axis_sum = a + b
+    X = w.theta
+    c = tube.center
+    if abs(axis_sum) >= 0.1:
+        # planar crossing of the fiber shadow (X+s, X-s) with the core line
+        u_star = (2.0 * X - c.x - c.y) / axis_sum
+        s_star = c.x + u_star * a - X
+        halfwidth = tube.delta / abs(axis_sum)
+        lo, hi = s_star - halfwidth, s_star + halfwidth
+    else:
+        # near-degenerate direction: fall back to the bounding-box window
+        box = tube_bounding_box(tube)
+        lo = max(box[0, 0] - X, X - box[1, 1])
+        hi = min(box[0, 1] - X, X - box[1, 0])
+        if lo > hi:
+            return 0.0
+    n = int(math.floor((hi - lo) / resolution)) + 1
+    s = lo + np.arange(n) * resolution
+    d = frame_distance(*_bulk.tube_frame(X + s, X - s, w.height - X * s, c.as_tuple(), a, b))
+    return float(np.count_nonzero(d <= tube.delta)) * resolution

@@ -30,6 +30,7 @@ from heislab.cli import (
     reads,
 )
 from heislab.families import build_bush, build_clamshell
+from heislab.projection import PlanePoint
 from heislab.quadratics import PLANAR_DOMAIN, Quadratic, delta_gauge, tau
 
 
@@ -669,16 +670,27 @@ def test_projection_containment_takes_the_last_exact_rung():
     assert 0.0 < rows[0][1] <= 8.0
 
 
-def test_fiber_length_measures_each_sample_with_its_own_kernel_call(monkeypatch):
-    # probe-scan times these small batches; bulk drawing must not merge them
-    from heislab import _bulk
+def test_fiber_length_kernel_calls_hold_whole_samples_of_at_most_a_block(monkeypatch):
+    # the block bound keeps the rows' temporaries, and so the peak memory of
+    # a run, as small as with one kernel call per sample
+    from heislab import _bulk, cli, projection
 
-    calls = []
-    kernel = _bulk.core_distance_elementwise
+    calls, batches = [], []
+    kernel, fiber = _bulk.core_distance_elementwise, cli.fiber_length
     monkeypatch.setattr(_bulk, "core_distance_elementwise",
-                        lambda *a: calls.append(len(a[-1])) or kernel(*a))
-    EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=40, seed=0)
-    assert len(calls) == 80
+                        lambda *f: calls.append(len(f[0])) or kernel(*f))
+    monkeypatch.setattr(cli, "fiber_length", lambda *a: batches.append(a) or fiber(*a))
+    EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=200, seed=0)
+    blocks, calls[:] = list(calls), []
+    # each sample's rows, from its one-row call
+    for tubes, w, res in batches:
+        for tube, (theta, height) in zip(tubes, w.tolist()):
+            fiber(tube, PlanePoint(theta, height), res)
+    assert len(batches) == 2 and len(calls) == 400
+    assert 2 < len(blocks) < len(calls)
+    assert max(blocks) <= projection.FIBER_BLOCK <= _bulk.CULL_CHUNK
+    assert sum(blocks) == sum(calls)
+    assert set(np.cumsum(blocks)) <= set(np.cumsum(calls))
 
 
 def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):

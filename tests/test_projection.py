@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import sampling_reference
 
+from heislab import _bulk
 from heislab.heis import E1, E2, HDirection, HPoint
 from heislab.projection import (
+    FIBER_BLOCK,
     PlanePoint,
     fiber_length,
     fiber_point,
@@ -202,6 +204,74 @@ def test_fiber_length_agrees_with_finer_oracle(rng):
         coarse = fiber_length(tube, PlanePoint(w[0], w[1]), delta / 20)
         fine = fiber_length(tube, PlanePoint(w[0], w[1]), delta / 400)
         assert coarse == pytest.approx(fine, abs=4 * delta / 20)
+
+
+def fiber_batch(delta):
+    """Mixed (tube, plane point) samples in shuffled order: fibers through
+    points of tubes in any direction, fibers that miss their tube, and tubes
+    with |a + b| < 0.1 (one with a + b = 0) whose bounding-box windows are
+    longer than a kernel block or empty."""
+    rng = np.random.default_rng(21)
+    samples = []
+    for i in range(40):
+        e = HDirection.from_angle(rng.uniform(-math.pi, math.pi))
+        samples.append(HTube(HPoint(*(rng.normal(scale=0.2, size=3))), e, delta))
+    flat = [HDirection(math.sqrt(0.5), -math.sqrt(0.5)),
+            HDirection.from_angle(-math.pi / 4 + 0.05), HDirection.from_angle(0.75 * math.pi - 0.03)]
+    samples += [HTube(HPoint(0.1 * j, -0.05, 0.02), e, delta) for j, e in enumerate(flat)]
+    points = [project_W_batch(tube_points_sample(t, 1, seed=i))[0] for i, t in enumerate(samples)]
+    # far points: the transversal windows miss their tube, the box windows are empty
+    for tube in (HTube(HPoint(0, 0, 0), E1, delta), HTube(HPoint(0, 0, 0), E2, delta), *samples[40:]):
+        samples.append(tube)
+        points.append(np.array([7.0, 9.0]))
+    order = rng.permutation(len(samples))
+    return [samples[i] for i in order], np.array(points)[order]
+
+
+def test_fiber_length_array_form_equals_per_sample_reference(monkeypatch):
+    delta = 2.0 ** -6
+    res = delta / 400
+    tubes, w = fiber_batch(delta)
+    assert sum(abs(t.dir.a + t.dir.b) < 0.1 for t in tubes) >= 6
+    calls = []
+    kernel = _bulk.core_distance_elementwise
+    monkeypatch.setattr(_bulk, "core_distance_elementwise",
+                        lambda *f: calls.append(len(f[0])) or kernel(*f))
+    got = fiber_length(tubes, w, res)
+    want = np.array([sampling_reference.fiber_length(t, PlanePoint(*p), res)
+                     for t, p in zip(tubes, w.tolist())])
+    assert got.tobytes() == want.tobytes()
+    assert (want == 0.0).sum() == 5
+    # several blocks, among them one sample longer than a block
+    assert len(calls) > 2 and max(calls) > FIBER_BLOCK
+    one_row = [fiber_length(t, PlanePoint(*p), res) for t, p in zip(tubes, w.tolist())]
+    assert one_row == want.tolist()
+
+
+@pytest.mark.parametrize("theta, height", [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
+                                           (0.0, math.inf), (0.0, math.nan)])
+def test_fiber_length_rejects_nonfinite_plane_points(theta, height):
+    tube = HTube(HPoint(0, 0, 0), E1, 2.0 ** -6)
+    with pytest.raises(ValueError, match="plane point"):
+        fiber_length(tube, PlanePoint(theta, height), 2.0 ** -6 / 100)
+    with pytest.raises(ValueError, match="plane point"):
+        fiber_length([tube, tube], np.array([[0.0, 0.0], [theta, height]]), 2.0 ** -6 / 100)
+
+
+@pytest.mark.parametrize("res", [math.inf, math.nan, 0.0, -1e-3])
+def test_fiber_length_rejects_bad_resolutions(res):
+    tube = HTube(HPoint(0, 0, 0), E1, 2.0 ** -6)
+    with pytest.raises(ValueError, match="resolution"):
+        fiber_length(tube, PlanePoint(0.0, 0.0), res)
+    with pytest.raises(ValueError, match="resolution"):
+        fiber_length([tube], np.zeros((1, 2)), res)
+
+
+@pytest.mark.parametrize("w", [np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2), np.zeros((0, 2))])
+def test_fiber_length_wants_one_plane_point_per_tube(w):
+    tube = HTube(HPoint(0, 0, 0), E1, 2.0 ** -6)
+    with pytest.raises(ValueError, match="one plane point"):
+        fiber_length([tube, tube], w, 2.0 ** -6 / 100)
 
 
 def test_broadness_transfer_fan():

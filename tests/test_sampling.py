@@ -9,7 +9,6 @@ import sampling_reference as ref
 
 from heislab import _bulk, cli
 from heislab.projection import (
-    fiber_length,
     projection_containment_ratio,
     tube_draws,
     tube_points_sample,
@@ -105,8 +104,13 @@ def test_bounding_box_equals_reference_core_ends():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_experiment_equals_per_sample_reference(seed):
     got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=60, seed=seed).rows
-    want = ref.fiber_rows([5, 6], 60, seed, cli._random_tube, fiber_length)
-    assert got == want
+    assert got == ref.fiber_rows([5, 6], 60, seed, cli._random_tube)
+
+
+def test_fiber_experiment_equals_per_sample_reference_past_the_stream_key():
+    # samples 1000-1199 of seed 0 read the point streams seed * 1000 + i of seed 1
+    got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=1200, seed=0).rows
+    assert got == ref.fiber_rows([5, 6], 1200, 0, cli._random_tube)
 
 
 @pytest.mark.parametrize("k", [1, 8, 100, _bulk.EXACT_DILATION_EXP])

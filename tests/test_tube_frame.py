@@ -55,6 +55,22 @@ def test_kernel_on_the_frame_equals_the_old_kernel_with_per_row_centers(n):
     assert same_bits(got, ref.core_distance(centers, a, b, pts))
 
 
+def test_kernel_keeps_its_bits_where_cardanos_term_underflows():
+    # gamma != 0 with gamma*w rounding to 0 and gamma^6 underflowing gives
+    # T = 0, where the kernel divides g2 by 1 instead of skipping the division
+    rng = np.random.default_rng(7)
+    n = 50_000
+    gamma, w, beta = (np.exp2(rng.uniform(lo, hi, n)) * rng.choice(signs, n)
+                      for lo, hi, signs in ((-1074, -150, [-1.0, 1.0]),
+                                            (-1100, 0, [-1.0, 0.0, 1.0]),
+                                            (-1100, 1, [-1.0, 0.0, 1.0])))
+    g2, gw = gamma * gamma, gamma * w
+    t = np.cbrt(-2.0 * gw - np.copysign(np.sqrt(4.0 * gw * gw + g2 * g2 * g2), gw))
+    assert ((t == 0.0) & (g2 != 0.0)).sum() > n // 10
+    got = _bulk.core_distance_elementwise(beta, gamma, w)
+    assert same_bits(got, ref.frame_distance(beta, gamma, w))
+
+
 def test_section_shift_is_the_frame_at_t_minus_zero():
     rng = np.random.default_rng(5)
     for k in (1, 7, 40):
