@@ -9,9 +9,10 @@ Everything about a tube starts from a point's frame against it:
 turns it to the tube's direction, giving (beta, gamma, w), and no other
 code forms it.  The exact core-distance kernel `core_distance_elementwise`
 is a function of the frame alone.  Batched tube membership is
-cull-then-classify: `core_candidates` keeps the points whose frame meets
-closed-form necessary bounds and hands their frame rows to
-`count_members`, which runs the kernel on those only.  `tube_sections`
+cull-then-classify: a cull keeps the (tube, point) cells whose frame meets
+closed-form necessary bounds (`core_candidates` for a table of tubes, in
+blocks of at most `CULL_CHUNK` cells) and hands their frame rows to
+`count_members`, the one caller of the kernel for counts.  `tube_sections`
 gives the t-section of a tube above a column from the same frame.
 """
 
@@ -24,8 +25,8 @@ import numpy as np
 # relative slack of the cull's bounds, far above the few ulps by which the
 # kernel's rounding can let a point just outside a bound test as a member
 CULL_SLACK = 1.0 + 1e-6
-# points per pass of the cull: each temporary is 64 KiB, which the
-# allocator reuses instead of mapping fresh pages for every tube
+# (tube, point) cells per block of the cull: each temporary is 64 KiB,
+# which the allocator reuses instead of mapping fresh pages for every block
 CULL_CHUNK = 8192
 # rows per exact-kernel call in the batched membership paths: large enough
 # to amortize the call, small enough to bound the kernel's temporaries
@@ -159,10 +160,11 @@ def core_distance_elementwise(beta, gamma, w) -> np.ndarray:
     return (h * h + v * v) ** 0.25
 
 
-def core_cull_bounds(delta: float) -> tuple[float, float, float]:
+def core_cull_bounds(delta):
     """Bounds (on |beta|, |gamma|, |w|) that the frame (`tube_frame`) of every
     point within gauge distance delta of a unit core satisfies (see
-    `core_distance_elementwise`), each with the slack `CULL_SLACK`.
+    `core_distance_elementwise`), each with the slack `CULL_SLACK`; delta is
+    a scalar or an array of them.
 
     d <= delta means q(x) <= delta^4 at some x = s - beta with |s| <= 1/2.
     Then r^2 = x^2 + gamma^2 <= delta^2, so |gamma| <= delta, |x| <= delta
@@ -178,35 +180,35 @@ def core_cull_bounds(delta: float) -> tuple[float, float, float]:
     )
 
 
-def core_candidates(
-    cols: np.ndarray, center, dir_a: float, dir_b: float, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The points that may lie within gauge distance delta of the unit core
-    through `center` with direction (dir_a, dir_b): a necessary test only,
-    the exact judge being `core_distance_elementwise`.
+def core_candidates(cols: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (tube, point) cells where the point may lie within its tube: a
+    necessary test only, the exact judge being `core_distance_elementwise`.
 
-    `cols` holds the points as three contiguous rows x, y, t.  A point is
-    kept when its `tube_frame` meets all three bounds of `core_cull_bounds`;
-    the cull may keep points the kernel rejects, but never drops one the
-    kernel accepts.  Returns the kept indices and their frame rows beta,
-    gamma, w, ready for `count_members`.  Points are taken `CULL_CHUNK` at a
-    time, so the temporaries stay small and are reused, and only chunks that
-    keep a point are gathered from.
+    `cols` holds the points as three contiguous rows x, y, t, and `params`
+    the K tubes as the six rows of `tubes.tube_params` (center x, y, t,
+    direction a, b, radius delta).  A cell is kept when its `tube_frame`
+    meets all three bounds of `core_cull_bounds` for its tube's delta; the
+    cull may keep cells the kernel rejects, but never drops one the kernel
+    accepts.  Returns the kept cells' tube and point indices and their frame
+    rows beta, gamma, w, ready for `count_members`.  Each block frames all K
+    tubes against max(1, CULL_CHUNK // K) points in one broadcast, so the
+    temporaries stay small and are reused.
     """
-    beta_max, gamma_max, w_max = core_cull_bounds(delta)
-    found = [NO_CANDIDATES]
-    for lo in range(0, cols.shape[1], CULL_CHUNK):
-        x, y, t = cols[:, lo : lo + CULL_CHUNK]
+    center, dir_a, dir_b = params[:3, :, None], params[3, :, None], params[4, :, None]
+    beta_max, gamma_max, w_max = (b[:, None] for b in core_cull_bounds(params[5]))
+    step = max(1, CULL_CHUNK // max(params.shape[1], 1))
+    found = [(NO_CANDIDATES[0], *NO_CANDIDATES)]
+    for lo in range(0, cols.shape[1], step):
+        x, y, t = cols[:, lo : lo + step]
         frame = tube_frame(x, y, t, center, dir_a, dir_b)
         beta, gamma, w = frame
         ok = np.abs(w) <= w_max
         ok &= np.abs(gamma) <= gamma_max
         ok &= np.abs(beta) <= beta_max
-        idx = np.flatnonzero(ok)
-        if len(idx):
-            found.append((idx + lo, *(r.take(idx) for r in frame)))
-    # one kept chunk, as for a few probes, needs no copy
-    return found[1] if len(found) == 2 else tuple(map(np.concatenate, zip(*found)))
+        cell = np.flatnonzero(ok)
+        tube, point = np.divmod(cell, ok.shape[1])
+        found.append((tube, point + lo, *(r.take(cell) for r in frame)))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def tube_sections(x, y, center, dir_a, dir_b, delta) -> tuple[np.ndarray, np.ndarray]:

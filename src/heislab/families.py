@@ -251,12 +251,12 @@ class ParabolicNetSpec:
     t_halfrange: float
 
     @property
-    def y_count(self) -> int:
-        return 2 * int(math.floor(self.y_halfrange / self.y_step)) + 1
+    def y_half_count(self) -> int:
+        return int(math.floor(self.y_halfrange / self.y_step))
 
     @property
-    def t_count(self) -> int:
-        return 2 * int(math.floor(self.t_halfrange / self.t_step)) + 1
+    def t_half_count(self) -> int:
+        return int(math.floor(self.t_halfrange / self.t_step))
 
 
 def parabolic_net_spec(delta: float) -> ParabolicNetSpec:
@@ -273,15 +273,7 @@ def parabolic_net_spec(delta: float) -> ParabolicNetSpec:
 
 
 def net_family_size(spec: ParabolicNetSpec) -> int:
-    return len(spec.sheets) * spec.y_count * spec.t_count
-
-
-def _swap_xy(pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    out[:, 0] = pts[:, 1]
-    out[:, 1] = pts[:, 0]
-    out[:, 2] = -pts[:, 2]
-    return out
+    return len(spec.sheets) * (2 * spec.y_half_count + 1) * (2 * spec.t_half_count + 1)
 
 
 def _grid_reach(bound: float, step: float) -> int:
@@ -301,20 +293,24 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     only the grid rows y0 within reach of the nearest one can hold a
     member, and in each such (sheet, row) strip only the grid heights t0
     within reach of the nearest one to t0 = t + x*y0 - x0*y0/2 - x*y/2.
-    The frames of the (point, tube) pairs among these that meet all three
-    bounds go to the exact kernel in one `_bulk.count_members` call.
+    One `_bulk.tube_frame` per strip frames its points against all these
+    heights as a (height window, point) array, forming beta and gamma once.
+    The nearest height is a guess: a candidate lies within w_max/t_step < 0.8
+    steps of t0/t_step, so the windows cover it whatever the rounding of t0.
+    The frames of the pairs that meet all three bounds go to the exact
+    kernel in one `_bulk.count_members` call.
     """
     pts = _bulk.finite_points(pts)
     if family == 2:
-        return net_multiplicity(spec, _swap_xy(pts), family=1)
+        return net_multiplicity(spec, pts[:, [1, 0, 2]] * [1.0, 1.0, -1.0], family=1)
     if family != 1:
         raise ValueError(f"family must be 1 or 2, got {family}")
     d = spec.delta
     beta_max, gamma_max, w_max = _bulk.core_cull_bounds(d)
     reach_y = _grid_reach(gamma_max, spec.y_step)
     reach_t = _grid_reach(w_max, spec.t_step)
-    ny = int(math.floor(spec.y_halfrange / spec.y_step))
-    nt = int(math.floor(spec.t_halfrange / spec.t_step))
+    dk = np.arange(-reach_t, reach_t + 1)[:, None]
+    ny, nt = spec.y_half_count, spec.t_half_count
     x, y, t = (np.ascontiguousarray(c) for c in pts.T)
     i0 = np.round(y / spec.y_step)
     found = [_bulk.NO_CANDIDATES]
@@ -324,13 +320,14 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
             yi = (i0 + di) * spec.y_step
             strip = np.flatnonzero(in_x & (np.abs(i0 + di) <= ny) & (np.abs(y - yi) <= gamma_max))
             xs, ys, ts, yi = x[strip], y[strip], t[strip], yi[strip]
-            k0 = np.round(_bulk.tube_frame(xs, ys, ts, (x0, yi, 0.0), 1.0, 0.0)[2] / spec.t_step)
-            for dk in range(-reach_t, reach_t + 1):
-                tk = (k0 + dk) * spec.t_step
-                frame = _bulk.tube_frame(xs, ys, ts, (x0, yi, tk), 1.0, 0.0)
-                ok = np.flatnonzero((np.abs(frame[2]) <= w_max) & (np.abs(k0 + dk) <= nt))
-                found.append((strip.take(ok), *(r.take(ok) for r in frame)))
-    # rebinding frees the per-window pieces before the kernel runs
+            k = np.round((ts + xs * yi - 0.5 * x0 * yi - 0.5 * xs * ys) / spec.t_step) + dk
+            beta, gamma, w = _bulk.tube_frame(xs, ys, ts, (x0, yi, k * spec.t_step), 1.0, 0.0)
+            ok = np.abs(w) <= w_max
+            ok &= np.abs(k) <= nt
+            cell = np.flatnonzero(ok)
+            col = cell % len(strip)
+            found.append((strip.take(col), beta.take(col), gamma.take(col), w.take(cell)))
+    # rebinding frees the per-strip pieces before the kernel runs
     found = tuple(map(np.concatenate, zip(*found)))
     return _bulk.count_members(len(pts), *found, d)
 
@@ -339,8 +336,7 @@ def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:
     """Materialize both families as explicit tube lists (large at small delta)."""
     t1: list[HTube] = []
     t2: list[HTube] = []
-    ny = int(math.floor(spec.y_halfrange / spec.y_step))
-    nt = int(math.floor(spec.t_halfrange / spec.t_step))
+    ny, nt = spec.y_half_count, spec.t_half_count
     for x0 in spec.sheets:
         for i in range(-ny, ny + 1):
             yi = i * spec.y_step

@@ -35,9 +35,9 @@ PROJECTION_DOMAIN = Interval(-10.0, 10.0)
 
 _MIN_AXIS_SUM = 0.5  # |a + b| floor: direction far from the line {(s, -s, 0)}
 
-# grid rows per kernel call of `fiber_length`, in whole samples: at 4,096 a
-# probe-scan pass peaks at the ru_maxrss of one call per sample, while
-# 8,192 (`_bulk.CULL_CHUNK`) raised it by 0.6-0.8 MB
+# grid rows per kernel call of `fiber_length`: at 4,096 a probe-scan pass
+# peaks at the ru_maxrss of one call per sample, while 8,192
+# (`_bulk.CULL_CHUNK`) raised it by 0.6-0.8 MB
 FIBER_BLOCK = 4096
 
 
@@ -131,9 +131,7 @@ def projection_containment_ratio(tube: HTube, s: np.ndarray, z: np.ndarray) -> f
     if rows.shape[1] == 0:
         return 0.0
     theta, height = project_W_batch(rows.T).T
-    u = theta - curve.theta0
-    graph = (curve.kappa * u + curve.slope) * u + curve.offset
-    return float(np.max(np.abs(height - graph))) / (tube.delta ** 2)
+    return float(np.max(np.abs(height - curve(theta)))) / (tube.delta ** 2)
 
 
 def fiber_point(w: PlanePoint, s: float) -> HPoint:
@@ -156,10 +154,12 @@ def fiber_length(tube, w, resolution: float):
     s = lo + k * resolution, k < floor((hi - lo) / resolution) + 1, covers
     the crossing of the fiber's shadow (X + s, X - s) with the core line
     widened by delta / |a + b|, or, when |a + b| < 0.1, the tube's bounding
-    box (an empty box window counts 0).  The grid rows go to the kernel in
-    blocks of whole samples of at most `FIBER_BLOCK` rows, a longer sample
-    being a block of its own, so the temporaries stay small whatever n is.  A non-finite plane point or resolution, a resolution <= 0, or a
-    count of points other than one per tube raises ValueError.
+    box (an empty box window counts 0).  The samples' grid rows, laid end
+    to end, go to `_bulk.count_members` in blocks of `FIBER_BLOCK` rows,
+    each row finding its sample by one `searchsorted`, so the temporaries
+    stay small whatever n and however long a sample is.  A non-finite plane
+    point or resolution, a resolution <= 0, or a count of points other than
+    one per tube raises ValueError.
     """
     if isinstance(tube, HTube):
         return float(_fiber_lengths([tube], np.array([[w.theta, w.height]]), resolution)[0])
@@ -196,22 +196,19 @@ def _fiber_lengths(tubes: list[HTube], w, resolution: float) -> np.ndarray:
     live = np.flatnonzero(lo <= hi)
     n = np.floor((hi[live] - lo[live]) / resolution).astype(np.int64) + 1
     ends = np.cumsum(n)
-    # per sample: center, a, b, delta, theta, height and the window's start
-    table = (*params, *w.T, lo)
+    starts = ends - n
+    # per live sample, contiguous: center, a, b, delta, theta, height and the
+    # window's start (a gather from a strided row copies the whole row first)
+    table = [r.take(live) for r in (*params, *w.T, lo)]
     counts = np.zeros(len(w), dtype=np.int64)
-    start = 0
-    while start < len(live):
-        base = ends[start] - n[start]
-        stop = max(int(np.searchsorted(ends, base + FIBER_BLOCK, side="right")), start + 1)
-        rows = n[start:stop]
-        first = ends[start:stop] - rows - base
-        owner = np.repeat(live[start:stop], rows)
+    for first in range(0, int(n.sum()), FIBER_BLOCK):
+        row = np.arange(first, min(first + FIBER_BLOCK, ends[-1]))
+        sample = np.searchsorted(ends, row, side="right")
         # one gather per row: one (9, rows) gather measured a higher peak RSS
-        c0, c1, c2, ra, rb, rdelta, x, h, rlo = (r.take(owner) for r in table)
-        s = rlo + (np.arange(len(owner)) - np.repeat(first, rows)) * resolution
-        d = _bulk.core_distance_elementwise(
-            *_bulk.tube_frame(x + s, x - s, h - x * s, (c0, c1, c2), ra, rb)
-        )
-        counts[live[start:stop]] = np.add.reduceat(d <= rdelta, first)
-        start = stop
+        c0, c1, c2, ra, rb, rdelta, x, h, rlo = (r.take(sample) for r in table)
+        s = rlo + (row - starts.take(sample)) * resolution
+        frame = _bulk.tube_frame(x + s, x - s, h - x * s, (c0, c1, c2), ra, rb)
+        # the block holds the samples sample[0] .. sample[-1] only
+        one, last = sample[0], sample[-1] + 1
+        counts[live[one:last]] += _bulk.count_members(last - one, sample - one, *frame, rdelta)
     return counts * resolution

@@ -116,21 +116,18 @@ def tube_params(tubes: list[HTube]) -> np.ndarray:
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
     """Number of tubes containing each point (exact membership test).
 
-    Cull, then classify: per tube, `_bulk.core_candidates` keeps the points
-    whose frame meets the closed-form bounds every member meets,
+    Cull, then classify: `_bulk.core_candidates` keeps the (tube, point)
+    cells whose frame meets the closed-form bounds every member meets,
     |beta| <= 1/2 + delta, |gamma| <= delta and |w| <= (sqrt(2)/4)*delta^2
     (derived in `_bulk.core_cull_bounds`), with their frame rows; then one
-    `_bulk.count_members` call runs the exact kernel on the frames of all
-    tubes' candidates.  The kernel is elementwise, so the counts are those
-    of the kernel run on every (point, tube) pair.
+    `_bulk.count_members` call runs the exact kernel on those frames.  The
+    kernel is elementwise, so the counts are those of the kernel run on
+    every (point, tube) pair.
     """
     pts = _bulk.finite_points(pts)
-    cols = np.ascontiguousarray(pts.T)
     params = tube_params(tubes)
-    found = [_bulk.core_candidates(cols, p[:3], *p[3:]) for p in params.T.tolist()]
-    delta = np.repeat(params[5], [len(f[0]) for f in found])
-    rows, beta, gamma, w = map(np.concatenate, zip(_bulk.NO_CANDIDATES, *found))
-    return _bulk.count_members(len(pts), rows, beta, gamma, w, delta)
+    tube, rows, beta, gamma, w = _bulk.core_candidates(np.ascontiguousarray(pts.T), params)
+    return _bulk.count_members(len(pts), rows, beta, gamma, w, params[5].take(tube))
 
 
 def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from heislab.families import (
 )
 from heislab.heis import HDirection, HPoint
 from heislab.integrals import _default_tube_region
-from heislab.tubes import HTube, tube_contains_batch, tube_multiplicity
+from heislab.tubes import HTube, tube_contains_batch, tube_multiplicity, tube_params
 
 EPS = 2.0 ** -40
 
@@ -84,11 +84,16 @@ def random_tubes(rng, n):
     return tubes
 
 
+def candidates(tubes, pts):
+    """`_bulk.core_candidates` on the table of `tubes` and the rows of pts."""
+    return _bulk.core_candidates(np.ascontiguousarray(pts.T), tube_params(tubes))
+
+
 def assert_cull_keeps_every_member(tubes, pts):
-    cols = np.ascontiguousarray(pts.T)
     for t in tubes:
         kept = np.zeros(len(pts), bool)
-        rows, *frame = _bulk.core_candidates(cols, t.center.as_tuple(), t.dir.a, t.dir.b, t.delta)
+        tube, rows, *frame = candidates([t], pts)
+        assert not tube.any()
         kept[rows] = True
         # the cull hands over each kept point's frame rows
         assert all(np.array_equal(f, r[rows]) for f, r in zip(frame, cull_coordinates(t, pts)))
@@ -98,15 +103,54 @@ def assert_cull_keeps_every_member(tubes, pts):
     assert np.array_equal(tube_multiplicity(tubes, pts), oracle_multiplicity(tubes, pts))
 
 
-def test_random_far_tubes_match_the_oracle():
-    rng = np.random.default_rng(9)
-    tubes = random_tubes(rng, 24)
+def sorted_cells(cells):
+    """The (tube, point, beta, gamma, w) rows of a cull, in (tube, point) order."""
+    order = np.lexsort(cells[1::-1])
+    return [c.take(order) for c in cells]
+
+
+def far_tubes_and_points(rng, n_tubes, n_box):
+    """Random tubes with far centers, points on their delta-shells and points
+    in a box around each center."""
+    tubes = random_tubes(rng, n_tubes)
     near = np.concatenate([shell_points(t, rng, n_s=12) for t in tubes])
     box = np.concatenate([
-        _bulk.mul(np.array(t.center.as_tuple()), rng.uniform(-1.0, 1.0, (400, 3)) * [0.6, 0.6, 0.05])
+        _bulk.mul(np.array(t.center.as_tuple()), rng.uniform(-1.0, 1.0, (n_box, 3)) * [0.6, 0.6, 0.05])
         for t in tubes
     ])
-    pts = np.concatenate([near, box])
+    return tubes, near, np.concatenate([near, box])
+
+
+def test_family_cull_is_the_union_of_one_tube_culls():
+    # many blocks of 8192 // 24 points, each framing all tubes at once
+    rng = np.random.default_rng(5)
+    tubes, _, pts = far_tubes_and_points(rng, 24, 200)
+    whole = sorted_cells(candidates(tubes, pts))
+    ones = [candidates([t], pts) for t in tubes]
+    union = sorted_cells([np.concatenate(c) for c in zip(
+        *((np.full_like(rows, i), rows, *frame) for i, (_, rows, *frame) in enumerate(ones))
+    )])
+    assert len(whole[0]) > 1000
+    assert [c.dtype for c in whole] == [c.dtype for c in union]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, union))
+
+
+@pytest.mark.parametrize("n_tubes", [1, 7, 24, _bulk.CULL_CHUNK])
+def test_cull_blocks_hold_at_most_a_chunk_of_cells(monkeypatch, n_tubes):
+    rng = np.random.default_rng(n_tubes)
+    tubes = random_tubes(rng, n_tubes)
+    pts = rng.uniform(-50.0, 50.0, (3 * _bulk.CULL_CHUNK // n_tubes + 5, 3))
+    blocks = []
+    frame = _bulk.tube_frame
+    monkeypatch.setattr(_bulk, "tube_frame", lambda *a: blocks.append(frame(*a)[2].size) or frame(*a))
+    candidates(tubes, pts)
+    assert len(blocks) >= 4 and max(blocks) <= _bulk.CULL_CHUNK
+    assert sum(blocks) == n_tubes * len(pts)
+
+
+def test_random_far_tubes_match_the_oracle():
+    rng = np.random.default_rng(9)
+    tubes, near, pts = far_tubes_and_points(rng, 24, 400)
     assert_cull_keeps_every_member(tubes, pts)
     # the shells hold members
     assert tube_multiplicity(tubes, near).sum() > len(near) // 4

@@ -242,10 +242,27 @@ def test_fiber_length_array_form_equals_per_sample_reference(monkeypatch):
                      for t, p in zip(tubes, w.tolist())])
     assert got.tobytes() == want.tobytes()
     assert (want == 0.0).sum() == 5
-    # several blocks, among them one sample longer than a block
-    assert len(calls) > 2 and max(calls) > FIBER_BLOCK
+    # several blocks, none longer than a block, though one sample is
+    assert len(calls) > 2 and max(calls) <= FIBER_BLOCK
     one_row = [fiber_length(t, PlanePoint(*p), res) for t, p in zip(tubes, w.tolist())]
     assert one_row == want.tolist()
+
+
+def test_a_long_flat_fiber_keeps_every_kernel_call_within_a_block(monkeypatch):
+    # a + b = 0: the bounding-box window holds about 923,000 grid rows, which
+    # one kernel call would take at some 170 MB of temporaries
+    delta = 2.0 ** -6
+    res = delta / 20000
+    tube = HTube(HPoint(0.0, 0.0, 0.0), HDirection(math.sqrt(0.5), -math.sqrt(0.5)), delta)
+    w = PlanePoint(*project_W_batch(tube_points_sample(tube, 1, seed=3))[0])
+    want = sampling_reference.fiber_length(tube, w, res)
+    calls = []
+    kernel = _bulk.core_distance_elementwise
+    monkeypatch.setattr(_bulk, "core_distance_elementwise",
+                        lambda *f: calls.append(len(f[0])) or kernel(*f))
+    got = fiber_length(tube, w, res)
+    assert sum(calls) > 900_000 and max(calls) <= FIBER_BLOCK
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() and got > 0.0
 
 
 @pytest.mark.parametrize("theta, height", [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
