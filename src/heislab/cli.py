@@ -243,17 +243,28 @@ def _fmt(v) -> str:
 # shared generators for randomized experiments
 
 
-def _random_direction(rng, min_axis_sum=0.5) -> HDirection:
-    while True:
-        e = HDirection.from_angle(rng.uniform(-math.pi, math.pi))
-        if abs(e.a + e.b) >= min_axis_sum:
-            return e
+def _random_tubes(rng, delta, n, min_axis_sum) -> list[HTube]:
+    """n random tubes of radius delta with |a + b| >= min_axis_sum.
 
-
-def _random_tube(rng, delta, min_axis_sum=0.5) -> HTube:
-    e = _random_direction(rng, min_axis_sum)
-    g = rng.normal(scale=0.15, size=3)
-    return HTube(HPoint(g[0], g[1], 0.25 * g[2]), e, delta)
+    The angles come first, in rejection rounds of
+    rng.uniform(-pi, pi, max(2 * wanted, 64)), keeping (cos, sin) rows with
+    |a + b| >= min_axis_sum; then the centers, as one
+    rng.normal(scale=0.15, size=(3, n)) block with t scaled by 1/4.  A
+    negative or non-integer n, or min_axis_sum outside (0, sqrt(2)), raises
+    ValueError before any draw."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0 and 0.0 < min_axis_sum < math.sqrt(2)):
+        raise ValueError(f"want integer n >= 0 and min_axis_sum in (0, sqrt(2)), "
+                         f"got n={n}, min_axis_sum={min_axis_sum}")
+    a, b = np.empty(0), np.empty(0)
+    while len(a) < n:
+        theta = rng.uniform(-math.pi, math.pi, max(2 * (n - len(a)), 64))
+        ca, cb = np.cos(theta), np.sin(theta)
+        keep = np.abs(ca + cb) >= min_axis_sum
+        a, b = np.concatenate([a, ca[keep]]), np.concatenate([b, cb[keep]])
+    g = rng.normal(scale=0.15, size=(3, n))
+    g[2] *= 0.25
+    return [HTube(HPoint(x, y, t), HDirection(da, db), delta)
+            for x, y, t, da, db in zip(*g.tolist(), a[:n].tolist(), b[:n].tolist())]
 
 
 def _near_contact_pairs(rng, delta, n):
@@ -462,17 +473,18 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
         raise OptionError(f"projection-containment needs --delta-exps <= "
                           f"{_bulk.PRECISE_DELTA_EXP}, got {_ladder_text(delta_exps)}")
     deltas = [2.0 ** -k for k in delta_exps]
-    # one tube stream per rung, drawn tube by tube in the rung's order
-    rngs = [np.random.default_rng([seed, k]) for k in delta_exps]
+    # each rung draws its tubes from its own stream
+    tubes = [_random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5)
+             for k, d in zip(delta_exps, deltas)]
     worst = [0.0] * len(deltas)
     for i in range(n_tubes):
         # the first samples % n_tubes tubes take one point more
         n_i = samples // n_tubes + (i < samples % n_tubes)
-        # tube i of every rung samples the same stream: draw B(0, 1) once and
-        # dilate it onto each rung's B(0, delta), exactly for dyadic delta
-        s, z = tube_draws(1.0, n_i, seed + i)
-        for j, (d, rng) in enumerate(zip(deltas, rngs)):
-            ratio = projection_containment_ratio(_random_tube(rng, d), s, _bulk.dilate(d, z))
+        # tube i of every rung samples the stream [seed, i, 17]: draw B(0, 1)
+        # once and dilate it onto each rung's B(0, delta), exactly for dyadic delta
+        s, z = tube_draws(1.0, n_i, (seed, i))
+        for j, d in enumerate(deltas):
+            ratio = projection_containment_ratio(tubes[j][i], s, _bulk.dilate(d, z))
             worst[j] = max(worst[j], ratio)
     maxima = list(zip(deltas, worst))
     rows = [list(m) for m in maxima]
@@ -492,12 +504,13 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
     worst_all = 0.0
     for k in delta_exps:
         d = 2.0 ** -k
-        rng = np.random.default_rng([seed, k])
-        # draw the tubes in order, each point from its own stream, then project all
-        tubes = [_random_tube(rng, d, min_axis_sum=1 / math.sqrt(2)) for _ in range(samples)]
-        s, z = zip(*(tube_draws(d, 1, seed * 1000 + i) for i in range(samples)))
+        # one stream per rung: the tubes, then every sample's s, then its z
+        rng = np.random.default_rng([seed, k, 17])
+        tubes = _random_tubes(rng, d, samples, 1 / math.sqrt(2))
+        s = rng.random(samples) - 0.5
+        z = _bulk.sample_gauge_ball(rng, d, samples)
         c = tube_params(tubes)
-        pts = _bulk.tube_points(c[:3], c[3], c[4], np.concatenate(s), np.concatenate(z, axis=1))
+        pts = _bulk.tube_points(c[:3], c[3], c[4], s, z)
         worst, total = 0.0, 0.0
         # summed in order, not pairwise, so the mean keeps its bytes
         for length in fiber_length(tubes, project_W_batch(pts.T), d / 100).tolist():

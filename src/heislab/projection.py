@@ -104,13 +104,14 @@ def tube_to_curve(tube: HTube) -> ProjectedCurve:
     )
 
 
-def tube_draws(delta: float, n: int, seed: int = 0):
-    """`tube_points_sample`'s draws from default_rng([seed, 17]): s, then z."""
-    rng = np.random.default_rng([seed, 17])
+def tube_draws(delta: float, n: int, seed: int | tuple[int, ...] = 0):
+    """`tube_points_sample`'s draws from default_rng([seed, 17]), or from
+    default_rng([*seed, 17]) for a tuple of seeds: s, then z."""
+    rng = np.random.default_rng([*(seed if isinstance(seed, tuple) else (seed,)), 17])
     return rng.random(n) - 0.5, _bulk.sample_gauge_ball(rng, delta, n)
 
 
-def tube_points_sample(tube: HTube, n: int, seed: int = 0) -> np.ndarray:
+def tube_points_sample(tube: HTube, n: int, seed: int | tuple[int, ...] = 0) -> np.ndarray:
     """n points of the tube: core(s) * z with s uniform, z uniform in the ball,
     as an (n, 3) view of three contiguous rows x, y, t."""
     s, z = tube_draws(tube.delta, n, seed)
@@ -156,10 +157,10 @@ def fiber_length(tube, w, resolution: float):
     widened by delta / |a + b|, or, when |a + b| < 0.1, the tube's bounding
     box (an empty box window counts 0).  The samples' grid rows, laid end
     to end, go to `_bulk.count_members` in blocks of `FIBER_BLOCK` rows,
-    each row finding its sample by one `searchsorted`, so the temporaries
-    stay small whatever n and however long a sample is.  A non-finite plane
-    point or resolution, a resolution <= 0, or a count of points other than
-    one per tube raises ValueError.
+    each sample's entries repeated over its rows in the block, so the
+    temporaries stay small whatever n and however long a sample is.  A
+    non-finite plane point or resolution, a resolution <= 0, or a count of
+    points other than one per tube raises ValueError.
     """
     if isinstance(tube, HTube):
         return float(_fiber_lengths([tube], np.array([[w.theta, w.height]]), resolution)[0])
@@ -202,13 +203,15 @@ def _fiber_lengths(tubes: list[HTube], w, resolution: float) -> np.ndarray:
     table = [r.take(live) for r in (*params, *w.T, lo)]
     counts = np.zeros(len(w), dtype=np.int64)
     for first in range(0, int(n.sum()), FIBER_BLOCK):
-        row = np.arange(first, min(first + FIBER_BLOCK, ends[-1]))
-        sample = np.searchsorted(ends, row, side="right")
-        # one gather per row: one (9, rows) gather measured a higher peak RSS
-        c0, c1, c2, ra, rb, rdelta, x, h, rlo = (r.take(sample) for r in table)
-        s = rlo + (row - starts.take(sample)) * resolution
+        stop = min(first + FIBER_BLOCK, ends[-1])
+        # the block holds the rows of the samples one .. last - 1 only
+        one = int(np.searchsorted(ends, first, side="right"))
+        last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        rows = np.minimum(ends[one:last], stop) - np.maximum(starts[one:last], first)
+        sample = np.repeat(np.arange(last - one), rows)
+        # one repeat per table row: one (9, rows) gather measured a higher peak RSS
+        c0, c1, c2, ra, rb, rdelta, x, h, rlo = (np.repeat(r[one:last], rows) for r in table)
+        s = rlo + (np.arange(first, stop) - np.repeat(starts[one:last], rows)) * resolution
         frame = _bulk.tube_frame(x + s, x - s, h - x * s, (c0, c1, c2), ra, rb)
-        # the block holds the samples sample[0] .. sample[-1] only
-        one, last = sample[0], sample[-1] + 1
-        counts[live[one:last]] += _bulk.count_members(last - one, sample - one, *frame, rdelta)
+        counts[live[one:last]] += _bulk.count_members(last - one, sample, *frame, rdelta)
     return counts * resolution

@@ -4,10 +4,10 @@
 and `projection.projection_containment_ratio` work on three contiguous rows
 x, y, t.  These are the (n, 3) bodies they replaced: the same generator draws
 and the same elementwise operations on (n, 3) arrays, with boolean row
-gathers.  `fiber_rows` and `projection_rows` are the experiments' former
-loops, which drew every tube's points afresh at its delta, and
-`fiber_length` the former one-sample fiber count, one kernel call per
-sample.  The tests pin the row path to them bit for bit.
+gathers.  `fiber_rows` and `projection_rows` are the experiments' loops
+one sample or one tube at a time, drawing every tube's points afresh at its
+delta, and `fiber_length` the former one-sample fiber count, one kernel
+call per sample.  The tests pin the row path to them bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ def core_points(center, dir_a: float, dir_b: float, s) -> np.ndarray:
     return _bulk.mul(carr, se)
 
 
-def tube_points_sample(tube, n: int, seed: int = 0) -> np.ndarray:
-    """n points of the tube: core(s) * z with s uniform, z uniform in the ball."""
-    rng = np.random.default_rng([seed, 17])
+def tube_points_sample(tube, n: int, seed=0) -> np.ndarray:
+    """n points of the tube: core(s) * z with s uniform, z uniform in the ball,
+    drawn from default_rng([seed, 17]), or from default_rng([*seed, 17]) for
+    a tuple of seeds."""
+    rng = np.random.default_rng([*(seed if isinstance(seed, tuple) else (seed,)), 17])
     s = rng.random(n) - 0.5
     z = sample_gauge_ball(rng, tube.delta, n)
     cores = core_points(tube.center, tube.dir.a, tube.dir.b, s)
@@ -75,34 +77,38 @@ def projection_containment_ratio(tube, samples: int, seed: int = 0) -> float:
     return float(np.max(np.abs(proj[:, 1] - graph))) / (tube.delta ** 2)
 
 
-def projection_rows(delta_exps, samples: int, seed: int, random_tube, n_tubes=20) -> list:
-    """`projection-containment`'s rows by its former rung-by-rung loop: each
-    tube draws its own points at its delta."""
+def projection_rows(delta_exps, samples: int, seed: int, random_tubes, n_tubes=20) -> list:
+    """`projection-containment`'s rows rung by rung: each rung's tubes come
+    from default_rng([seed, k]), and tube i draws its own points at its delta
+    from the stream [seed, i, 17]."""
     rows = []
     for k in delta_exps:
         d = 2.0 ** -k
-        rng = np.random.default_rng([seed, k])
+        tubes = random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5)
         worst = 0.0
-        for i in range(n_tubes):
-            tube = random_tube(rng, d)
+        for i, tube in enumerate(tubes):
             n_i = samples // n_tubes + (i < samples % n_tubes)
-            worst = max(worst, projection_containment_ratio(tube, n_i, seed=seed + i))
+            worst = max(worst, projection_containment_ratio(tube, n_i, seed=(seed, i)))
         rows.append([d, worst])
     return rows
 
 
-def fiber_rows(delta_exps, samples: int, seed: int, random_tube) -> list:
-    """`fiber-length`'s rows by its former per-sample loop: draw a tube, then
-    its one point, project it and measure the fiber through it."""
+def fiber_rows(delta_exps, samples: int, seed: int, random_tubes) -> list:
+    """`fiber-length`'s rows sample by sample: the rung's stream
+    default_rng([seed, k, 17]) gives the tubes, then every s, then every z;
+    each sample's point is formed and projected on its own, and its fiber
+    measured by its own kernel call."""
     rows = []
     for k in delta_exps:
         d = 2.0 ** -k
-        rng = np.random.default_rng([seed, k])
+        rng = np.random.default_rng([seed, k, 17])
+        tubes = random_tubes(rng, d, samples, 1 / math.sqrt(2))
+        s = rng.random(samples) - 0.5
+        z = sample_gauge_ball(rng, d, samples)
         worst, total = 0.0, 0.0
-        for i in range(samples):
-            tube = random_tube(rng, d, min_axis_sum=1 / math.sqrt(2))
-            q = tube_points_sample(tube, 1, seed=seed * 1000 + i)[0]
-            w = project_W_batch(q.reshape(1, 3))[0]
+        for i, tube in enumerate(tubes):
+            q = _bulk.mul(core_points(tube.center, tube.dir.a, tube.dir.b, s[i : i + 1]), z[i])
+            w = project_W_batch(q)[0]
             length = fiber_length(tube, PlanePoint(w[0], w[1]), d / 100)
             worst = max(worst, length / d)
             total += length / d

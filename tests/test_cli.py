@@ -640,7 +640,7 @@ def test_projection_containment_rejects_rungs_past_exact_dilation(
 
     drawn = []
     monkeypatch.setattr(cli, "tube_draws", lambda *a: drawn.append(a))
-    monkeypatch.setattr(cli, "_random_tube", lambda *a: drawn.append(a))
+    monkeypatch.setattr(cli, "_random_tubes", lambda *a: drawn.append(a))
     out = tmp_path / "p.csv"
     args = ["run", "projection-containment", "--delta-exps", exps, "--samples", "20",
             "--out", str(out)]
@@ -704,7 +704,7 @@ def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
 
 
 def test_projection_containment_draws_once_per_tube_index(monkeypatch):
-    # tube i of every rung reads stream seed + i: its unit draws serve all rungs
+    # tube i of every rung reads stream [seed, i, 17]: its unit draws serve all rungs
     from heislab import cli
 
     draws, calls = [], []
@@ -714,7 +714,7 @@ def test_projection_containment_draws_once_per_tube_index(monkeypatch):
     monkeypatch.setattr(cli, "projection_containment_ratio",
                         lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
     EXPERIMENTS["projection-containment"](delta_exps=range(4, 9), samples=400, seed=3)
-    assert draws == [(1.0, 20, 3 + i) for i in range(20)]
+    assert draws == [(1.0, 20, (3, i)) for i in range(20)]
     assert calls == [20] * 100
 
 

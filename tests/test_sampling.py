@@ -65,11 +65,11 @@ def test_sample_gauge_ball_rejects_bad_input_before_drawing(delta, n):
 
 
 def experiment_tubes(seed, delta_exps=range(4, 9), n_tubes=20):
-    """The tubes of `projection-containment`, with each one's sample seed."""
+    """The tubes of `projection-containment`, with each one's sample seeds."""
     out = []
     for k in delta_exps:
-        rng = np.random.default_rng([seed, k])
-        out += [(cli._random_tube(rng, 2.0 ** -k), seed + i) for i in range(n_tubes)]
+        tubes = cli._random_tubes(np.random.default_rng([seed, k]), 2.0 ** -k, n_tubes, 0.5)
+        out += [(tube, (seed, i)) for i, tube in enumerate(tubes)]
     return out
 
 
@@ -104,13 +104,55 @@ def test_bounding_box_equals_reference_core_ends():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_experiment_equals_per_sample_reference(seed):
     got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=60, seed=seed).rows
-    assert got == ref.fiber_rows([5, 6], 60, seed, cli._random_tube)
+    assert got == ref.fiber_rows([5, 6], 60, seed, cli._random_tubes)
 
 
-def test_fiber_experiment_equals_per_sample_reference_past_the_stream_key():
-    # samples 1000-1199 of seed 0 read the point streams seed * 1000 + i of seed 1
-    got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=1200, seed=0).rows
-    assert got == ref.fiber_rows([5, 6], 1200, 0, cli._random_tube)
+def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
+    """Every tube an experiment measures and every gauge-ball offset it
+    draws, as sets of rows."""
+    tubes, offsets = set(), set()
+    sample, ratio, fiber = (_bulk.sample_gauge_ball, cli.projection_containment_ratio,
+                            cli.fiber_length)
+
+    def draw(rng, delta, n):
+        z = sample(rng, delta, n)
+        offsets.update(map(tuple, z.T.tolist()))
+        return z
+
+    def seen(*measured):
+        tubes.update((*t.center.as_tuple(), t.dir.a, t.dir.b) for t in measured)
+
+    def fibers(measured, w, res):
+        seen(*measured)
+        return fiber(measured, w, res)
+
+    monkeypatch.setattr(_bulk, "sample_gauge_ball", draw)
+    monkeypatch.setattr(cli, "projection_containment_ratio",
+                        lambda tube, s, z: seen(tube) or ratio(tube, s, z))
+    monkeypatch.setattr(cli, "fiber_length", fibers)
+    cli.EXPERIMENTS[name](seed=seed, **options)
+    monkeypatch.undo()
+    return tubes, offsets
+
+
+@pytest.mark.parametrize("name, options, n_tubes, n_offsets", [
+    # past 1,000 samples the former keys seed * 1000 + i gave seed s's sample
+    # 1000 + i the stream of seed s + 1's sample i
+    ("fiber-length", dict(delta_exps=[5, 6], samples=1200), 2400, 2400),
+    # the former keys seed + i gave seed s's tube i + 1 the stream of seed
+    # s + 1's tube i, for all but one of the 20 tube indices
+    ("projection-containment", dict(delta_exps=[4, 5], samples=2000), 40, 2000),
+])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_neighbouring_seeds_share_no_tube_and_no_point(
+    monkeypatch, name, options, n_tubes, n_offsets, seed
+):
+    tubes, offsets = drawn_tubes_and_offsets(monkeypatch, name, seed, **options)
+    next_tubes, next_offsets = drawn_tubes_and_offsets(monkeypatch, name, seed + 1, **options)
+    assert len(tubes) == len(next_tubes) == n_tubes
+    assert len(offsets) == len(next_offsets) == n_offsets
+    assert not tubes & next_tubes
+    assert not offsets & next_offsets
 
 
 @pytest.mark.parametrize("k", [1, 8, 100, _bulk.EXACT_DILATION_EXP])
@@ -134,4 +176,45 @@ def test_projection_experiment_equals_per_rung_reference(seed, delta_exps, sampl
     got = cli.EXPERIMENTS["projection-containment"](
         delta_exps=delta_exps, samples=samples, seed=seed
     ).rows
-    assert got == ref.projection_rows(delta_exps, samples, seed, cli._random_tube)
+    assert got == ref.projection_rows(delta_exps, samples, seed, cli._random_tubes)
+
+
+@pytest.mark.parametrize("min_axis_sum", [0.5, 1 / math.sqrt(2), 1.4])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 1000])
+def test_random_tubes_are_unit_and_far_from_the_fiber_line(n, min_axis_sum):
+    tubes = cli._random_tubes(np.random.default_rng([n, 9]), 2.0 ** -6, n, min_axis_sum)
+    assert len(tubes) == n
+    assert all(t.delta == 2.0 ** -6 for t in tubes)
+    a, b = (np.array([getattr(t.dir, c) for t in tubes]) for c in "ab")
+    assert np.all(np.abs(a * a + b * b - 1.0) <= 4e-16)
+    assert np.all(np.abs(a + b) >= min_axis_sum)
+
+
+def test_random_tubes_draw_angles_in_rows_then_centers():
+    # at |a + b| >= 1.4 about 10 % of the angles pass, so the sampler runs
+    # several rounds before it draws the centers
+    rng, probe = np.random.default_rng(4), np.random.default_rng(4)
+    tubes = cli._random_tubes(rng, 0.25, 10, 1.4)
+    dirs, rounds = [], 0
+    while len(dirs) < 10:
+        theta = probe.uniform(-math.pi, math.pi, max(2 * (10 - len(dirs)), 64))
+        dirs += [(a, b) for a, b in zip(np.cos(theta).tolist(), np.sin(theta).tolist())
+                 if abs(a + b) >= 1.4]
+        rounds += 1
+    g = probe.normal(scale=0.15, size=(3, 10)).tolist()
+    assert rounds > 1
+    assert [(t.dir.a, t.dir.b) for t in tubes] == dirs[:10]
+    assert [t.center.as_tuple() for t in tubes] == [(x, y, 0.25 * t) for x, y, t in zip(*g)]
+    assert rng.bit_generator.state == probe.bit_generator.state
+
+
+@pytest.mark.parametrize("n, min_axis_sum", [
+    (-1, 0.5), (2.5, 0.5), ("3", 0.5),
+    (3, 0.0), (3, -0.5), (3, math.sqrt(2)), (3, 1.5), (3, math.nan),
+])
+def test_random_tubes_reject_bad_input_before_drawing(n, min_axis_sum):
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        cli._random_tubes(rng, 0.25, n, min_axis_sum)
+    assert rng.bit_generator.state == before
