@@ -37,7 +37,6 @@ from .families import (
     parabolic_net_spec,
     tube_cores,
 )
-from .heis import HDirection, HPoint
 from .incidence import quad_broadness, richness_of, wolff_bound_check
 from .integrals import (
     SampleSpec,
@@ -62,7 +61,7 @@ from .quadratics import (
     near_intersection_intervals,
     tau,
 )
-from .tubes import HTube, line_broadness, tube_params
+from .tubes import line_broadness, tube_params, tubes_from_params
 
 EXPERIMENTS = {}
 
@@ -243,8 +242,9 @@ def _fmt(v) -> str:
 # shared generators for randomized experiments
 
 
-def _random_tubes(rng, delta, n, min_axis_sum) -> list[HTube]:
-    """n random tubes of radius delta with |a + b| >= min_axis_sum.
+def _random_tubes(rng, delta, n, min_axis_sum) -> np.ndarray:
+    """n random tubes of radius delta with |a + b| >= min_axis_sum, as the
+    (6, n) table of `tube_params`.
 
     The angles come first, in rejection rounds of
     rng.uniform(-pi, pi, max(2 * wanted, 64)), keeping (cos, sin) rows with
@@ -263,8 +263,7 @@ def _random_tubes(rng, delta, n, min_axis_sum) -> list[HTube]:
         a, b = np.concatenate([a, ca[keep]]), np.concatenate([b, cb[keep]])
     g = rng.normal(scale=0.15, size=(3, n))
     g[2] *= 0.25
-    return [HTube(HPoint(x, y, t), HDirection(da, db), delta)
-            for x, y, t, da, db in zip(*g.tolist(), a[:n].tolist(), b[:n].tolist())]
+    return np.vstack([g, a[:n], b[:n], np.full(n, delta)])
 
 
 def _near_contact_pairs(rng, delta, n):
@@ -474,7 +473,7 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
                           f"{_bulk.PRECISE_DELTA_EXP}, got {_ladder_text(delta_exps)}")
     deltas = [2.0 ** -k for k in delta_exps]
     # each rung draws its tubes from its own stream
-    tubes = [_random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5)
+    tubes = [tubes_from_params(_random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5))
              for k, d in zip(delta_exps, deltas)]
     worst = [0.0] * len(deltas)
     for i in range(n_tubes):
@@ -486,16 +485,13 @@ def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> Experim
         for j, d in enumerate(deltas):
             ratio = projection_containment_ratio(tubes[j][i], s, _bulk.dilate(d, z))
             worst[j] = max(worst[j], ratio)
-    maxima = list(zip(deltas, worst))
-    rows = [list(m) for m in maxima]
-    worst_all = max(worst)
-    extras = {}
+    maxima, worst_all, extras = list(zip(deltas, worst)), max(worst), {}
     checks = [
         ("max vertical distance / delta^2 <= 8", worst_all <= 8.0, f"max {worst_all:.3f}"),
         _slope_check("no growth trend (|slope| <= 0.15)", maxima,
                      lambda s: abs(s) <= 0.15, extras, "ratio_slope"),
     ]
-    return ExperimentResult(["delta", "max_ratio"], rows, checks, extras)
+    return ExperimentResult(["delta", "max_ratio"], [list(m) for m in maxima], checks, extras)
 
 
 @experiment("fiber-length")
@@ -509,8 +505,7 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
         tubes = _random_tubes(rng, d, samples, 1 / math.sqrt(2))
         s = rng.random(samples) - 0.5
         z = _bulk.sample_gauge_ball(rng, d, samples)
-        c = tube_params(tubes)
-        pts = _bulk.tube_points(c[:3], c[3], c[4], s, z)
+        pts = _bulk.tube_points(tubes[:3], tubes[3], tubes[4], s, z)
         worst, total = 0.0, 0.0
         # summed in order, not pairwise, so the mean keeps its bytes
         for length in fiber_length(tubes, project_W_batch(pts.T), d / 100).tolist():
@@ -519,9 +514,7 @@ def _exp_fiber(*, delta_exps=range(6, 7), samples=1000, seed) -> ExperimentResul
         worst_all = max(worst_all, worst)
         rows.append([d, samples, worst, total / samples])
     checks = [("max fiber length / delta <= 8", worst_all <= 8.0, f"max {worst_all:.3f}")]
-    return ExperimentResult(
-        ["delta", "n_pairs", "max_ratio", "mean_ratio"], rows, checks, {}
-    )
+    return ExperimentResult(["delta", "n_pairs", "max_ratio", "mean_ratio"], rows, checks, {})
 
 
 @experiment("lemma-rect-structure")
@@ -679,27 +672,27 @@ def dump_family(generator: str, cfg: dict, out: str) -> list[str]:
 
 
 def load_family(path: str):
-    """Round-trip loader for the dump format; the header names the object type."""
+    """Round-trip loader for the dump format; the header names the object
+    type.  A row whose field count differs from the header's raises
+    ValueError naming the path and the line."""
     from .quadratics import CurviRect, Interval
 
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() or [""]
     header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        if header == TUBE_COLUMNS:
-            out.append(
-                HTube(HPoint(vals[0], vals[1], vals[2]), HDirection(vals[3], vals[4]), vals[5])
-            )
-        elif header == QUAD_COLUMNS:
-            out.append(Quadratic(*vals))
-        elif header == RECT_COLUMNS:
-            out.append(
-                CurviRect(Quadratic(vals[0], vals[1], vals[2]), Interval(vals[3], vals[4]), vals[5])
-            )
-        else:
-            raise ValueError(f"{path}: unknown schema {header}")
-    return out
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        rows.append([float(v) for v in line.split(",")])
+        if len(rows[-1]) != len(header):
+            raise ValueError(f"{path}, line {number}: {len(rows[-1])} fields, "
+                             f"the header has {len(header)}")
+    if header == TUBE_COLUMNS:
+        return tubes_from_params(np.array(rows).reshape(-1, 6).T)
+    if header == QUAD_COLUMNS:
+        return [Quadratic(*vals) for vals in rows]
+    if header == RECT_COLUMNS:
+        return [CurviRect(Quadratic(*vals[:3]), Interval(vals[3], vals[4]), vals[5])
+                for vals in rows]
+    raise ValueError(f"{path}: unknown schema {header}")
 
 
 def _write_csv(path: Path, columns, rows):

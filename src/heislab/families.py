@@ -332,8 +332,17 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     return _bulk.count_members(len(pts), *found, d)
 
 
+# the most tubes `net_tubes` builds for both families, some 260 bytes each;
+# delta = 2^-5 makes 670,804 and 2^-6 5,407,020
+NET_TUBES_CAP = 10 ** 6
+
+
 def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:
-    """Materialize both families as explicit tube lists (large at small delta)."""
+    """Materialize both families as explicit tube lists; past `NET_TUBES_CAP`
+    tubes in all, raise ValueError before building any."""
+    if (size := 2 * net_family_size(spec)) > NET_TUBES_CAP:
+        raise ValueError(f"parabolic net at delta = {spec.delta} has {size} tubes, "
+                         f"more than the {NET_TUBES_CAP} that net_tubes builds")
     t1: list[HTube] = []
     t2: list[HTube] = []
     ny, nt = spec.y_half_count, spec.t_half_count
@@ -349,7 +358,7 @@ def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:
 
 def build_parabolic_net(delta: float) -> tuple[list[HTube], list[HTube]]:
     """Two transversal tube families of about delta^-3 tubes each, covering
-    the unit gauge ball with bounded overlap.  At small delta the lists are
-    large; the experiment harness works from `parabolic_net_spec` instead.
+    the unit gauge ball with bounded overlap, built up to delta = 2^-5
+    (`NET_TUBES_CAP`); the experiment harness works from `parabolic_net_spec`.
     """
     return net_tubes(parabolic_net_spec(delta))

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _bulk
 from .quadratics import Quadratic, coeff_array
-from .tubes import HTube, MCEstimate, _intersect_boxes, tube_bounding_box
-from .tubes import tube_multiplicity, tube_params
+from .tubes import HTube, MCEstimate, tube_bounding_box, tube_multiplicity, tube_params
 
 __all__ = [
     "SampleSpec",
@@ -124,18 +123,13 @@ def rhs_bilinear(
 # tube integrals
 
 
-def _family_box(tubes: list[HTube]) -> np.ndarray:
-    boxes = np.stack([tube_bounding_box(t) for t in tubes])
-    out = np.empty((3, 2))
-    out[:, 0] = boxes[:, :, 0].min(axis=0)
-    out[:, 1] = boxes[:, :, 1].max(axis=0)
-    return out
-
-
 def _default_tube_region(t1: list[HTube], t2: list[HTube]) -> np.ndarray | None:
     """Intersection of the two families' bounding boxes: the support of the
-    multiplicity product, wherever the families sit."""
-    return _intersect_boxes(_family_box(t1), _family_box(t2))
+    multiplicity product, wherever the families sit (None if empty)."""
+    boxes, k = tube_bounding_box(tube_params(t1 + t2)), len(t1)
+    lo = np.maximum(boxes[:k, :, 0].min(axis=0), boxes[k:, :, 0].min(axis=0))
+    hi = np.minimum(boxes[:k, :, 1].max(axis=0), boxes[k:, :, 1].max(axis=0))
+    return None if np.any(lo >= hi) else np.stack([lo, hi], axis=1)
 
 
 def _as_counts(m) -> np.ndarray:

@@ -148,37 +148,46 @@ def fiber_length(tube, w, resolution: float):
     raw count * resolution is reported (quasi-isometry constant folded into
     downstream thresholds).
 
-    Array form: a list of n `HTube`s and an (n, 2) array of plane points
-    (theta, height), as `project_W_batch` returns them, give the array of the
-    n lengths, each with the bits of its one-row call `fiber_length(tube,
-    PlanePoint, resolution)`, which is the same code.  Each sample's grid
-    s = lo + k * resolution, k < floor((hi - lo) / resolution) + 1, covers
-    the crossing of the fiber's shadow (X + s, X - s) with the core line
-    widened by delta / |a + b|, or, when |a + b| < 0.1, the tube's bounding
-    box (an empty box window counts 0).  The samples' grid rows, laid end
-    to end, go to `_bulk.count_members` in blocks of `FIBER_BLOCK` rows,
-    each sample's entries repeated over its rows in the block, so the
-    temporaries stay small whatever n and however long a sample is.  A
-    non-finite plane point or resolution, a resolution <= 0, or a count of
-    points other than one per tube raises ValueError.
+    Array form: a (6, n) `tubes.tube_params` table and an (n, 2) array of
+    plane points (theta, height), as `project_W_batch` returns them, give the
+    n lengths; the one-tube call is this code on `tube_params([tube])`.  Each
+    sample's grid s = lo + k * resolution, k < floor((hi - lo) / resolution)
+    + 1, covers the crossing of the fiber's shadow (X + s, X - s) with the
+    core line widened by delta / |a + b|, or, when |a + b| < 0.1, the tube's
+    bounding box (an empty box window counts 0).  The samples' grid rows,
+    laid end to end, go to `_bulk.count_members` in blocks of `FIBER_BLOCK`
+    rows, so the temporaries stay small whatever n and however long a
+    sample is.  A table of another shape, with a non-finite entry, a
+    direction with |a^2 + b^2 - 1| > 1e-12 or a delta outside (0, 1) (as
+    `HTube` checks), a non-finite plane point or resolution, a resolution
+    <= 0, or a count of points other than one per tube raises ValueError
+    before any arithmetic.
     """
     if isinstance(tube, HTube):
-        return float(_fiber_lengths([tube], np.array([[w.theta, w.height]]), resolution)[0])
+        return float(_fiber_lengths(tube_params([tube]), [[w.theta, w.height]], resolution)[0])
     return _fiber_lengths(tube, w, resolution)
 
 
-def _fiber_lengths(tubes: list[HTube], w, resolution: float) -> np.ndarray:
+def _fiber_lengths(params, w, resolution: float) -> np.ndarray:
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or params.shape[0] != 6:
+        raise ValueError(f"need a (6, n) tube table, got shape {params.shape}")
+    cx, cy, _, a, b, delta = params
+    ok = np.isfinite(params).all(axis=0) & (np.abs(a * a + b * b - 1.0) <= 1e-12)
+    ok &= (0.0 < delta) & (delta < 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"tube {i} {tuple(params[:, i].tolist())} needs finite entries, "
+                         f"a unit direction and delta in (0, 1)")
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != 2 or len(w) != len(tubes):
+    if w.ndim != 2 or w.shape[1] != 2 or len(w) != params.shape[1]:
         raise ValueError(f"need one plane point (theta, height) per tube, got "
-                         f"{len(tubes)} tubes and points of shape {w.shape}")
+                         f"{params.shape[1]} tubes and points of shape {w.shape}")
     bad = ~np.isfinite(w).all(axis=1)
     if bad.any():
         raise ValueError(f"plane point {tuple(w[bad][0].tolist())} is not finite")
-    params = tube_params(tubes)
-    cx, cy, _, a, b, delta = params
     X = w[:, 0]
     axis_sum = a + b
     flat = np.flatnonzero(np.abs(axis_sum) < 0.1)
@@ -189,10 +198,9 @@ def _fiber_lengths(tubes: list[HTube], w, resolution: float) -> np.ndarray:
         s_star = cx + u_star * a - X
         halfwidth = delta / np.abs(axis_sum)
         lo, hi = s_star - halfwidth, s_star + halfwidth
-    for i in flat.tolist():
-        box, x = tube_bounding_box(tubes[i]), X[i]
-        lo[i] = max(box[0, 0] - x, x - box[1, 1])
-        hi[i] = min(box[0, 1] - x, x - box[1, 0])
+    box, x = tube_bounding_box(params[:, flat]), X[flat]
+    lo[flat] = np.maximum(box[:, 0, 0] - x, x - box[:, 1, 1])
+    hi[flat] = np.minimum(box[:, 0, 1] - x, x - box[:, 1, 0])
     # an empty window has no rows and counts 0
     live = np.flatnonzero(lo <= hi)
     n = np.floor((hi[live] - lo[live]) / resolution).astype(np.int64) + 1

@@ -28,6 +28,7 @@ __all__ = [
     "tube_contains_batch",
     "tube_multiplicity",
     "tube_params",
+    "tubes_from_params",
     "core_distance",
     "tube_bounding_box",
     "tube_intersection_volume",
@@ -113,6 +114,11 @@ def tube_params(tubes: list[HTube]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 6).T
 
 
+def tubes_from_params(params: np.ndarray) -> list[HTube]:
+    """The tubes of a `tube_params` table, one per column: its inverse."""
+    return [HTube(HPoint(x, y, t), HDirection(a, b), d) for x, y, t, a, b, d in params.T.tolist()]
+
+
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
     """Number of tubes containing each point (exact membership test).
 
@@ -135,30 +141,20 @@ def tube_contains_batch(tube: HTube, pts: np.ndarray) -> np.ndarray:
     return tube_multiplicity([tube], pts) > 0
 
 
-def tube_bounding_box(tube: HTube) -> np.ndarray:
-    """Euclidean box [xlo,xhi]x[ylo,yhi]x[tlo,thi] containing the tube.
+def tube_bounding_box(params: np.ndarray) -> np.ndarray:
+    """Euclidean boxes [xlo,xhi]x[ylo,yhi]x[tlo,thi] containing the K tubes
+    of a `tube_params` table, as a (K, 3, 2) array.
 
     The core is linear in s, so its coordinate extremes sit at the endpoints;
     the gauge delta-ball adds delta horizontally and delta^2/4 plus the twist
     reach (delta/2 times the horizontal core radius) vertically.
     """
-    ends = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
-    d = tube.delta
-    box = np.empty((3, 2))
-    box[0] = ends[0].min() - d, ends[0].max() + d
-    box[1] = ends[1].min() - d, ends[1].max() + d
-    reach = np.hypot(ends[0], ends[1]).max() + d
-    tmargin = 0.25 * d * d + 0.5 * d * reach
-    box[2] = ends[2].min() - tmargin, ends[2].max() + tmargin
-    return box
-
-
-def _intersect_boxes(b1: np.ndarray, b2: np.ndarray) -> np.ndarray | None:
-    lo = np.maximum(b1[:, 0], b2[:, 0])
-    hi = np.minimum(b1[:, 1], b2[:, 1])
-    if np.any(lo >= hi):
-        return None
-    return np.stack([lo, hi], axis=1)
+    x, y, t, a, b, d = params[:, :, None]
+    ends = _bulk.tube_points((x, y, t), a, b, np.array([-0.5, 0.5]))  # (3, K, 2)
+    reach = np.hypot(ends[0], ends[1]).max(axis=1, keepdims=True) + d
+    margin = np.stack([d, d, 0.25 * d * d + 0.5 * d * reach])  # (3, K, 1)
+    # each row's [min - margin, max + margin]; adding -m is subtracting m
+    return (np.sort(ends, axis=2) + margin * np.array([-1.0, 1.0])).transpose(1, 0, 2)
 
 
 def tube_intersection_volume(

@@ -7,7 +7,9 @@ and the same elementwise operations on (n, 3) arrays, with boolean row
 gathers.  `fiber_rows` and `projection_rows` are the experiments' loops
 one sample or one tube at a time, drawing every tube's points afresh at its
 delta, and `fiber_length` the former one-sample fiber count, one kernel
-call per sample.  The tests pin the row path to them bit for bit.
+call per sample, in the window of `bounding_box`, one tube's box.
+`random_tubes` is the experiments' tube sampler as it returned `HTube`s.
+The tests pin the row path to them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 
 from core_distance_reference import frame_distance
 from heislab import _bulk
+from heislab.heis import HDirection, HPoint
 from heislab.projection import PlanePoint, tube_to_curve
-from heislab.tubes import tube_bounding_box
+from heislab.tubes import HTube
 
 
 def sample_gauge_ball(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
@@ -41,6 +44,37 @@ def core_points(center, dir_a: float, dir_b: float, s) -> np.ndarray:
     se = np.stack([s * dir_a, s * dir_b, np.zeros_like(s)], axis=-1)
     carr = np.array(center.as_tuple(), dtype=np.float64)
     return _bulk.mul(carr, se)
+
+
+def random_tubes(rng, delta, n, min_axis_sum) -> list:
+    """n random tubes of radius delta with |a + b| >= min_axis_sum: angles
+    in rejection rounds of rng.uniform(-pi, pi, max(2 * wanted, 64)), then
+    the centers as one rng.normal(scale=0.15, size=(3, n)) block, t scaled by
+    1/4, each row wrapped in its `HTube`."""
+    a, b = np.empty(0), np.empty(0)
+    while len(a) < n:
+        theta = rng.uniform(-math.pi, math.pi, max(2 * (n - len(a)), 64))
+        ca, cb = np.cos(theta), np.sin(theta)
+        keep = np.abs(ca + cb) >= min_axis_sum
+        a, b = np.concatenate([a, ca[keep]]), np.concatenate([b, cb[keep]])
+    g = rng.normal(scale=0.15, size=(3, n))
+    g[2] *= 0.25
+    return [HTube(HPoint(x, y, t), HDirection(da, db), delta)
+            for x, y, t, da, db in zip(*g.tolist(), a[:n].tolist(), b[:n].tolist())]
+
+
+def bounding_box(tube) -> np.ndarray:
+    """One tube's (3, 2) box: its core ends widened by delta horizontally and
+    by delta^2/4 plus delta/2 times the horizontal reach vertically."""
+    ends = core_points(tube.center, tube.dir.a, tube.dir.b, np.array([-0.5, 0.5]))
+    d = tube.delta
+    reach = np.hypot(ends[:, 0], ends[:, 1]).max() + d
+    tmargin = 0.25 * d * d + 0.5 * d * reach
+    return np.array([
+        [ends[:, 0].min() - d, ends[:, 0].max() + d],
+        [ends[:, 1].min() - d, ends[:, 1].max() + d],
+        [ends[:, 2].min() - tmargin, ends[:, 2].max() + tmargin],
+    ])
 
 
 def tube_points_sample(tube, n: int, seed=0) -> np.ndarray:
@@ -133,7 +167,7 @@ def fiber_length(tube, w: PlanePoint, resolution: float) -> float:
         lo, hi = s_star - halfwidth, s_star + halfwidth
     else:
         # near-degenerate direction: fall back to the bounding-box window
-        box = tube_bounding_box(tube)
+        box = bounding_box(tube)
         lo = max(box[0, 0] - X, X - box[1, 1])
         hi = min(box[0, 1] - X, X - box[1, 0])
         if lo > hi:

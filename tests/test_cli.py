@@ -1,7 +1,9 @@
 """CLI harness: flags, config files, exits, CSV schema, dump round-trips."""
 
+import hashlib
 import importlib.util
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -29,9 +31,10 @@ from heislab.cli import (
     read_config,
     reads,
 )
-from heislab.families import build_bush, build_clamshell
+from heislab.families import build_bush, build_clamshell, net_tubes, parabolic_net_spec
 from heislab.projection import PlanePoint
 from heislab.quadratics import PLANAR_DOMAIN, Quadratic, delta_gauge, tau
+from heislab.tubes import tubes_from_params
 
 
 def run_cli(*args):
@@ -159,6 +162,52 @@ def test_dump_clamshell_roundtrip(tmp_path):
     F, G, R = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, 256)
     assert load_family(files[0]) == F + G
     assert load_family(files[1]) == R
+
+
+def test_dump_parabolic_net_refuses_its_default_rung(tmp_path, capsys, monkeypatch):
+    # delta = 2^-8 would build 344,107,452 tube objects
+    from heislab import families
+
+    built = []
+    monkeypatch.setattr(families, "HTube", lambda *a: built.append(a))
+    out = tmp_path / "net.csv"
+    assert main(["dump", "parabolic-net", "--out", str(out)]) == 1
+    assert "344107452 tubes" in capsys.readouterr().err
+    assert not out.exists()
+    assert built == []
+
+
+def test_dump_parabolic_net_keeps_its_bytes_at_rung_three(tmp_path):
+    out = tmp_path / "net.csv"
+    assert main(["dump", "parabolic-net", "--delta-exps", "3", "--out", str(out)]) == 0
+    digest = "ff826923284487b6728bee44778f2bc51c1593aa00315b4461cfdf5577941c42"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    t1, t2 = net_tubes(parabolic_net_spec(2.0 ** -3))
+    assert load_family(str(out)) == t1 + t2
+
+
+@pytest.mark.parametrize("header, rows, line", [
+    ("x,y,t,a,b,delta", ["0,0,0,1,0,0.5", "0,0,0,1,0,0.5,7"], 3),
+    ("x,y,t,a,b,delta", ["0,0,0,1,0"], 2),
+    ("a,b,c", ["1,2"], 2),
+    ("a,b,c", ["1,2,3", "1,2,3", "1,2,3,4"], 4),
+    ("a,b,c,lo,hi,delta", ["1,2,3,0,1"], 2),
+])
+def test_load_family_rejects_rows_whose_length_differs_from_the_header(tmp_path, header,
+                                                                        rows, line):
+    # a seventh tube field was dropped; a short row raised IndexError or TypeError
+    path = tmp_path / "family.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {line}: "):
+        load_family(str(path))
+
+
+def test_load_family_rejects_an_empty_file(tmp_path):
+    # it raised IndexError
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="unknown schema"):
+        load_family(str(path))
 
 
 def test_dump_infeasible_parameters_exit(tmp_path):
@@ -684,7 +733,7 @@ def test_fiber_length_kernel_calls_hold_at_most_a_block(monkeypatch):
     blocks, calls[:] = list(calls), []
     # each sample's rows, from its one-row call
     for tubes, w, res in batches:
-        for tube, (theta, height) in zip(tubes, w.tolist()):
+        for tube, (theta, height) in zip(tubes_from_params(tubes), w.tolist()):
             fiber(tube, PlanePoint(theta, height), res)
     assert len(batches) == 2 and len(calls) == 400
     assert 2 < len(blocks) < len(calls)

@@ -10,6 +10,7 @@ import pytest
 from heislab import _bulk
 from heislab.heis import HPoint
 from heislab.families import (
+    NET_TUBES_CAP,
     _tau_ball_lattice,
     build_bipartite_balls,
     build_bush,
@@ -299,6 +300,23 @@ def test_remaining_generators_deterministic():
     assert build_bipartite_balls(2.0 ** -5, 0.25) == build_bipartite_balls(2.0 ** -5, 0.25)
     assert build_opposed_pair(2.0 ** -6, 0.5) == build_opposed_pair(2.0 ** -6, 0.5)
     assert net_tubes(parabolic_net_spec(2.0 ** -3)) == net_tubes(parabolic_net_spec(2.0 ** -3))
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_net_tubes_refuses_a_million_tubes_before_building_any(monkeypatch, k):
+    from heislab import families
+
+    built = []
+    monkeypatch.setattr(families, "HTube", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="more than the 1000000"):
+        net_tubes(parabolic_net_spec(2.0 ** -k))
+    assert built == []
+
+
+def test_net_tubes_cap_keeps_rungs_three_to_five():
+    sizes = [2 * net_family_size(parabolic_net_spec(2.0 ** -k)) for k in (3, 4, 5, 6)]
+    assert sizes == [10_676, 82_500, 670_804, 5_407_020]
+    assert sizes[2] <= NET_TUBES_CAP < sizes[3]
 
 
 def test_net_build_contract():

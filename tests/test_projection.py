@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sampling_reference
 
-from heislab import _bulk
+from heislab import _bulk, projection
 from heislab.heis import E1, E2, HDirection, HPoint
 from heislab.projection import (
     FIBER_BLOCK,
@@ -22,7 +22,7 @@ from heislab.projection import (
     tube_to_curve,
 )
 from heislab.quadratics import tau
-from heislab.tubes import HTube
+from heislab.tubes import HTube, tube_params
 
 
 def test_projection_closed_form():
@@ -237,7 +237,7 @@ def test_fiber_length_array_form_equals_per_sample_reference(monkeypatch):
     kernel = _bulk.core_distance_elementwise
     monkeypatch.setattr(_bulk, "core_distance_elementwise",
                         lambda *f: calls.append(len(f[0])) or kernel(*f))
-    got = fiber_length(tubes, w, res)
+    got = fiber_length(tube_params(tubes), w, res)
     want = np.array([sampling_reference.fiber_length(t, PlanePoint(*p), res)
                      for t, p in zip(tubes, w.tolist())])
     assert got.tobytes() == want.tobytes()
@@ -272,7 +272,8 @@ def test_fiber_length_rejects_nonfinite_plane_points(theta, height):
     with pytest.raises(ValueError, match="plane point"):
         fiber_length(tube, PlanePoint(theta, height), 2.0 ** -6 / 100)
     with pytest.raises(ValueError, match="plane point"):
-        fiber_length([tube, tube], np.array([[0.0, 0.0], [theta, height]]), 2.0 ** -6 / 100)
+        fiber_length(tube_params([tube, tube]), np.array([[0.0, 0.0], [theta, height]]),
+                     2.0 ** -6 / 100)
 
 
 @pytest.mark.parametrize("res", [math.inf, math.nan, 0.0, -1e-3])
@@ -281,14 +282,58 @@ def test_fiber_length_rejects_bad_resolutions(res):
     with pytest.raises(ValueError, match="resolution"):
         fiber_length(tube, PlanePoint(0.0, 0.0), res)
     with pytest.raises(ValueError, match="resolution"):
-        fiber_length([tube], np.zeros((1, 2)), res)
+        fiber_length(tube_params([tube]), np.zeros((1, 2)), res)
 
 
 @pytest.mark.parametrize("w", [np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2), np.zeros((0, 2))])
 def test_fiber_length_wants_one_plane_point_per_tube(w):
     tube = HTube(HPoint(0, 0, 0), E1, 2.0 ** -6)
     with pytest.raises(ValueError, match="one plane point"):
-        fiber_length([tube, tube], w, 2.0 ** -6 / 100)
+        fiber_length(tube_params([tube, tube]), w, 2.0 ** -6 / 100)
+
+
+def same_table(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fiber_length_boxes_the_flat_tubes_in_one_call(monkeypatch):
+    delta = 2.0 ** -6
+    tubes, w = fiber_batch(delta)
+    params = tube_params(tubes)
+    flat = np.flatnonzero(np.abs(params[3] + params[4]) < 0.1)
+    calls, box = [], projection.tube_bounding_box
+    monkeypatch.setattr(projection, "tube_bounding_box", lambda p: calls.append(p) or box(p))
+    fiber_length(params, w, delta / 20)
+    assert len(calls) == 1 and same_table(calls[0], params[:, flat])
+
+
+def spoiled_table(row, value):
+    """Three good tubes, the second with `value` in table row `row`."""
+    params = tube_params([HTube(HPoint(0.1 * i, 0.0, 0.0), E1, 2.0 ** -6) for i in range(3)])
+    params[row, 1] = value
+    return params
+
+
+@pytest.mark.parametrize("params", [
+    np.zeros((5, 3)), np.zeros((3, 6)), np.zeros(6), np.zeros((6, 3, 1)),
+    *(spoiled_table(row, v) for row in range(6) for v in (math.nan, math.inf, -math.inf)),
+    # |a^2 + b^2 - 1| past 1e-12, as `HDirection` refuses it
+    spoiled_table(3, 1.0 + 1e-11), spoiled_table(4, 1e-5), spoiled_table(3, 0.0),
+    spoiled_table(5, 0.0), spoiled_table(5, 1.0), spoiled_table(5, -0.5), spoiled_table(5, 1.5),
+])
+def test_fiber_length_rejects_bad_tube_tables_before_any_arithmetic(monkeypatch, params):
+    calls = []
+    monkeypatch.setattr(projection, "tube_bounding_box", lambda *a: calls.append(a))
+    monkeypatch.setattr(_bulk, "tube_frame", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="tube"):
+        fiber_length(params, np.zeros((3, 2)), 2.0 ** -6 / 100)
+    assert calls == []
+
+
+def test_fiber_length_takes_the_directions_hdirection_takes():
+    params = spoiled_table(3, 1.0 + 4e-13)
+    assert HDirection(1.0 + 4e-13, 0.0).a == params[3, 1]
+    assert fiber_length(params, np.zeros((3, 2)), 2.0 ** -6 / 100).shape == (3,)
 
 
 def test_broadness_transfer_fan():

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 import sampling_reference as ref
 
-from heislab import _bulk, cli
+from heislab import _bulk, cli, integrals, projection
+from heislab.families import build_bush
+from heislab.heis import E1, E2, HDirection, HPoint
+from heislab.integrals import _default_tube_region
 from heislab.projection import (
     projection_containment_ratio,
     tube_draws,
     tube_points_sample,
 )
-from heislab.tubes import tube_bounding_box
+from heislab.tubes import HTube, tube_bounding_box, tube_params, tubes_from_params
 
 # dyadic radii scale exactly; 0.3 also tests the rounding of each scaling
 DELTAS = [1.0, 0.3] + [2.0 ** -k for k in range(1, 11)]
@@ -68,7 +71,7 @@ def experiment_tubes(seed, delta_exps=range(4, 9), n_tubes=20):
     """The tubes of `projection-containment`, with each one's sample seeds."""
     out = []
     for k in delta_exps:
-        tubes = cli._random_tubes(np.random.default_rng([seed, k]), 2.0 ** -k, n_tubes, 0.5)
+        tubes = ref.random_tubes(np.random.default_rng([seed, k]), 2.0 ** -k, n_tubes, 0.5)
         out += [(tube, (seed, i)) for i, tube in enumerate(tubes)]
     return out
 
@@ -98,13 +101,13 @@ def test_bounding_box_equals_reference_core_ends():
             [ends[:, 1].min() - d, ends[:, 1].max() + d],
             [ends[:, 2].min() - tmargin, ends[:, 2].max() + tmargin],
         ])
-        assert same_bits(tube_bounding_box(tube), want)
+        assert same_bits(tube_bounding_box(tube_params([tube]))[0], want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_experiment_equals_per_sample_reference(seed):
     got = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=60, seed=seed).rows
-    assert got == ref.fiber_rows([5, 6], 60, seed, cli._random_tubes)
+    assert got == ref.fiber_rows([5, 6], 60, seed, ref.random_tubes)
 
 
 def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
@@ -123,7 +126,7 @@ def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
         tubes.update((*t.center.as_tuple(), t.dir.a, t.dir.b) for t in measured)
 
     def fibers(measured, w, res):
-        seen(*measured)
+        seen(*tubes_from_params(measured))
         return fiber(measured, w, res)
 
     monkeypatch.setattr(_bulk, "sample_gauge_ball", draw)
@@ -176,13 +179,14 @@ def test_projection_experiment_equals_per_rung_reference(seed, delta_exps, sampl
     got = cli.EXPERIMENTS["projection-containment"](
         delta_exps=delta_exps, samples=samples, seed=seed
     ).rows
-    assert got == ref.projection_rows(delta_exps, samples, seed, cli._random_tubes)
+    assert got == ref.projection_rows(delta_exps, samples, seed, ref.random_tubes)
 
 
 @pytest.mark.parametrize("min_axis_sum", [0.5, 1 / math.sqrt(2), 1.4])
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 1000])
 def test_random_tubes_are_unit_and_far_from_the_fiber_line(n, min_axis_sum):
-    tubes = cli._random_tubes(np.random.default_rng([n, 9]), 2.0 ** -6, n, min_axis_sum)
+    tubes = tubes_from_params(
+        cli._random_tubes(np.random.default_rng([n, 9]), 2.0 ** -6, n, min_axis_sum))
     assert len(tubes) == n
     assert all(t.delta == 2.0 ** -6 for t in tubes)
     a, b = (np.array([getattr(t.dir, c) for t in tubes]) for c in "ab")
@@ -194,7 +198,7 @@ def test_random_tubes_draw_angles_in_rows_then_centers():
     # at |a + b| >= 1.4 about 10 % of the angles pass, so the sampler runs
     # several rounds before it draws the centers
     rng, probe = np.random.default_rng(4), np.random.default_rng(4)
-    tubes = cli._random_tubes(rng, 0.25, 10, 1.4)
+    tubes = tubes_from_params(cli._random_tubes(rng, 0.25, 10, 1.4))
     dirs, rounds = [], 0
     while len(dirs) < 10:
         theta = probe.uniform(-math.pi, math.pi, max(2 * (10 - len(dirs)), 64))
@@ -218,3 +222,60 @@ def test_random_tubes_reject_bad_input_before_drawing(n, min_axis_sum):
     with pytest.raises(ValueError):
         cli._random_tubes(rng, 0.25, n, min_axis_sum)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("n, min_axis_sum", [
+    (0, 0.5), (1, 0.5), (63, 1 / math.sqrt(2)), (1000, 1 / math.sqrt(2)), (10, 1.4),
+])
+def test_random_tubes_table_equals_reference_tube_list(n, min_axis_sum):
+    rng, ref_rng = np.random.default_rng([n, 3]), np.random.default_rng([n, 3])
+    got = cli._random_tubes(rng, 2.0 ** -6, n, min_axis_sum)
+    want = tube_params(ref.random_tubes(ref_rng, 2.0 ** -6, n, min_axis_sum))
+    assert got.shape == (6, n) and same_bits(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def axis_and_flat_tubes(delta):
+    """Tubes along +-e1 and +-e2, and two with a + b = 0."""
+    r = math.sqrt(0.5)
+    dirs = [E1, E2, HDirection(-1.0, 0.0), HDirection(0.0, -1.0),
+            HDirection(r, -r), HDirection(-r, r)]
+    return [HTube(HPoint(0.3 * i - 0.5, 0.1 * i, -0.02 * i), e, delta) for i, e in enumerate(dirs)]
+
+
+def test_table_bounding_boxes_equal_per_tube_reference():
+    fiber_tubes = ref.random_tubes(np.random.default_rng([0, 6, 17]), 2.0 ** -6, 1000,
+                                   1 / math.sqrt(2))
+    family = ([t for t, _ in experiment_tubes(0)] + fiber_tubes
+              + axis_and_flat_tubes(2.0 ** -5) + axis_and_flat_tubes(0.75))
+    boxes = tube_bounding_box(tube_params(family))
+    assert boxes.shape == (len(family), 3, 2)
+    assert same_bits(boxes, np.stack([ref.bounding_box(t) for t in family]))
+    assert tube_bounding_box(tube_params([])).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_tube_region_on_the_bush_equals_per_tube_boxes(monkeypatch, k):
+    t1, t2 = build_bush(2.0 ** -k)
+    b1, b2 = (np.stack([ref.bounding_box(t) for t in family]) for family in (t1, t2))
+    lo = np.maximum(b1[:, :, 0].min(axis=0), b2[:, :, 0].min(axis=0))
+    hi = np.minimum(b1[:, :, 1].max(axis=0), b2[:, :, 1].max(axis=0))
+    calls, box = [], integrals.tube_bounding_box
+    monkeypatch.setattr(integrals, "tube_bounding_box", lambda p: calls.append(p.shape) or box(p))
+    assert same_bits(_default_tube_region(t1, t2), np.stack([lo, hi], axis=1))
+    # the two families' tubes are boxed in one call
+    assert calls == [(6, len(t1) + len(t2))]
+
+
+def test_fiber_length_experiment_builds_no_tube_objects(monkeypatch):
+    made, tables, boxes = [], [], []
+    init, box = HTube.__post_init__, projection.tube_bounding_box
+    monkeypatch.setattr(HTube, "__post_init__", lambda tube: made.append(tube) or init(tube))
+    for module in ("cli", "projection", "tubes"):
+        monkeypatch.setattr(f"heislab.{module}.tube_params", lambda *a: tables.append(a))
+    monkeypatch.setattr(projection, "tube_bounding_box", lambda p: boxes.append(p.shape) or box(p))
+    rows = cli.EXPERIMENTS["fiber-length"](delta_exps=[5, 6], samples=300, seed=0).rows
+    assert [r[:2] for r in rows] == [[2.0 ** -5, 300], [2.0 ** -6, 300]]
+    assert made == [] and tables == []
+    # one box call per rung, on its tubes with |a + b| < 0.1: none here
+    assert boxes == [(6, 0), (6, 0)]

@@ -21,6 +21,7 @@ from heislab.tubes import (
     tube_bounding_box,
     tube_contains,
     tube_intersection_volume,
+    tube_params,
 )
 from heislab.tubes import _arc_profile, _dyadic_down
 
@@ -188,7 +189,7 @@ def test_bounding_box_contains_samples(rng):
 
     for seed in range(10):
         tube = random_tube(rng, 2.0 ** -4)
-        box = tube_bounding_box(tube)
+        box = tube_bounding_box(tube_params([tube]))[0]
         pts = tube_points_sample(tube, 500, seed=seed)
         assert np.all(pts >= box[:, 0] - 1e-12)
         assert np.all(pts <= box[:, 1] + 1e-12)
