@@ -123,10 +123,11 @@ def rhs_bilinear(
 # tube integrals
 
 
-def _default_tube_region(t1: list[HTube], t2: list[HTube]) -> np.ndarray | None:
-    """Intersection of the two families' bounding boxes: the support of the
+def _default_tube_region(params: np.ndarray, k: int) -> np.ndarray | None:
+    """Intersection of the bounding boxes of two families, the first k and
+    the other columns of a `tube_params` table: the support of the
     multiplicity product, wherever the families sit (None if empty)."""
-    boxes, k = tube_bounding_box(tube_params(t1 + t2)), len(t1)
+    boxes = tube_bounding_box(params)
     lo = np.maximum(boxes[:k, :, 0].min(axis=0), boxes[k:, :, 0].min(axis=0))
     hi = np.minimum(boxes[:k, :, 1].max(axis=0), boxes[k:, :, 1].max(axis=0))
     return None if np.any(lo >= hi) else np.stack([lo, hi], axis=1)
@@ -220,9 +221,10 @@ def bilinear_integral_from_multiplicity(
     return MCEstimate(vol * mean, vol * stderr, samples)
 
 
-def _column_integrator(t1: list[HTube], t2: list[HTube], p: float):
+def _column_integrator(params: np.ndarray, k1: int, p: float):
     """The function (x, y) -> per column, the integral over t of
-    m1(x, y, t)^p * m2(x, y, t)^p, m_i counting the tubes of t_i.
+    m1(x, y, t)^p * m2(x, y, t)^p, m1 counting the first k1 tubes of a
+    `tube_params` table and m2 the others.
 
     Each tube's t-section above a column is one interval, `_bulk.tube_sections`.
     Per block of columns the section ends are sorted; the sweep key
@@ -230,8 +232,7 @@ def _column_integrator(t1: list[HTube], t2: list[HTube], p: float):
     so neither count drops below 0), and each gap between neighbouring ends
     adds its length times the key's weight, from `_power_product`'s table.
     """
-    k1, k2 = len(t1), len(t2)
-    params = tube_params(t1 + t2)
+    k2 = params.shape[1] - k1
     step = np.concatenate([np.ones(k1, dtype=np.int64), np.full(k2, k1 + 1)])
     step = np.concatenate([step, -step])
     key = np.arange((k1 + 1) * (k2 + 1))
@@ -274,10 +275,11 @@ def bilinear_tube_integral(
     _check_exponent(p)
     if not t1 or not t2:
         raise ValueError("tube families must be nonempty")
-    region = _default_tube_region(t1, t2)
+    params = tube_params(t1 + t2)
+    region = _default_tube_region(params, len(t1))
     if region is None:
         return MCEstimate(0.0, 0.0, 0)
-    integrate = _column_integrator(t1, t2, p)
+    integrate = _column_integrator(params, len(t1), p)
     lo, hi = region[:2, 0], region[:2, 1]
     area = float(np.prod(hi - lo))
 
@@ -308,12 +310,12 @@ def section_mismatch(t1: list[HTube], t2: list[HTube], rng, probes: int) -> str:
     probe agrees, else the first probe that does not: its point and both
     pairs of counts.
     """
-    region = _default_tube_region(t1, t2)
+    params = tube_params(t1 + t2)
+    region = _default_tube_region(params, len(t1))
     if region is None:
         return ""
     u = rng.random((3, probes))
     x, y = (region[i, 0] + u[i] * (region[i, 1] - region[i, 0]) for i in (0, 1))
-    params = tube_params(t1 + t2)
     lo, hi = _bulk.tube_sections(x[:, None], y[:, None], params[:3], *params[3:])
     # a column with no nonempty section is probed on the hull of its empty ones
     full = lo < hi

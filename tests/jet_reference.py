@@ -14,6 +14,9 @@ from heislab.quadratics import (
     BipartiteReport,
     Interval,
     Quadratic,
+    _pair_differences,
+    coeff_array,
+    jet_gauges,
     rect_t_scale,
 )
 
@@ -83,21 +86,7 @@ def _scalar_pairs(n1: int, n2: int, max_pairs: int, seed: int, within: bool):
     return [(i, j) for i, j in zip(ii, jj) if not within or i < j]
 
 
-def validate_bipartite(pair, separation=None) -> BipartiteReport:
-    F, G, rho = pair.F, pair.G, pair.rho
-    within_max, sep_min, checked = 0.0, math.inf, 0
-    for fam in (F, G):
-        for i, j in _scalar_pairs(len(fam), len(fam), 100_000, 0, True):
-            tv = tau(fam[i], fam[j])
-            within_max = max(within_max, tv)
-            sep_min = min(sep_min, tv)
-            checked += 1
-    cross_min, cross_max = math.inf, 0.0
-    for i, j in _scalar_pairs(len(F), len(G), 200_000, 1, False):
-        tv = tau(F[i], G[j])
-        cross_min = min(cross_min, tv)
-        cross_max = max(cross_max, tv)
-        checked += 1
+def _report(rho, within_max, sep_min, cross_min, cross_max, checked, separation):
     slack = 1.0 + 1e-9
     ok = (
         within_max <= rho * slack
@@ -114,6 +103,48 @@ def validate_bipartite(pair, separation=None) -> BipartiteReport:
         ok = False
         note += f" in-family separation {sep_min:.6g} < {separation:.6g}"
     return BipartiteReport(ok, within_max, cross_min, cross_max, sep_min, checked, note)
+
+
+def validate_bipartite(pair, separation=None) -> BipartiteReport:
+    F, G, rho = pair.F, pair.G, pair.rho
+    within_max, sep_min, checked = 0.0, math.inf, 0
+    for fam in (F, G):
+        for i, j in _scalar_pairs(len(fam), len(fam), 100_000, 0, True):
+            tv = tau(fam[i], fam[j])
+            within_max = max(within_max, tv)
+            sep_min = min(sep_min, tv)
+            checked += 1
+    cross_min, cross_max = math.inf, 0.0
+    for i, j in _scalar_pairs(len(F), len(G), 200_000, 1, False):
+        tv = tau(F[i], G[j])
+        cross_min = min(cross_min, tv)
+        cross_max = max(cross_max, tv)
+        checked += 1
+    return _report(rho, within_max, sep_min, cross_min, cross_max, checked, separation)
+
+
+def tau_range(blocks) -> tuple[float, float, int]:
+    """(min, max) of tau over the rows of difference blocks, or (inf, 0) if
+    there are none, and the number of rows: `jet_gauges` on every row, the
+    exhaustive pass that the bounded `quadratics._tau_ranges` replaced."""
+    lo, hi, rows = math.inf, 0.0, 0
+    for h in blocks:
+        tv = jet_gauges(h)[0]
+        lo, hi, rows = min(lo, float(tv.min())), max(hi, float(tv.max())), rows + len(h)
+    return lo, hi, rows
+
+
+def validate_bipartite_exhaustive(pair, separation=None) -> BipartiteReport:
+    """`quadratics.validate_bipartite` with `tau_range` in place of its
+    bounded pass: the same pair blocks, every row gauged."""
+    F, G = coeff_array(pair.F), coeff_array(pair.G)
+    within_max, sep_min, checked = 0.0, math.inf, 0
+    for fam in (F, G):
+        lo, hi, pairs = tau_range(_pair_differences(fam, fam, 100_000, 0, within=True))
+        within_max, sep_min, checked = max(within_max, hi), min(sep_min, lo), checked + pairs
+    cross_min, cross_max, pairs = tau_range(_pair_differences(F, G, 200_000, 1, within=False))
+    return _report(pair.rho, within_max, sep_min, cross_min, cross_max, checked + pairs,
+                   separation)
 
 
 def tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quadratic]:

@@ -135,6 +135,29 @@ def test_greedy_equals_reference_on_clamshell(n):
     assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, 16, 4)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validate_bipartite_equals_exhaustive_oracle_on_wolff_instances(monkeypatch, seed):
+    # the bounded pass keeps every report bit for bit, and each instance's
+    # survivors fit one jet_gauges call
+    rows, gauges = [], quadratics.jet_gauges
+    monkeypatch.setattr(quadratics, "jet_gauges", lambda h: rows.append(len(h)) or gauges(h))
+    for F, G, _, rho in _wolff_instances(seed):
+        pair = quadratics.BipartitePair(tuple(F), tuple(G), rho)
+        rows.clear()
+        report = quadratics.validate_bipartite(pair)
+        assert len(rows) == 1 and rows[0] < report.pairs_checked == 2 * 2016 + 4096
+        assert report == ref.validate_bipartite_exhaustive(pair)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_validate_bipartite_equals_exhaustive_oracle_on_clamshell(n):
+    F, G, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, n)
+    pair = quadratics.BipartitePair(tuple(F), tuple(G), 1.0)
+    report = quadratics.validate_bipartite(pair, 2.0 ** -8)
+    assert report == ref.validate_bipartite_exhaustive(pair, 2.0 ** -8)
+    assert not report.ok and report.note
+
+
 def test_greedy_equals_reference_on_small_families():
     d, t = 2.0 ** -6, 2.0 ** -2
     pair = build_opposed_pair(2.0 ** -8, 1.0)

@@ -183,7 +183,7 @@ def test_empty_family_and_empty_points():
 def test_bush_families_match_the_oracle(k):
     d = 2.0 ** -k
     t1, t2 = build_bush(d)
-    region = _default_tube_region(t1, t2)
+    region = _default_tube_region(tube_params(t1 + t2), len(t1))
     rng = np.random.default_rng([k, 1])
     pts = region[:, 0] + rng.random((20000, 3)) * (region[:, 1] - region[:, 0])
     for fam in (t1, t2):

@@ -319,7 +319,92 @@ def test_validate_bipartite_exhaustive_while_unordered_pairs_fit():
     assert report.pairs_checked == 2 * 79_800 + 160_000
 
 
+@pytest.mark.parametrize("copies", [(40, 30), (1, 30), (30, 1), (1, 1)])
+def test_validate_bipartite_gauges_every_row_when_all_tau_are_equal(monkeypatch, copies):
+    # repeated curves: every tau within a family is 0 and every cross tau is
+    # the same, so no row can be pruned; the survivors still go to
+    # jet_gauges at most a chunk at a time
+    monkeypatch.setattr(quadratics, "_PAIR_CHUNK", 64)
+    rows, gauges = [], quadratics.jet_gauges
+    monkeypatch.setattr(quadratics, "jet_gauges", lambda h: rows.append(len(h)) or gauges(h))
+    f, g = Quadratic(0.75, -0.125, 0.5), Quadratic(-0.75, 0.25, -0.5)
+    pair = BipartitePair((f,) * copies[0], (g,) * copies[1], 1.0)
+    report = validate_bipartite(pair, 0.0)
+    assert sum(rows) == report.pairs_checked and max(rows) <= 64
+    assert report == ref.validate_bipartite_exhaustive(pair, 0.0)
+    assert report.cross_min == report.cross_max == tau(f, g)
+
+
+@pytest.mark.parametrize("nf, ng", [(1, 1), (1, 64), (64, 1)])
+def test_validate_bipartite_equals_exhaustive_oracle_on_one_curve_families(nf, ng):
+    pair = build_bipartite_balls(2.0 ** -5, 0.25)
+    one = BipartitePair(pair.F[:nf], pair.G[:ng], pair.rho)
+    report = validate_bipartite(one, 2.0 ** -5)
+    assert report == ref.validate_bipartite_exhaustive(one, 2.0 ** -5)
+    assert report.pairs_checked == nf * ng + nf * (nf - 1) // 2 + ng * (ng - 1) // 2
+
+
+def test_validate_bipartite_equals_exhaustive_oracle_on_mixed_repeats():
+    # two distinct curves repeated: many rows tie for each extreme
+    f, g = Quadratic(0.5, 0.0, 0.0), Quadratic(0.25, 0.125, 0.0)
+    F = (f, g) * 20
+    pair = BipartitePair(F, tuple(Quadratic(-q.a, q.b, q.c) for q in F), 1.0)
+    assert validate_bipartite(pair, 0.1) == ref.validate_bipartite_exhaustive(pair, 0.1)
+
+
+def _tau_bound_rows(rng, n):
+    """Difference rows that stress tau_bounds' margin: coefficients spread
+    over 1e-12 .. 1e12, da = 0, db = 0, da near 1e-300, vertices -db/da at
+    +-5 exactly, and subnormals."""
+    spread = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-12, 12, size=(n, 3))
+    flat, even = spread.copy(), spread.copy()
+    flat[:, 0], even[:, 1] = 0.0, 0.0
+    tiny = spread.copy()
+    tiny[:, 0] = rng.normal(size=n) * 1e-300
+    # da = k 2^e, so 5 da is exact and -db/da is +-5 exactly
+    da = rng.integers(-64, 65, size=n) * 2.0 ** rng.integers(-40, 40, size=n)
+    edge = np.stack([da, rng.choice([-5.0, 5.0], size=n) * da,
+                     rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6, size=n)], axis=1)
+    sub = rng.integers(-2**20, 2**20, size=(n, 3)) * np.finfo(np.float64).smallest_subnormal
+    near = rng.normal(size=(n, 3))
+    near[:, 1] = -near[:, 0] * rng.uniform(-5.0, 5.0, size=n)  # vertex inside
+    return np.concatenate([spread, flat, even, tiny, edge, sub, near])
+
+
+def test_tau_bounds_bracket_jet_gauges_tau(rng):
+    for _ in range(4):
+        h = _tau_bound_rows(rng, 20_000)
+        lower, upper = quadratics.tau_bounds(h)
+        tv = jet_gauges(h)[0]
+        assert (lower <= tv).all() and (tv <= upper).all()
+    # the bounds are tight enough to settle rows: on O(1) rows the upper
+    # bound is within a factor 2 of tau
+    h = rng.normal(size=(10_000, 3))
+    lower, upper = quadratics.tau_bounds(h)
+    assert (upper <= 2.0 * jet_gauges(h)[0]).all()
+    assert quadratics.tau_bounds(np.zeros((0, 3)))[0].shape == (0,)
+
+
+def test_tau_bounds_on_rows_too_large_for_floats():
+    # no warning from the bounds themselves; a row that overflows gets an
+    # infinite upper bound, still above jet_gauges' tau
+    h = np.array([[1e307, 1e307, 1e307], [-1e308, 0.0, 1.0], [0.0, 1e308, -1e308]])
+    lower, upper = quadratics.tau_bounds(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = jet_gauges(h)[0]
+    assert (lower <= tv).all() and (tv <= upper).all() and np.isinf(upper).all()
+
+
 _NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_tau_bounds_reject_nonfinite_rows(bad, col):
+    h = np.zeros((3, 3))
+    h[1, col] = bad
+    with pytest.raises(ValueError, match="finite"):
+        quadratics.tau_bounds(h)
 
 
 @pytest.mark.parametrize("bad", _NONFINITE)
@@ -359,6 +444,14 @@ def test_validate_bipartite_rejects_nonfinite_coefficients(bad):
         validate_bipartite(BipartitePair(pair.F, G, pair.rho))
 
 
+def test_validate_bipartite_rejects_differences_that_overflow():
+    # finite curves whose difference is not: the bounds raise as jet_gauges
+    # did (the subtraction's own overflow warning aside)
+    big = BipartitePair((Quadratic(1e308, 0.0, 0.0),), (Quadratic(-1e308, 0.0, 0.0),), 0.25)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        validate_bipartite(big)
+
+
 # ---------------------------------------------------------------------------
 # near-intersection intervals
 
@@ -389,14 +482,29 @@ def test_near_intersection_two_pieces():
 
 
 def test_near_intersection_never_more_than_two(rng):
+    # 10,000 pairs and deltas as rows, one array call; the (n, 2, 2) form
+    # has room for two pieces and raises on a third
     window = PLANAR_DOMAIN.shrink(4.0)
-    for _ in range(10_000):
-        f = Quadratic(*rng.normal(size=3))
-        g = Quadratic(*rng.normal(size=3))
-        pieces = near_intersection_intervals(f, g, 10.0 ** rng.uniform(-4, -1), window)
-        assert len(pieces) <= 2
-        for lo_hi in pieces:
-            assert window.lo - 1e-12 <= lo_hi.lo <= lo_hi.hi <= window.hi + 1e-12
+    f, g = rng.normal(size=(2, 10_000, 3))
+    pieces = near_intersection_intervals(f, g, 10.0 ** rng.uniform(-4, -1, size=10_000), window)
+    assert pieces.shape == (10_000, 2, 2)
+    lo, hi = pieces[..., 0], pieces[..., 1]
+    present = lo == lo
+    assert (present == (hi == hi)).all()
+    assert (window.lo - 1e-12 <= lo[present]).all() and (lo <= hi)[present].all()
+    assert (hi[present] <= window.hi + 1e-12).all()
+
+
+def test_near_intersection_takes_one_delta_per_row(rng):
+    f, g = rng.normal(size=(2, 200, 3))
+    deltas = 10.0 ** rng.uniform(-4, -1, size=200)
+    window = PLANAR_DOMAIN.shrink(4.0)
+    rows = near_intersection_intervals(f, g, deltas, window)
+    for i in range(200):
+        one = near_intersection_intervals(f[i : i + 1], g[i : i + 1], deltas[i], window)
+        assert one.view(np.uint64).tolist() == rows[i : i + 1].view(np.uint64).tolist()
+    with pytest.raises(ValueError, match="delta"):
+        near_intersection_intervals(f, g, np.where(np.arange(200) == 7, math.nan, deltas), window)
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])

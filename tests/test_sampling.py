@@ -262,7 +262,8 @@ def test_tube_region_on_the_bush_equals_per_tube_boxes(monkeypatch, k):
     hi = np.minimum(b1[:, :, 1].max(axis=0), b2[:, :, 1].max(axis=0))
     calls, box = [], integrals.tube_bounding_box
     monkeypatch.setattr(integrals, "tube_bounding_box", lambda p: calls.append(p.shape) or box(p))
-    assert same_bits(_default_tube_region(t1, t2), np.stack([lo, hi], axis=1))
+    region = _default_tube_region(tube_params(t1 + t2), len(t1))
+    assert same_bits(region, np.stack([lo, hi], axis=1))
     # the two families' tubes are boxed in one call
     assert calls == [(6, len(t1) + len(t2))]
 

@@ -172,13 +172,13 @@ def test_column_integrals_match_a_midpoint_grid_of_the_kernel(case):
     else:
         t1, t2, hub = _random_pair(int(n))
     p = 0.75
-    region = _default_tube_region(t1, t2)
+    region = _default_tube_region(tube_params(t1 + t2), len(t1))
     # columns about the point where the two families cross
     d = t1[0].delta
     rng = np.random.default_rng(17)
     x = hub.x + rng.uniform(-2.0 * d, 2.0 * d, 12)
     y = hub.y + rng.uniform(-2.0 * d, 2.0 * d, 12)
-    exact = _column_integrator(t1, t2, p)(x, y)
+    exact = _column_integrator(tube_params(t1 + t2), len(t1), p)(x, y)
     # midpoint t-grid over the box's whole t-extent, which holds the support
     n_t = 40_000
     h = (region[2, 1] - region[2, 0]) / n_t

@@ -16,11 +16,11 @@ from heislab.integrals import (
     bilinear_integral_from_multiplicity,
     tube_multiplicity,
 )
-from heislab.tubes import MCEstimate
+from heislab.tubes import MCEstimate, tube_params
 
 
 def bilinear_tube_integral(t1, t2, p: float, samples: int, seed: int) -> MCEstimate:
-    region = _default_tube_region(t1, t2)
+    region = _default_tube_region(tube_params(t1 + t2), len(t1))
     if region is None:
         return MCEstimate(0.0, 0.0, 0)
     return bilinear_integral_from_multiplicity(
