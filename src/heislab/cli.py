@@ -48,6 +48,8 @@ from .integrals import (
     strip_multiplicity,
 )
 from .projection import (
+    CONTAINMENT_ROUNDING,
+    exact_containment_ratio,
     fiber_length,
     project_W_batch,
     projection_containment_ratio,
@@ -128,7 +130,7 @@ OPTIONS = {
     "n": (int, 256, "clamshell family size #F"),
     "t": (float, 2.0 ** -4, "clamshell tangency scale"),
     "seed": (int, 0, "random seed"),
-    "samples": (int, None, "Monte Carlo samples or randomized cases"),
+    "samples": (int, None, "Monte Carlo samples, randomized cases or cross-check points"),
     "grid-res": (float, None, "grid spacing of the planar integrals"),
     "out": (str, None, "output CSV path"),
     "workers": (int, 1, "Monte Carlo worker threads"),
@@ -462,36 +464,42 @@ def _exp_net(*, delta_exps=range(4, 7), samples=100_000, seed, workers) -> Exper
 
 
 @experiment("projection-containment")
-def _exp_projection(*, delta_exps=range(4, 9), samples=100_000, seed) -> ExperimentResult:
+def _exp_projection(*, delta_exps=range(4, 9), samples=5000, seed) -> ExperimentResult:
     n_tubes = 20
     if samples < n_tubes:
         raise OptionError(f"projection-containment needs --samples >= {n_tubes}, got {samples}")
-    # a deeper rung's ratio would report rounding; its dilated draws would
-    # still be exact up to EXACT_DILATION_EXP
+    # a deeper rung's sampled ratio would report rounding: the cross-check's
+    # margin grows as 1/delta^2
     if max(delta_exps) > _bulk.PRECISE_DELTA_EXP:
         raise OptionError(f"projection-containment needs --delta-exps <= "
                           f"{_bulk.PRECISE_DELTA_EXP}, got {_ladder_text(delta_exps)}")
     deltas = [2.0 ** -k for k in delta_exps]
-    # each rung draws its tubes from its own stream
-    tubes = [tubes_from_params(_random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5))
-             for k, d in zip(delta_exps, deltas)]
-    worst = [0.0] * len(deltas)
-    for i in range(n_tubes):
+    # one set of tubes at every rung: its exact ratios have no delta in them
+    params = _random_tubes(np.random.default_rng([seed]), deltas[0], n_tubes, 0.5)
+    exact = exact_containment_ratio(params[3], params[4])
+    rungs = [tubes_from_params(np.vstack([params[:5], np.full(n_tubes, d)])) for d in deltas]
+    witness, closest = None, 0.0
+    for i, bound in enumerate(exact.tolist()):
         # the first samples % n_tubes tubes take one point more
         n_i = samples // n_tubes + (i < samples % n_tubes)
-        # tube i of every rung samples the stream [seed, i, 17]: draw B(0, 1)
-        # once and dilate it onto each rung's B(0, delta), exactly for dyadic delta
+        # tube i samples the stream [seed, i, 17]: draw B(0, 1) once and
+        # dilate it onto each rung's B(0, delta), exactly for dyadic delta
         s, z = tube_draws(1.0, n_i, (seed, i))
-        for j, d in enumerate(deltas):
-            ratio = projection_containment_ratio(tubes[j][i], s, _bulk.dilate(d, z))
-            worst[j] = max(worst[j], ratio)
-    maxima, worst_all, extras = list(zip(deltas, worst)), max(worst), {}
+        for tubes, d in zip(rungs, deltas):
+            ratio = projection_containment_ratio(tubes[i], s, _bulk.dilate(d, z))
+            closest = max(closest, ratio / bound)
+            if witness is None and ratio > bound + CONTAINMENT_ROUNDING / (d * d):
+                witness = f"tube {i} at delta {d!r}: sampled {ratio!r} > exact {bound!r}"
+    worst, extras = float(exact.max()), {"sampled_over_exact": closest}
+    rows = [[d, worst] for d in deltas]
     checks = [
-        ("max vertical distance / delta^2 <= 8", worst_all <= 8.0, f"max {worst_all:.3f}"),
-        _slope_check("no growth trend (|slope| <= 0.15)", maxima,
-                     lambda s: abs(s) <= 0.15, extras, "ratio_slope"),
+        ("max vertical distance / delta^2 <= 8", worst <= 8.0, f"max {worst:.3f}"),
+        _slope_check("no growth trend (|slope| <= 0.15; the exact ratio has no delta in it)",
+                     rows, lambda s: abs(s) <= 0.15, extras, "ratio_slope"),
+        ("sampled ratio <= exact ratio + rounding margin", witness is None,
+         witness or f"max sampled / exact {closest:.4f}"),
     ]
-    return ExperimentResult(["delta", "max_ratio"], [list(m) for m in maxima], checks, extras)
+    return ExperimentResult(["delta", "max_ratio"], rows, checks, extras)
 
 
 @experiment("fiber-length")

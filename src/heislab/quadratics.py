@@ -155,11 +155,38 @@ def jet_gauges(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (7, n) array over the columns da, db, dc of h; the roots of h are
     `_roots`.  A candidate that does not exist is NaN, which the domain test
     drops, so no division is by zero.  Raises ValueError if an entry of h is
-    not finite."""
-    if not np.isfinite(h).all():
+    not finite.
+
+    With every |entry| <= 2^510 no product or sum can overflow (the largest,
+    db^2 - 2 da dc and 18.5|da| + 6|db| + |dc|, stay below 2^1022).  Past
+    that, a row whose operations overflow is gauged again scaled by a power
+    of two into [1/2, 1) and scaled back, so it gets +-inf only where its
+    gauge passes the largest float, and no warning; every other row keeps
+    the unscaled operations and their bits."""
+    hc = np.ascontiguousarray(np.transpose(h), dtype=np.float64)
+    top = np.abs(hc).max(initial=0.0)
+    if not top < math.inf:
         raise ValueError("jet gauges need finite coefficient differences")
+    if top <= _UNSCALED:
+        return _jet_rows(*hc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, d = _jet_rows(*hc)
+        da, db, dc = hc
+        # an overflow shows in `_roots`' disc (while it is finite, so is
+        # q = -(db + sign(db) sqrt(disc))/2) or in tau
+        over = ~np.isfinite(db * db - 2.0 * da * dc) | ~np.isfinite(t)
+        e = np.frexp(np.abs(hc[:, over]).max(axis=0))[1]
+        ts, ds = _jet_rows(*np.ldexp(hc[:, over], -e))
+        t[over], d[over] = np.ldexp(ts, e), np.ldexp(ds, e)
+    return t, d
+
+
+# jet_gauges' bound on the entries of rows that need no overflow test
+_UNSCALED = 2.0 ** 510
+
+
+def _jet_rows(da, db, dc):
     lo, hi = PLANAR_DOMAIN.lo, PLANAR_DOMAIN.hi
-    da, db, dc = np.ascontiguousarray(np.transpose(h), dtype=np.float64)
     a1 = np.where(da != 0.0, da, np.nan)
     s = np.empty((7, len(da)))
     s[0], s[1] = lo, hi
@@ -436,8 +463,10 @@ def _pair_differences(P: np.ndarray, Q: np.ndarray, max_pairs: int, seed: int, w
     (only i < j `within` a family) while they are at most max_pairs, else
     max_pairs seeded draws (keeping those with i < j within a family).  The
     differences are formed on the coefficient rows a, b, c, so a block is an
-    (m, 3) view of a (3, m) array that jet_gauges reads without a copy, and
-    an exhaustive block is one broadcast subtraction over some rows i."""
+    (m, 3) view of a (3, m) array that jet_gauges reads without a copy.  An
+    exhaustive block covers some rows i and columns j: across families one
+    broadcast subtraction, within one only its pairs i < j, each row i
+    repeated against a gather of its columns."""
     P, Q = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
     n1, n2 = P.shape[1], Q.shape[1]
     if (n1 * (n1 - 1) // 2 if within else n1 * n2) <= max_pairs:
@@ -445,10 +474,13 @@ def _pair_differences(P: np.ndarray, Q: np.ndarray, max_pairs: int, seed: int, w
         # within a family, the columns of rows i.. start at i + 1
         for i in range(0, n1 - within, step):
             for j in range(i + 1 if within else 0, n2, _PAIR_CHUNK):
-                h = P[:, i : i + step, None] - Q[:, None, j : j + _PAIR_CHUNK]
-                if within:  # keep the pairs i < j
-                    later = np.arange(j, j + h.shape[2]) > np.arange(i, i + h.shape[1])[:, None]
-                    h = np.compress(later.ravel(), h.reshape(3, -1), axis=1)
+                if within:  # row r takes the columns max(j, r + 1) .. of the block
+                    first = np.maximum(j, np.arange(i + 1, min(i + step, n1) + 1))
+                    k = np.maximum(min(j + _PAIR_CHUNK, n2) - first, 0)
+                    cols = np.arange(k.sum()) + np.repeat(first + k - np.cumsum(k), k)
+                    h = P[:, i : i + step].repeat(k, axis=1) - Q.take(cols, axis=1)
+                else:
+                    h = P[:, i : i + step, None] - Q[:, None, j : j + _PAIR_CHUNK]
                 yield h.reshape(3, -1).T
         return
     rng = np.random.default_rng(seed)

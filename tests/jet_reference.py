@@ -123,6 +123,20 @@ def validate_bipartite(pair, separation=None) -> BipartiteReport:
     return _report(rho, within_max, sep_min, cross_min, cross_max, checked, separation)
 
 
+def within_blocks_by_broadcast(P: np.ndarray, chunk: int):
+    """The exhaustive within-family blocks of `_pair_differences` as they
+    were formed before: each block the full broadcast P[i] - P[j] over its
+    rows and columns, then compressed to the pairs i < j."""
+    P = np.ascontiguousarray(P.T)
+    n = P.shape[1]
+    step = max(1, chunk // max(n, 1))
+    for i in range(0, n - 1, step):
+        for j in range(i + 1, n, chunk):
+            h = P[:, i : i + step, None] - P[:, None, j : j + chunk]
+            later = np.arange(j, j + h.shape[2]) > np.arange(i, i + h.shape[1])[:, None]
+            yield np.compress(later.ravel(), h.reshape(3, -1), axis=1).T
+
+
 def tau_range(blocks) -> tuple[float, float, int]:
     """(min, max) of tau over the rows of difference blocks, or (inf, 0) if
     there are none, and the number of rows: `jet_gauges` on every row, the

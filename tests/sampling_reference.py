@@ -6,8 +6,9 @@ x, y, t.  These are the (n, 3) bodies they replaced: the same generator draws
 and the same elementwise operations on (n, 3) arrays, with boolean row
 gathers.  `fiber_rows` and `projection_rows` are the experiments' loops
 one sample or one tube at a time, drawing every tube's points afresh at its
-delta, and `fiber_length` the former one-sample fiber count, one kernel
-call per sample, in the window of `bounding_box`, one tube's box.
+delta, `exact_containment_ratio` the closed form in scalar floats, and
+`fiber_length` the former one-sample fiber count, one kernel call per
+sample, in the window of `bounding_box`, one tube's box.
 `random_tubes` is the experiments' tube sampler as it returned `HTube`s.
 The tests pin the row path to them bit for bit.
 """
@@ -111,20 +112,29 @@ def projection_containment_ratio(tube, samples: int, seed: int = 0) -> float:
     return float(np.max(np.abs(proj[:, 1] - graph))) / (tube.delta ** 2)
 
 
-def projection_rows(delta_exps, samples: int, seed: int, random_tubes, n_tubes=20) -> list:
-    """`projection-containment`'s rows rung by rung: each rung's tubes come
-    from default_rng([seed, k]), and tube i draws its own points at its delta
-    from the stream [seed, i, 17]."""
-    rows = []
+def exact_containment_ratio(tube) -> float:
+    """The closed-form sup of the containment ratio over the whole tube,
+    sqrt(1 + (|kappa| + sqrt(1 + kappa^2))^2) / 4, in scalar floats."""
+    kappa = tube_to_curve(tube).kappa
+    mu = abs(kappa) + math.sqrt(1.0 + kappa * kappa)
+    return math.sqrt(1.0 + mu * mu) / 4.0
+
+
+def projection_rows(delta_exps, samples: int, seed: int, random_tubes, n_tubes=20):
+    """`projection-containment`'s rows rung by rung, and the largest sampled
+    ratio over exact ratio: the tubes come from default_rng([seed]) at every
+    rung, each row holds the largest exact ratio, and tube i draws its own
+    points at each rung's delta from the stream [seed, i, 17]."""
+    rows, closest = [], 0.0
     for k in delta_exps:
         d = 2.0 ** -k
-        tubes = random_tubes(np.random.default_rng([seed, k]), d, n_tubes, 0.5)
-        worst = 0.0
+        tubes = random_tubes(np.random.default_rng([seed]), d, n_tubes, 0.5)
         for i, tube in enumerate(tubes):
             n_i = samples // n_tubes + (i < samples % n_tubes)
-            worst = max(worst, projection_containment_ratio(tube, n_i, seed=(seed, i)))
-        rows.append([d, worst])
-    return rows
+            sampled = projection_containment_ratio(tube, n_i, seed=(seed, i))
+            closest = max(closest, sampled / exact_containment_ratio(tube))
+        rows.append([d, max(map(exact_containment_ratio, tubes))])
+    return rows, closest
 
 
 def fiber_rows(delta_exps, samples: int, seed: int, random_tubes) -> list:

@@ -753,16 +753,21 @@ def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
 
 
 def test_projection_containment_draws_once_per_tube_index(monkeypatch):
-    # tube i of every rung reads stream [seed, i, 17]: its unit draws serve all rungs
+    # one tube set from [seed] serves every rung, and tube i reads stream
+    # [seed, i, 17]: its unit draws serve all rungs
     from heislab import cli
 
-    draws, calls = [], []
-    tube_draws, ratio = cli.tube_draws, cli.projection_containment_ratio
+    tube_sets, draws, calls = [], [], []
+    random_tubes, tube_draws = cli._random_tubes, cli.tube_draws
+    ratio = cli.projection_containment_ratio
+    monkeypatch.setattr(cli, "_random_tubes",
+                        lambda *a: tube_sets.append(a[1:]) or random_tubes(*a))
     monkeypatch.setattr(cli, "tube_draws",
                         lambda *a: draws.append(a) or tube_draws(*a))
     monkeypatch.setattr(cli, "projection_containment_ratio",
                         lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
     EXPERIMENTS["projection-containment"](delta_exps=range(4, 9), samples=400, seed=3)
+    assert tube_sets == [(2.0 ** -4, 20, 0.5)]
     assert draws == [(1.0, 20, (3, i)) for i in range(20)]
     assert calls == [20] * 100
 
@@ -778,6 +783,43 @@ def test_projection_containment_measures_every_sample(monkeypatch):
     EXPERIMENTS["projection-containment"](delta_exps=[4], samples=39, seed=0)
     assert calls == [2] * 19 + [1]
     assert sum(calls) == 39
+
+
+def test_projection_containment_reports_the_exact_ratio_at_every_rung():
+    from heislab import cli, projection
+
+    got = EXPERIMENTS["projection-containment"](seed=5)
+    params = cli._random_tubes(np.random.default_rng([5]), 2.0 ** -4, 20, 0.5)
+    worst = float(projection.exact_containment_ratio(params[3], params[4]).max())
+    assert got.rows == [[2.0 ** -k, worst] for k in range(4, 9)]
+    assert abs(got.extras["ratio_slope"]) < 1e-12
+    assert 0.9 < got.extras["sampled_over_exact"] <= 1.0
+
+
+def test_projection_containment_cross_check_fails_on_a_lowered_bound(tmp_path, monkeypatch):
+    # at half the exact ratio every tube's samples break the bound; the
+    # witness is the first tube at the first rung
+    from heislab import cli, projection
+
+    exact = projection.exact_containment_ratio
+    monkeypatch.setattr(cli, "exact_containment_ratio", lambda a, b: 0.5 * exact(a, b))
+    out = tmp_path / "p.csv"
+    assert main(["run", "projection-containment", "--out", str(out)]) == 1
+    params = cli._random_tubes(np.random.default_rng([0]), 2.0 ** -4, 20, 0.5)
+    tube = tubes_from_params(params)[0]
+    s, z = cli.tube_draws(1.0, 250, (0, 0))
+    sampled = projection.projection_containment_ratio(tube, s, cli._bulk.dilate(2.0 ** -4, z))
+    bound = 0.5 * float(exact(params[3], params[4])[0])
+    manifest = (tmp_path / "p.csv.manifest").read_text()
+    assert (f"check [FAIL] sampled ratio <= exact ratio + rounding margin "
+            f"(tube 0 at delta 0.0625: sampled {sampled!r} > exact {bound!r})") in manifest
+    assert "check [PASS] max vertical distance" in manifest
+
+
+def test_projection_containment_checks_pass_on_seeds_0_to_199():
+    run = EXPERIMENTS["projection-containment"]
+    failed = [seed for seed in range(200) if not all(ok for _, ok, _ in run(seed=seed).checks)]
+    assert failed == []
 
 
 def test_bush_section_check_fails_when_one_section_end_moves(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,10 @@ import sampling_reference
 from heislab import _bulk, projection
 from heislab.heis import E1, E2, HDirection, HPoint
 from heislab.projection import (
+    CONTAINMENT_ROUNDING,
     FIBER_BLOCK,
     PlanePoint,
+    exact_containment_ratio,
     fiber_length,
     fiber_point,
     project_W,
@@ -141,6 +143,103 @@ def test_containment_ratio_bounded(rng):
                 projection_containment_ratio(HTube(c, e, d), *tube_draws(d, 3000, seed=i)),
             )
     assert 0 < worst <= 8.0
+
+
+# |a + b| = 1/2 on the unit circle: |kappa| = sqrt(7), the largest the
+# projection accepts
+_EDGE = (0.25 + math.sqrt(1.75) / 2, 0.25 - math.sqrt(1.75) / 2)
+
+
+def containment_tubes(rng, n, delta, scale=0.15):
+    """n random tubes with |a + b| >= 1/2, then kappa = 0 and both signs of
+    |kappa| near sqrt(7), with centers of the experiment's spread."""
+    dirs = []
+    while len(dirs) < n:
+        e = HDirection.from_angle(rng.uniform(-math.pi, math.pi))
+        if abs(e.a + e.b) >= 0.5:
+            dirs.append(e)
+    dirs += [HDirection(math.sqrt(0.5), math.sqrt(0.5)), HDirection(*_EDGE),
+             HDirection(*_EDGE[::-1])]
+    return [HTube(HPoint(*(rng.normal(scale=scale, size=3) * [1, 1, 0.25])), e, delta)
+            for e in dirs]
+
+
+def exact_of(tubes):
+    params = tube_params(tubes)
+    return exact_containment_ratio(params[3], params[4])
+
+
+def test_exact_containment_ratio_covers_the_edge_directions():
+    kappa = np.array([tube_to_curve(HTube(HPoint(0, 0, 0), HDirection(*ab), 0.1)).kappa
+                      for ab in [(math.sqrt(0.5), math.sqrt(0.5)), _EDGE, _EDGE[::-1]]])
+    assert kappa[0] == 0.0
+    assert np.allclose(np.abs(kappa[1:]), math.sqrt(7), rtol=1e-14)
+    got = exact_containment_ratio(np.array([math.sqrt(0.5), *_EDGE]),
+                                  np.array([math.sqrt(0.5), *_EDGE[::-1]]))
+    # kappa = 0 gives sqrt(2)/4; |kappa| = sqrt(7) gives sqrt(1 + (sqrt(7) + sqrt(8))^2)/4
+    want = [math.sqrt(2) / 4] + [math.sqrt(1 + (math.sqrt(7) + math.sqrt(8)) ** 2) / 4] * 2
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
+    assert got.max() < 1.3912
+
+
+@pytest.mark.parametrize("a, b", [(math.sqrt(0.5), -math.sqrt(0.5)), (0.6, -0.8)])
+def test_exact_containment_ratio_rejects_directions_near_the_fiber_line(a, b):
+    with pytest.raises(ValueError, match="too close"):
+        exact_containment_ratio(np.array([1.0, a]), np.array([0.0, b]))
+
+
+@pytest.mark.parametrize("k", [1, 4, 8, 14, 20])
+def test_exact_containment_ratio_bounds_the_sampled_reference(rng, k):
+    # the sampled ratio sees points of the tube only, so it never exceeds
+    # the sup over the tube beyond the stated rounding margin
+    d = 2.0 ** -k
+    tubes = containment_tubes(rng, 12, d)
+    for i, (tube, exact) in enumerate(zip(tubes, exact_of(tubes).tolist())):
+        sampled = sampling_reference.projection_containment_ratio(tube, 3000, seed=(k, i))
+        assert sampled <= exact + CONTAINMENT_ROUNDING / (d * d)
+        assert exact == sampling_reference.exact_containment_ratio(tube)
+
+
+def test_exact_containment_ratio_is_nearly_attained_by_a_million_points(rng):
+    # centers near the origin keep the whole tube inside B(0, 1); the
+    # re-anchor's 12 tubes at 10^6 points gave 0.9976-0.9998 of the sup
+    d = 2.0 ** -6
+    tubes = containment_tubes(rng, 2, d, scale=0.02)
+    for i, (tube, exact) in enumerate(zip(tubes, exact_of(tubes).tolist())):
+        sampled = projection_containment_ratio(tube, *tube_draws(d, 10 ** 6, seed=(9, i)))
+        assert 0.99 * exact <= sampled <= exact
+
+
+def test_projected_height_above_the_graph_is_z2_plus_the_quadratic_form(rng):
+    # the identity the closed form rests on: s and the center drop out
+    d = 2.0 ** -5
+    for tube in containment_tubes(rng, 6, d, scale=0.3):
+        s, z = tube_draws(d, 2000, seed=3)
+        x, y, t = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z)
+        curve = tube_to_curve(tube)
+        theta, height = project_W_batch(np.stack([x, y, t]).T).T
+        kappa, (z0, z1, z2) = curve.kappa, z
+        want = z2 + (z0 * z0 - z1 * z1) / 4 - kappa * (z0 + z1) ** 2 / 4
+        assert np.allclose(height - curve(theta), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0 ** -7])
+def test_eigenvalue_formula_equals_brute_force_max_on_the_gauge_sphere(rng, delta):
+    # the sup of |z2 + Q| sits on the sphere (z0^2 + z1^2)^2 + 16 z2^2 = delta^4:
+    # z0 + i z1 = delta sqrt(cos psi) e^{i phi}, z2 = delta^2 sin(psi) / 4
+    phi = np.linspace(-math.pi, math.pi, 1441)[:, None]
+    psi = np.linspace(-math.pi / 2, math.pi / 2, 1441)
+    r = delta * np.sqrt(np.cos(psi))
+    z0, z1, z2 = r * np.cos(phi), r * np.sin(phi), delta * delta * np.sin(psi) / 4
+    angles = [math.pi / 4, math.atan2(*_EDGE[::-1]), math.atan2(*_EDGE)]
+    angles += [a for a in rng.uniform(-math.pi, math.pi, 40)
+               if abs(math.cos(a) + math.sin(a)) >= 0.5]
+    for angle in angles:
+        a, b = math.cos(angle), math.sin(angle)
+        kappa = (a - b) / (a + b)
+        brute = np.abs(z2 + (z0 * z0 - z1 * z1) / 4 - kappa * (z0 + z1) ** 2 / 4).max()
+        exact = float(exact_containment_ratio(np.array([a]), np.array([b]))[0]) * delta * delta
+        assert exact * (1 - 1e-5) <= brute <= exact * (1 + 1e-12)
 
 
 def test_bipartite_transfer_of_transversal_directions(rng):

@@ -186,6 +186,65 @@ def test_jet_gauges_equal_scalar_reference_on_random_rows(rng):
     assert d.tolist() == [ref.delta_gauge(q, zero) for q in rows]
 
 
+def _signed_powers(rng, n, lo, hi):
+    return rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(lo, hi, n))
+
+
+def test_jet_gauges_keep_their_bits_on_large_rows_that_do_not_overflow(rng):
+    # past 2^510 a row is tested for overflow; these rows have no overflow
+    # (|db| <= 2^501, |da dc| <= 2^1001, 18.5|da| + 6|db| + |dc| < 2^1016),
+    # so they keep the unscaled operations, tiny entries included
+    n = 4000
+    h = np.stack([_signed_powers(rng, n, -300, 1), _signed_powers(rng, n, -300, 500),
+                  _signed_powers(rng, n, -300, 1000)], axis=1)
+    # a huge curvature over a tiny value: scaled to [1/2, 1), dc would flush to 0
+    wide = np.stack([_signed_powers(rng, n, 600, 1010), np.zeros(n),
+                     _signed_powers(rng, n, -700, -500)], axis=1)
+    wide[::3, 1] = _signed_powers(rng, len(wide[::3]), -300, 0)
+    h = np.concatenate([h, wide])
+    h[::7, 0] = 0.0
+    h[::11, 1] = 0.0
+    assert (np.abs(h).max(axis=1) > 2.0 ** 510).mean() > 0.6
+    t, d = jet_gauges(h)
+    zero = Quadratic(0.0, 0.0, 0.0)
+    rows = [Quadratic(*row) for row in h.tolist()]
+    assert t.tolist() == [ref.tau(q, zero) for q in rows]
+    assert d.tolist() == [ref.delta_gauge(q, zero) for q in rows]
+
+
+@pytest.mark.parametrize("k", [300, 600, 900, 1000, 1020])
+def test_jet_gauges_of_rows_scaled_past_overflow_are_the_scaled_gauges(rng, k):
+    # a power of two only shifts exponents, so the gauges of 2^k h are
+    # 2^k times those of h, +inf where that passes the largest float, and
+    # no step warns (the tests turn RuntimeWarnings into errors)
+    h = rng.normal(size=(2000, 3))
+    h[::5, 0] = 0.0
+    h[::9, 1] = 0.0
+    t, d = jet_gauges(np.ldexp(h, k))
+    t1, d1 = jet_gauges(h)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(t, np.ldexp(t1, k))
+        assert np.array_equal(d, np.ldexp(d1, k))
+    assert np.isfinite(d).all() and (np.isinf(t).any() == (k >= 1020))
+
+
+def test_jet_gauges_on_finite_rows_up_to_the_largest_float():
+    big = np.finfo(float).max
+    h = np.array([[0.0, 1e160, 1e160], [0.0, 1e155, 0.0], [1e307, 1e307, 1e307],
+                  [big, -big, big], [-big, 0.0, 0.0], [0.0, 0.0, big], [0.0, big, -big]])
+    t, d = jet_gauges(h)
+    # h = 1e160 (s + 1): |h| + |h'| is 6e160 + 1e160 at s = 5 and 1e160 at the root -1
+    assert [t[0], d[0], t[1], d[1]] == pytest.approx([7e160, 1e160, 6e155, 1e155], rel=1e-15)
+    assert np.isinf(t[[2, 3, 4, 6]]).all() and t[5] == big
+    assert np.isfinite(d).all()
+    assert d[5] == big and d[6] == big
+    for row, tv, dv in zip(h, t, d):
+        e = np.frexp(np.abs(row).max())[1]
+        ts, ds = jet_gauges(np.ldexp(row, -e)[None])
+        with np.errstate(over="ignore"):
+            assert (tv, dv) == (np.ldexp(ts[0], e), np.ldexp(ds[0], e))
+
+
 def test_jet_gauges_on_no_rows():
     t, d = jet_gauges(np.zeros((0, 3)))
     assert t.shape == d.shape == (0,)
@@ -310,6 +369,19 @@ def test_pair_differences_follow_the_scalar_reference_order(monkeypatch, n1, n2,
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     # jet_gauges reads a block as its contiguous coefficient rows
     assert all(h.T.flags.c_contiguous for h in blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 65, 200, 447])
+def test_within_family_blocks_equal_the_compressed_broadcast(n):
+    # only the pairs i < j are formed, block by block as the full broadcast
+    # compressed to them, bit for bit
+    P = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-1, 2)
+    got = list(quadratics._pair_differences(P, P, 100_000, 0, within=True))
+    want = list(ref.within_blocks_by_broadcast(P, quadratics._PAIR_CHUNK))
+    assert [h.shape for h in got] == [h.shape for h in want]
+    for h, w in zip(got, want):
+        assert h.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+        assert h.T.flags.c_contiguous
 
 
 def test_validate_bipartite_exhaustive_while_unordered_pairs_fit():

@@ -68,10 +68,11 @@ def test_sample_gauge_ball_rejects_bad_input_before_drawing(delta, n):
 
 
 def experiment_tubes(seed, delta_exps=range(4, 9), n_tubes=20):
-    """The tubes of `projection-containment`, with each one's sample seeds."""
+    """The tubes of `projection-containment` at each rung, with each one's
+    sample seeds."""
     out = []
     for k in delta_exps:
-        tubes = ref.random_tubes(np.random.default_rng([seed, k]), 2.0 ** -k, n_tubes, 0.5)
+        tubes = ref.random_tubes(np.random.default_rng([seed]), 2.0 ** -k, n_tubes, 0.5)
         out += [(tube, (seed, i)) for i, tube in enumerate(tubes)]
     return out
 
@@ -123,7 +124,7 @@ def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
         return z
 
     def seen(*measured):
-        tubes.update((*t.center.as_tuple(), t.dir.a, t.dir.b) for t in measured)
+        tubes.update((*t.center.as_tuple(), t.dir.a, t.dir.b, t.delta) for t in measured)
 
     def fibers(measured, w, res):
         seen(*tubes_from_params(measured))
@@ -143,7 +144,8 @@ def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
     # 1000 + i the stream of seed s + 1's sample i
     ("fiber-length", dict(delta_exps=[5, 6], samples=1200), 2400, 2400),
     # the former keys seed + i gave seed s's tube i + 1 the stream of seed
-    # s + 1's tube i, for all but one of the 20 tube indices
+    # s + 1's tube i, for all but one of the 20 tube indices; its 20 tubes are
+    # measured at both rungs
     ("projection-containment", dict(delta_exps=[4, 5], samples=2000), 40, 2000),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -178,8 +180,10 @@ def test_dilated_unit_draws_equal_draws_at_dyadic_delta(k, n):
 def test_projection_experiment_equals_per_rung_reference(seed, delta_exps, samples):
     got = cli.EXPERIMENTS["projection-containment"](
         delta_exps=delta_exps, samples=samples, seed=seed
-    ).rows
-    assert got == ref.projection_rows(delta_exps, samples, seed, ref.random_tubes)
+    )
+    rows, closest = ref.projection_rows(delta_exps, samples, seed, ref.random_tubes)
+    assert got.rows == rows
+    assert got.extras["sampled_over_exact"] == closest
 
 
 @pytest.mark.parametrize("min_axis_sum", [0.5, 1 / math.sqrt(2), 1.4])
