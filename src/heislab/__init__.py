@@ -65,7 +65,6 @@ from .families import (
 )
 from .integrals import (
     ExponentFit,
-    SampleSpec,
     bilinear_curve_integral,
     bilinear_tube_integral,
     fit_exponent,

@@ -39,7 +39,6 @@ from .families import (
 )
 from .incidence import quad_broadness, richness_of, wolff_bound_check
 from .integrals import (
-    SampleSpec,
     bilinear_curve_integral,
     bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
@@ -131,7 +130,7 @@ OPTIONS = {
     "t": (float, 2.0 ** -4, "clamshell tangency scale"),
     "seed": (int, 0, "random seed"),
     "samples": (int, None, "Monte Carlo samples, randomized cases or cross-check points"),
-    "grid-res": (float, None, "grid spacing of the planar integrals"),
+    "grid-res": (float, None, "grid spacing of the planar integrals, at most 1/2"),
     "out": (str, None, "output CSV path"),
     "workers": (int, 1, "Monte Carlo worker threads"),
 }
@@ -300,9 +299,7 @@ def _exp_bush(*, delta_exps=range(4, 9), samples=400_000, seed, workers) -> Expe
     for k in delta_exps:
         d = 2.0 ** -k
         t1, t2 = build_bush(d)
-        est = bilinear_tube_integral(
-            t1, t2, 0.75, SampleSpec(samples=samples, seed=seed), workers
-        )
+        est = bilinear_tube_integral(t1, t2, 0.75, samples, seed, workers)
         found = section_mismatch(t1, t2, np.random.default_rng([seed, k, 1]), SECTION_PROBES)
         mismatch = mismatch or (found and f"delta={d!r} {found}")
         n1, n2 = len(t1), len(t2)
@@ -335,10 +332,13 @@ def _exp_bush(*, delta_exps=range(4, 9), samples=400_000, seed, workers) -> Expe
 
 @experiment("opposed-pair-scaling")
 def _exp_opposed(*, delta_exps=range(4, 11), rho=1.0, grid_res=None) -> ExperimentResult:
+    # a spacing above 1/2 rounds to a 2 x 2 grid, whose integrals read 0
+    if grid_res is not None and not 0.0 < grid_res <= 0.5:
+        raise OptionError(f"opposed-pair-scaling needs --grid-res in (0, 1/2], got {grid_res}")
+
     def lhs(d, r):
         pair = build_opposed_pair(d, r)
-        spec = SampleSpec(mode="grid", resolution=grid_res)
-        return bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75, spec).value
+        return bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75, grid_res).value
 
     rows, dpts, rpts = [], [], []
     for k in delta_exps:
@@ -368,9 +368,7 @@ def _exp_balls(*, delta_exps=range(5, 8), rho=0.25, seed) -> ExperimentResult:
     for k in delta_exps:
         d = 2.0 ** -k
         pair = build_bipartite_balls(d, rho)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), d, 0.75, SampleSpec(mode="grid")
-        )
+        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
         rng = np.random.default_rng([seed, k])
         s = rng.uniform(0.1, 0.9, 1000)
         y = rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
@@ -440,7 +438,8 @@ def _exp_net(*, delta_exps=range(4, 7), samples=100_000, seed, workers) -> Exper
             lambda q: net_multiplicity(spec, q, 2),
             region,
             2.0 / 3.0,
-            SampleSpec(samples=samples, seed=seed),
+            samples,
+            seed,
             workers,
         )
         probes = _bulk.sample_gauge_ball(np.random.default_rng([seed, k, 3]), 1.0, 1000).T

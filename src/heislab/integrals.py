@@ -1,14 +1,18 @@
 """Bilinear integral estimators and scaling-exponent extraction.
 
 The left sides of the bilinear estimates are integrals of
-(multiplicity_1)^p * (multiplicity_2)^p; they are evaluated on grids or by
-Monte Carlo with deterministic, shard-indexed sample substreams: a fixed seed
-gives bit-identical results for any worker count.  The tube integrals draw
-columns (x, y) and integrate each column's t exactly, from the tubes'
-closed-form t-sections (conditional Monte Carlo).  The planar grid builds no dense grid: it counts the cells of each
-(m1, m2) pair exactly, on the window of each column where both families'
-strips can meet, and adds count * m1^p * m2^p over the pairs, rounded once.
-Powers come from one table arange(K)^p, in the sampling engine too.
+(multiplicity_1)^p * (multiplicity_2)^p, and each estimator has one method.
+The Heisenberg tube integrals are Monte Carlo with deterministic,
+shard-indexed sample substreams: a fixed seed gives bit-identical results for
+any worker count.  `bilinear_tube_integral` draws columns (x, y) and
+integrates each column's t exactly, from the tubes' closed-form t-sections
+(conditional Monte Carlo); `bilinear_integral_from_multiplicity` draws points
+in a box for any two multiplicity callables.  The planar strip integral
+`bilinear_curve_integral` is an exact grid sum that builds no dense grid: it
+counts the cells of each (m1, m2) pair exactly, on the window of each column
+where both families' strips can meet, and adds count * m1^p * m2^p over the
+pairs, rounded once.  Powers come from one table arange(K)^p, in the sampling
+engine too.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .quadratics import Quadratic, coeff_array
 from .tubes import HTube, MCEstimate, tube_bounding_box, tube_multiplicity, tube_params
 
 __all__ = [
-    "SampleSpec",
     "ExponentFit",
     "fit_exponent",
     "rhs_bilinear",
@@ -41,27 +44,6 @@ _SHARD = 65536
 # temporaries is 64 KiB and stays in cache; this measured about 20 % faster
 # per column than blocks of _SHARD entries on a 2-vCPU machine
 _SWEEP_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """How to sample an integral: 'grid' with a spacing, or 'monte_carlo' with
-    a sample count and seed.  The integration box is not part of the spec:
-    each estimator derives it from its families, or takes it as an argument
-    (`bilinear_integral_from_multiplicity`)."""
-
-    mode: str = "monte_carlo"
-    resolution: float | None = None
-    samples: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("grid", "monte_carlo"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.mode == "grid" and self.resolution is not None and self.resolution <= 0:
-            raise ValueError("grid resolution must be positive")
-        if self.mode == "monte_carlo" and self.samples is not None and self.samples <= 0:
-            raise ValueError(f"sample count must be positive, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +140,11 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"exponent p must be finite and positive, got {p}")
 
 
+def _check_samples(samples) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"sample count must be an integer >= 1, got {samples!r}")
+
+
 def _sharded_mean(values, n: int, seed: int, workers: int = 1) -> tuple[float, float]:
     """Mean of n draws and its standard error.  values(rng, m) gives m draws
     from a generator; the draws come in shards of `_SHARD`, shard idx from its
@@ -184,39 +171,23 @@ def bilinear_integral_from_multiplicity(
     m2_fn,
     region: np.ndarray,
     p: float,
-    spec: SampleSpec,
+    samples: int,
+    seed: int = 0,
     workers: int = 1,
 ) -> MCEstimate:
-    """Integral of m1(x)^p * m2(x)^p over a box from two multiplicity callables,
-    on a midpoint grid of spacing `spec.resolution` or by uniform points; each
-    batch of points goes to m1_fn and then to m2_fn."""
+    """Monte Carlo integral of m1(x)^p * m2(x)^p over a box from two
+    multiplicity callables: `samples` uniform points from the shard-indexed
+    streams of `_sharded_mean`; each batch of points goes to m1_fn and then
+    to m2_fn."""
     _check_exponent(p)
-    lo = np.asarray(region, dtype=np.float64)[:, 0]
-    hi = np.asarray(region, dtype=np.float64)[:, 1]
-    dim = len(lo)
-
-    if spec.mode == "grid":
-        res = spec.resolution
-        if res is None:
-            raise ValueError("grid mode needs a resolution")
-        axes = []
-        for i in range(dim):
-            n_i = max(1, int(np.ceil((hi[i] - lo[i]) / res)))
-            axes.append(lo[i] + (np.arange(n_i) + 0.5) * res)
-        total = 0.0
-        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        for start in range(0, mesh.shape[0], _SHARD):
-            chunk = mesh[start : start + _SHARD]
-            v = _power_product(m1_fn(chunk), m2_fn(chunk), p)
-            total += float(v.sum())
-        return MCEstimate(total * res ** dim, 0.0, mesh.shape[0])
+    _check_samples(samples)
+    lo, hi = np.asarray(region, dtype=np.float64).T
 
     def values(rng, n):
-        pts = lo + rng.random((n, dim)) * (hi - lo)
+        pts = lo + rng.random((n, len(lo))) * (hi - lo)
         return _power_product(m1_fn(pts), m2_fn(pts), p)
 
-    samples = spec.samples or 1_000_000
-    mean, stderr = _sharded_mean(values, samples, spec.seed, workers)
+    mean, stderr = _sharded_mean(values, samples, seed, workers)
     vol = float(np.prod(hi - lo))
     return MCEstimate(vol * mean, vol * stderr, samples)
 
@@ -258,21 +229,22 @@ def bilinear_tube_integral(
     t1: list[HTube],
     t2: list[HTube],
     p: float,
-    spec: SampleSpec,
+    samples: int,
+    seed: int = 0,
     workers: int = 1,
 ) -> MCEstimate:
     """Integral of (sum of t1 indicators)^p * (sum of t2 indicators)^p.
 
     The integrand vanishes outside the intersection of the two families'
-    bounding boxes.  Columns (x, y) are taken in that box's horizontal
-    rectangle, and above each the integral over t is exact
-    (`_column_integrator`): conditional Monte Carlo.  Grid mode takes the
-    column midpoints of a grid of spacing `spec.resolution`; Monte Carlo mode
-    draws max(1, spec.samples // (len(t1) + len(t2))) uniform columns with the
-    shard-indexed streams of `_sharded_mean`, so `spec.samples` counts
-    (column, tube) sections.  `MCEstimate.samples` is the number of columns.
+    bounding boxes.  max(1, samples // (len(t1) + len(t2))) uniform columns
+    (x, y) are drawn in that box's horizontal rectangle, with the
+    shard-indexed streams of `_sharded_mean`, and above each the integral
+    over t is exact (`_column_integrator`): conditional Monte Carlo.  So
+    `samples` counts (column, tube) sections, and `MCEstimate.samples` is the
+    number of columns.
     """
     _check_exponent(p)
+    _check_samples(samples)
     if not t1 or not t2:
         raise ValueError("tube families must be nonempty")
     params = tube_params(t1 + t2)
@@ -281,22 +253,14 @@ def bilinear_tube_integral(
         return MCEstimate(0.0, 0.0, 0)
     integrate = _column_integrator(params, len(t1), p)
     lo, hi = region[:2, 0], region[:2, 1]
-    area = float(np.prod(hi - lo))
-
-    if spec.mode == "grid":
-        if spec.resolution is None:
-            raise ValueError("grid mode needs a resolution")
-        n = np.maximum(1, np.ceil((hi - lo) / spec.resolution)).astype(int)
-        x, y = ((np.arange(n[i]) + 0.5) * ((hi[i] - lo[i]) / n[i]) + lo[i] for i in (0, 1))
-        v = integrate(np.repeat(x, n[1]), np.tile(y, n[0]))
-        return MCEstimate(math.fsum(v) * (area / (n[0] * n[1])), 0.0, int(n[0] * n[1]))
 
     def values(rng, n):
         u = rng.random((2, n))
         return integrate(lo[0] + u[0] * (hi[0] - lo[0]), lo[1] + u[1] * (hi[1] - lo[1]))
 
-    columns = max(1, (spec.samples or 1_000_000) // (len(t1) + len(t2)))
-    mean, stderr = _sharded_mean(values, columns, spec.seed, workers)
+    columns = max(1, samples // (len(t1) + len(t2)))
+    mean, stderr = _sharded_mean(values, columns, seed, workers)
+    area = float(np.prod(hi - lo))
     return MCEstimate(area * mean, area * stderr, columns)
 
 
@@ -448,25 +412,20 @@ def bilinear_curve_integral(
     G: list[Quadratic],
     delta: float,
     p: float,
-    spec: SampleSpec,
-    workers: int = 1,
+    resolution: float | None = None,
 ) -> MCEstimate:
     """Integral over the unit square of (F-strip multiplicity)^p times
-    (G-strip multiplicity)^p, membership being |f(s) - y| <= delta."""
+    (G-strip multiplicity)^p, membership being |f(s) - y| <= delta, summed
+    exactly over the cell centers of an n x n grid (`_curve_pair_counts`).
+    The spacing is 1/n with n = round(1 / resolution), resolution delta/4 by
+    default; a given resolution must lie in (0, 1/2], so that n >= 2."""
     _check_exponent(p)
+    if resolution is not None and not 0.0 < resolution <= 0.5:
+        raise ValueError(f"grid resolution must be finite and in (0, 1/2], got {resolution!r}")
     fc, gc = coeff_array(F), coeff_array(G)
-
-    if spec.mode == "grid":
-        res = spec.resolution if spec.resolution is not None else delta / 4.0
-        n = max(2, int(round(1.0 / res)))
-        res = 1.0 / n
-        m1, m2, counts = _curve_pair_counts(fc, gc, n, delta)
-        total = _exact_weighted_sum(counts, _power_product(m1, m2, p))
-        return MCEstimate(total * res * res, 0.0, n * n)
-
-    region = np.array([[0.0, 1.0], [0.0, 1.0]])
-    return bilinear_integral_from_multiplicity(
-        lambda pts: strip_multiplicity(fc, pts[:, 0], pts[:, 1], delta),
-        lambda pts: strip_multiplicity(gc, pts[:, 0], pts[:, 1], delta),
-        region, p, spec, workers,
-    )
+    res = resolution if resolution is not None else delta / 4.0
+    n = max(2, int(round(1.0 / res)))
+    res = 1.0 / n
+    m1, m2, counts = _curve_pair_counts(fc, gc, n, delta)
+    total = _exact_weighted_sum(counts, _power_product(m1, m2, p))
+    return MCEstimate(total * res * res, 0.0, n * n)

@@ -164,9 +164,9 @@ def tube_intersection_volume(
     integral of `integrals` of the two singleton families at p = 1, exact in
     t over samples // 2 random columns, so the result depends only on the seed.
     """
-    from .integrals import SampleSpec, bilinear_tube_integral  # imports tubes
+    from .integrals import bilinear_tube_integral  # imports tubes
 
-    return bilinear_tube_integral([t1], [t2], 1.0, SampleSpec(samples=samples, seed=seed))
+    return bilinear_tube_integral([t1], [t2], 1.0, samples, seed)
 
 
 def is_transversal_pair(f1: list[HTube], f2: list[HTube], c: float) -> bool:

@@ -1,17 +1,19 @@
 """Dense references for the curve-strip counts of `integrals`.
 
-The grid mode of `bilinear_curve_integral`: the per-curve loop over the full
+The grid of `bilinear_curve_integral`: the per-curve loop over the full
 n x n grid and the power sum over every cell that the windowed pair count
 replaced; the oracle tests compare the two on counts and on values.
 
 The pointwise count `strip_multiplicity`: the dense (curves, points) check of
-`bipartite-ball-sharpness` and the per-curve loop of the Monte Carlo mode,
-which it replaced.
+`bipartite-ball-sharpness` and the per-curve loop that it replaced.
+
+An independent Monte Carlo value of the curve integral, on the per-curve
+counts through the sampling engine, to cross-check the grid.
 """
 
 import numpy as np
 
-from heislab.integrals import SampleSpec, bilinear_integral_from_multiplicity
+from heislab.integrals import bilinear_integral_from_multiplicity
 from heislab.quadratics import coeff_array
 
 
@@ -58,7 +60,7 @@ def pair_counts(fc: np.ndarray, gc: np.ndarray, n: int, delta: float):
 
 
 def grid_integral(fc: np.ndarray, gc: np.ndarray, n: int, delta: float, p: float) -> float:
-    """The dense power sum times the cell area, as the grid mode computed it."""
+    """The dense power sum times the cell area, as the curve grid once computed it."""
     res = 1.0 / n
     m1, m2 = grid_multiplicities(fc, gc, n, delta)
     v = m1.astype(np.float64) ** p * m2.astype(np.float64) ** p
@@ -74,7 +76,7 @@ def dense_strip_multiplicity(coeffs: np.ndarray, s: np.ndarray, y: np.ndarray, d
 
 def per_curve_strip_multiplicity(coeffs: np.ndarray, s: np.ndarray, y: np.ndarray, delta: float):
     """Strip counts per point from one pass over the points per curve, as the
-    Monte Carlo mode computed them."""
+    Monte Carlo path of the curve integral once computed them."""
     m = np.zeros(len(s), dtype=np.int64)
     for a, b, c in coeffs:
         f = (0.5 * a * s + b) * s + c
@@ -82,13 +84,14 @@ def per_curve_strip_multiplicity(coeffs: np.ndarray, s: np.ndarray, y: np.ndarra
     return m
 
 
-def monte_carlo_integral(F, G, delta: float, p: float, spec: SampleSpec):
-    """The Monte Carlo mode of `bilinear_curve_integral` on the per-curve
-    counts, with one worker."""
+def monte_carlo_integral(F, G, delta: float, p: float, samples: int, seed: int = 0):
+    """Monte Carlo value of `bilinear_curve_integral` over the unit square:
+    `samples` uniform points classified by the per-curve counts, with one
+    worker."""
     def mult(coeffs):
         return lambda pts: per_curve_strip_multiplicity(coeffs, pts[:, 0], pts[:, 1], delta)
 
     region = np.array([[0.0, 1.0], [0.0, 1.0]])
     return bilinear_integral_from_multiplicity(
-        mult(coeff_array(F)), mult(coeff_array(G)), region, p, spec
+        mult(coeff_array(F)), mult(coeff_array(G)), region, p, samples, seed
     )

@@ -29,7 +29,6 @@ from heislab.families import (
 from heislab.heis import E1, E2, HDirection, HPoint
 from heislab.incidence import quad_broadness, richness_of, wolff_bound_check
 from heislab.integrals import (
-    SampleSpec,
     bilinear_curve_integral,
     bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
@@ -289,18 +288,14 @@ def test_criterion_07_opposed_pair_scaling():
     for k in range(4, 11):
         d = 2.0 ** -k
         pair = build_opposed_pair(d, 1.0)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), d, 0.75, SampleSpec(mode="grid")
-        )
+        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
         pts.append((d, est.value))
     slope_d = fit_exponent(pts).slope
     pts = []
     for j in range(1, 5):
         r = 2.0 ** -j
         pair = build_opposed_pair(2.0 ** -8, r)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), 2.0 ** -8, 0.75, SampleSpec(mode="grid")
-        )
+        est = bilinear_curve_integral(list(pair.F), list(pair.G), 2.0 ** -8, 0.75)
         pts.append((r, est.value))
     slope_r = fit_exponent(pts).slope
     runtime = time.monotonic() - t0
@@ -321,9 +316,7 @@ def test_criterion_08_bush_refutes_naive_bound():
     band, naive, n_t2, rel_err = [], [], [], []
     for d in ladder(4, 8):
         t1, t2 = build_bush(d)
-        est = bilinear_tube_integral(
-            t1, t2, 0.75, SampleSpec(samples=400_000, seed=SEED)
-        )
+        est = bilinear_tube_integral(t1, t2, 0.75, 400_000, SEED)
         n1, n2 = len(t1), len(t2)
         band.append((d, est.value / (d ** 4 * n1 ** 0.75 * n2)))
         naive.append((d, est.value / (d ** 4 * n1 ** 0.75 * n2 ** 0.75)))
@@ -377,9 +370,7 @@ def test_criterion_09_bipartite_ball_sharpness():
     for k in (5, 6, 7):
         d = 2.0 ** -k
         pair = build_bipartite_balls(d, rho)
-        est = bilinear_curve_integral(
-            list(pair.F), list(pair.G), d, 0.75, SampleSpec(mode="grid")
-        )
+        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
         norm_pts.append((d, est.value * d ** 3))
         rng = np.random.default_rng([SEED, k])
         s = rng.uniform(0.1, 0.9, 1000)
@@ -471,7 +462,8 @@ def test_criterion_11_parabolic_net():
             lambda q: net_multiplicity(spec, q, 2),
             region,
             2.0 / 3.0,
-            SampleSpec(samples=100_000, seed=SEED),
+            100_000,
+            SEED,
         )
         pts_l.append((d, est.value))
         rng = np.random.default_rng([SEED, k, 11])

@@ -712,6 +712,34 @@ def test_projection_containment_rejects_rungs_past_float_precision(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("res", ["0.51", "5", "1e300"])
+def test_opposed_pair_scaling_refuses_a_grid_res_above_one_half(tmp_path, capsys, res):
+    # every spacing above 1/2 rounds to a 2 x 2 grid whose integrals read 0:
+    # --grid-res 5 ended in the slope fit's "nonpositive value 0.0", exit 1
+    out = tmp_path / "o.csv"
+    assert main(["run", "opposed-pair-scaling", "--grid-res", res, "--out", str(out)]) == 2
+    assert "--grid-res in (0, 1/2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_opposed_pair_scaling_rows_are_the_curve_integral_at_the_set_grid_res(tmp_path):
+    from heislab.families import build_opposed_pair
+    from heislab.integrals import bilinear_curve_integral
+
+    out = tmp_path / "o.csv"
+    argv = ["run", "opposed-pair-scaling", "--delta-exps", "4..6", "--grid-res", "0.002",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["delta"] * 3 + ["rho"] * 4
+    for sweep, d, rho, lhs in rows:
+        pair = build_opposed_pair(float(d), float(rho))
+        est = bilinear_curve_integral(list(pair.F), list(pair.G), float(d), 0.75, 0.002)
+        assert lhs == repr(est.value)
+        # 0.002 is a 500 x 500 grid; the default, delta / 4, is finer
+        assert est.samples == 500 * 500
+
+
 def test_projection_containment_takes_the_last_exact_rung():
     # the last rung whose ratio measures geometry, not rounding
     rows = EXPERIMENTS["projection-containment"](delta_exps=[20], samples=20, seed=0).rows

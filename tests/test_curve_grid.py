@@ -14,7 +14,6 @@ from heislab.cli import _exp_balls
 from heislab.families import build_bipartite_balls, build_opposed_pair
 from heislab.integrals import (
     _SHARD,
-    SampleSpec,
     _curve_pair_counts,
     _power_product,
     bilinear_curve_integral,
@@ -38,7 +37,7 @@ def _families(pair):
     return list(pair.F), list(pair.G)
 
 
-# name -> (F, G, delta, resolution): every family kind the grid mode meets,
+# name -> (F, G, delta, resolution): every family kind the curve grid meets,
 # strips cut by y = 0 and y = 1, a grid coarser than the strips, disjoint
 # families
 _CASES = {
@@ -84,7 +83,7 @@ def _exact_sum(F, G, delta, n, p):
 def test_grid_value_is_the_dense_sum_rounded_once(case, p):
     F, G, delta, resolution = _CASES[case]
     n = _grid_n(delta, resolution)
-    est = bilinear_curve_integral(F, G, delta, p, SampleSpec(mode="grid", resolution=resolution))
+    est = bilinear_curve_integral(F, G, delta, p, resolution)
     dense = ref.grid_integral(coeff_array(F), coeff_array(G), n, delta, p)
     assert est.value == _exact_sum(F, G, delta, n, p)
     # the dense pairwise sum rounds as it goes: it may sit an ulp or two off,
@@ -100,7 +99,7 @@ def test_ball_values_equal_the_dense_sum(k):
     # the rungs of bipartite-ball-sharpness that its quick runs use
     F, G, delta, _ = _CASES[f"balls-{k}"]
     n = _grid_n(delta)
-    est = bilinear_curve_integral(F, G, delta, 0.75, SampleSpec(mode="grid"))
+    est = bilinear_curve_integral(F, G, delta, 0.75)
     assert est.value == ref.grid_integral(coeff_array(F), coeff_array(G), n, delta, 0.75)
 
 
@@ -115,14 +114,14 @@ def test_single_curve_families_count_cells_exactly():
             n = _grid_n(d)
             m1, m2, counts = _curve_pair_counts(fc, gc, n, d)
             assert m1.tolist() == m2.tolist() == [1] * len(counts)
-            est = bilinear_curve_integral([q], [r], d, 0.75, SampleSpec(mode="grid"))
+            est = bilinear_curve_integral([q], [r], d, 0.75)
             assert est.value == int(counts.sum()) / n / n == ref.grid_integral(fc, gc, n, d, 0.75)
 
 
 def test_disjoint_families_integrate_to_zero():
     F, G, delta, _ = _CASES["disjoint"]
     assert all(a.size == 0 for a in _curve_pair_counts(coeff_array(F), coeff_array(G), 128, delta))
-    assert bilinear_curve_integral(F, G, delta, 0.75, SampleSpec(mode="grid")).value == 0.0
+    assert bilinear_curve_integral(F, G, delta, 0.75).value == 0.0
 
 
 def _peak_bytes(fn):
@@ -138,7 +137,7 @@ def test_opposed_pair_memory_is_bounded_by_the_window():
     # the dense grid at delta = 2^-10 held 4096^2 int64 cells (134 MB) per family
     d = 2.0 ** -10
     F, G = _families(build_opposed_pair(d, 1.0))
-    peak = _peak_bytes(lambda: bilinear_curve_integral(F, G, d, 0.75, SampleSpec(mode="grid")))
+    peak = _peak_bytes(lambda: bilinear_curve_integral(F, G, d, 0.75))
     assert peak < 4 * 2 ** 20
 
 
@@ -235,15 +234,6 @@ def test_strip_counts_with_more_points_than_a_block_equal_the_references():
     assert got.any()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_monte_carlo_curve_integral_equals_the_per_curve_loop(workers):
-    F, G, delta, _ = _CASES["random"]
-    spec = SampleSpec(samples=200_000, seed=6)
-    got = bilinear_curve_integral(F, G, delta, 0.75, spec, workers)
-    assert got == ref.monte_carlo_integral(F, G, delta, 0.75, spec)
-    assert got.value > 0.0
-
-
 def test_ball_check_memory_is_bounded():
     # the dense (curves x 1000) float64 check held 53 MB at delta = 2^-6
     assert _peak_bytes(lambda: _exp_balls(delta_exps=[6], seed=0)) < 16 * 2 ** 20
@@ -265,7 +255,6 @@ def test_power_table_equals_float_powers_bit_for_bit(p):
 
 def test_engine_takes_bool_multiplicities_as_counts():
     region = np.array([[0.0, 1.0], [0.0, 1.0]])
-    spec = SampleSpec(samples=20_000, seed=4)
 
     def inside(r):
         return lambda pts: np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5) <= r
@@ -273,9 +262,9 @@ def test_engine_takes_bool_multiplicities_as_counts():
     def as_int(fn):
         return lambda pts: fn(pts).astype(np.int64)
 
-    a = bilinear_integral_from_multiplicity(inside(0.4), inside(0.3), region, 0.75, spec)
+    a = bilinear_integral_from_multiplicity(inside(0.4), inside(0.3), region, 0.75, 20_000, 4)
     b = bilinear_integral_from_multiplicity(
-        as_int(inside(0.4)), as_int(inside(0.3)), region, 0.75, spec
+        as_int(inside(0.4)), as_int(inside(0.3)), region, 0.75, 20_000, 4
     )
     assert a == b and a.value > 0.0
 
@@ -285,12 +274,10 @@ def test_engine_takes_bool_multiplicities_as_counts():
     [lambda pts: np.ones(len(pts)), lambda pts: -np.ones(len(pts), dtype=np.int64)],
     ids=["float", "negative"],
 )
-@pytest.mark.parametrize("mode", ["monte_carlo", "grid"])
-def test_engine_rejects_non_count_multiplicities(bad, mode):
+def test_engine_rejects_non_count_multiplicities(bad):
     region = np.array([[0.0, 1.0], [0.0, 1.0]])
-    spec = SampleSpec(mode=mode, samples=1000, resolution=0.1)
     ones = lambda pts: np.ones(len(pts), dtype=np.int64)  # noqa: E731
     with pytest.raises(ValueError, match="multiplicities"):
-        bilinear_integral_from_multiplicity(bad, ones, region, 0.75, spec)
+        bilinear_integral_from_multiplicity(bad, ones, region, 0.75, 1000)
     with pytest.raises(ValueError, match="multiplicities"):
-        bilinear_integral_from_multiplicity(ones, bad, region, 0.75, spec)
+        bilinear_integral_from_multiplicity(ones, bad, region, 0.75, 1000)

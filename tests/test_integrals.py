@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import curve_grid_reference
+from heislab import integrals
 from heislab.families import build_opposed_pair
 from heislab.heis import E1, E2, HPoint
 from heislab.integrals import (
-    SampleSpec,
     bilinear_curve_integral,
+    bilinear_integral_from_multiplicity,
     bilinear_tube_integral,
     fit_exponent,
     rhs_bilinear,
+    strip_multiplicity,
     tube_multiplicity,
 )
-from heislab.quadratics import Quadratic
+from heislab.quadratics import Quadratic, coeff_array
 from heislab.tubes import HTube, tube_intersection_volume
 
 
@@ -107,7 +110,7 @@ def test_curve_integral_single_strip_area():
     # F = G = one curve, p = 1: the integral is the area of the strip
     delta = 2.0 ** -6
     q = Quadratic(0.5, 0.1, 0.5)
-    est = bilinear_curve_integral([q], [q], delta, 1.0, SampleSpec(mode="grid"))
+    est = bilinear_curve_integral([q], [q], delta, 1.0)
     # arclength x 2*delta quadrature oracle over the unit square window
     s = np.linspace(0, 1, 20001)
     f = (0.5 * q.a * s + q.b) * s + q.c
@@ -121,10 +124,8 @@ def test_curve_integral_grid_mc_agree():
     delta = 2.0 ** -5
     pair = build_opposed_pair(delta, 1.0)
     F, G = list(pair.F), list(pair.G)
-    grid = bilinear_curve_integral(F, G, delta, 0.75, SampleSpec(mode="grid"))
-    mc = bilinear_curve_integral(
-        F, G, delta, 0.75, SampleSpec(mode="monte_carlo", samples=400_000, seed=3)
-    )
+    grid = bilinear_curve_integral(F, G, delta, 0.75)
+    mc = curve_grid_reference.monte_carlo_integral(F, G, delta, 0.75, 400_000, seed=3)
     assert abs(grid.value - mc.value) <= 4 * mc.stderr + 0.02 * grid.value
 
 
@@ -134,33 +135,49 @@ def test_curve_integral_power_ordering(rng):
     delta = 2.0 ** -4
     F = [Quadratic(*rng.normal(scale=0.4, size=3)) for _ in range(6)]
     G = [Quadratic(*rng.normal(scale=0.4, size=3)) for _ in range(6)]
-    spec = SampleSpec(mode="grid")
-    lo = bilinear_curve_integral(F, G, delta, 0.6, spec)
-    hi = bilinear_curve_integral(F, G, delta, 1.1, spec)
+    lo = bilinear_curve_integral(F, G, delta, 0.6)
+    hi = bilinear_curve_integral(F, G, delta, 1.1)
     assert lo.value <= hi.value + 1e-12
 
 
 def test_curve_integral_worker_invariance():
+    # the sampling engine on strip counts: the same value for any worker count
     delta = 2.0 ** -5
     pair = build_opposed_pair(delta, 1.0)
-    F, G = list(pair.F), list(pair.G)
-    spec = SampleSpec(mode="monte_carlo", samples=200_000, seed=8)
-    a = bilinear_curve_integral(F, G, delta, 0.75, spec, workers=1)
-    b = bilinear_curve_integral(F, G, delta, 0.75, spec, workers=4)
+    fc, gc = coeff_array(list(pair.F)), coeff_array(list(pair.G))
+    m1 = lambda pts: strip_multiplicity(fc, pts[:, 0], pts[:, 1], delta)  # noqa: E731
+    m2 = lambda pts: strip_multiplicity(gc, pts[:, 0], pts[:, 1], delta)  # noqa: E731
+    region = np.array([[0.0, 1.0], [0.0, 1.0]])
+    a = bilinear_integral_from_multiplicity(m1, m2, region, 0.75, 200_000, seed=8, workers=1)
+    b = bilinear_integral_from_multiplicity(m1, m2, region, 0.75, 200_000, seed=8, workers=4)
     assert a.value == b.value
     assert a.stderr == b.stderr
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("mode", ["grid", "monte_carlo"])
 @pytest.mark.parametrize("family", ["F", "G"])
-def test_curve_integral_rejects_nonfinite_coefficients(bad, mode, family):
+def test_curve_integral_rejects_nonfinite_coefficients(bad, family):
     ok = [Quadratic(0.0, 0.0, 0.5)]
     worse = [Quadratic(0.0, 0.0, 0.5), Quadratic(bad, 0.0, 0.5)]
     F, G = (worse, ok) if family == "F" else (ok, worse)
-    spec = SampleSpec(mode=mode, samples=1000)
     with pytest.raises(ValueError, match="finite"):
-        bilinear_curve_integral(F, G, 2.0 ** -3, 0.75, spec)
+        bilinear_curve_integral(F, G, 2.0 ** -3, 0.75)
+
+
+@pytest.mark.parametrize("resolution", [math.inf, -math.inf, math.nan, 0.0, -0.25, 0.75, 5.0])
+def test_curve_integral_rejects_a_resolution_outside_zero_to_one_half(resolution):
+    # math.inf gave a 2 x 2 grid and the value 0.0
+    q = [Quadratic(0.0, 0.0, 0.5)]
+    with pytest.raises(ValueError, match="resolution"):
+        bilinear_curve_integral(q, q, 2.0 ** -3, 0.75, resolution)
+
+
+def test_curve_integral_takes_a_resolution_of_one_half():
+    # the coarsest grid, 2 x 2 cells: the strip around y = 3/4 holds the two
+    # cells centered on it, each of area 1/4
+    q = [Quadratic(0.0, 0.0, 0.75)]
+    est = bilinear_curve_integral(q, q, 2.0 ** -3, 1.0, 0.5)
+    assert est.value == 0.5 and est.samples == 4
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +188,7 @@ def test_tube_integral_disjoint_supports():
     delta = 2.0 ** -5
     t1 = [HTube(HPoint(0, 0, 0), E1, delta)]
     t2 = [HTube(HPoint(30, 0, 0), E2, delta)]
-    est = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=1000, seed=0))
+    est = bilinear_tube_integral(t1, t2, 0.75, 1000, seed=0)
     assert est.value == 0.0
 
 
@@ -182,7 +199,7 @@ def test_tube_integral_matches_intersection_volume():
     delta = 2.0 ** -5
     t1 = [HTube(HPoint(0, 0, 0), E1, delta)]
     t2 = [HTube(HPoint(0, 0, 0), E2, delta)]
-    est = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=300_000, seed=1))
+    est = bilinear_tube_integral(t1, t2, 0.75, 300_000, seed=1)
     vol = tube_intersection_volume(t1[0], t2[0], samples=300_000, seed=2)
     assert abs(est.value - vol.value) <= 3 * math.hypot(est.stderr, vol.stderr)
 
@@ -191,21 +208,9 @@ def test_tube_integral_worker_invariance():
     delta = 2.0 ** -5
     t1 = [HTube(HPoint(0, 0, 0), E1, delta)]
     t2 = [HTube(HPoint(0, 0, 0), E2, delta)]
-    spec = SampleSpec(samples=150_000, seed=5)
-    a = bilinear_tube_integral(t1, t2, 0.75, spec, workers=1)
-    b = bilinear_tube_integral(t1, t2, 0.75, spec, workers=3)
+    a = bilinear_tube_integral(t1, t2, 0.75, 150_000, seed=5, workers=1)
+    b = bilinear_tube_integral(t1, t2, 0.75, 150_000, seed=5, workers=3)
     assert a.value == b.value
-
-
-def test_tube_integral_grid_mode():
-    delta = 2.0 ** -4
-    t1 = [HTube(HPoint(0, 0, 0), E1, delta)]
-    t2 = [HTube(HPoint(0, 0, 0), E2, delta)]
-    grid = bilinear_tube_integral(
-        t1, t2, 0.75, SampleSpec(mode="grid", resolution=delta / 6)
-    )
-    mc = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=400_000, seed=4))
-    assert abs(grid.value - mc.value) <= 4 * mc.stderr + 0.05 * mc.value
 
 
 def test_tube_multiplicity_counts(rng):
@@ -222,7 +227,7 @@ def test_tube_integral_does_not_depend_on_where_the_pair_sits():
     d = 2.0 ** -4
     far = HPoint(3.0, 0.0, 0.0)
     est = bilinear_tube_integral(
-        [HTube(far, E1, d)], [HTube(far, E2, d)], 1.0, SampleSpec(samples=200_000, seed=5)
+        [HTube(far, E1, d)], [HTube(far, E2, d)], 1.0, 200_000, seed=5
     )
     assert est == tube_intersection_volume(HTube(far, E1, d), HTube(far, E2, d), 200_000, 5)
     origin = HPoint(0.0, 0.0, 0.0)
@@ -230,13 +235,38 @@ def test_tube_integral_does_not_depend_on_where_the_pair_sits():
     assert abs(est.value - near.value) <= 4 * math.hypot(est.stderr, near.stderr)
 
 
-def test_sample_spec_validation():
-    with pytest.raises(ValueError):
-        SampleSpec(mode="nonsense")
-    with pytest.raises(ValueError):
-        SampleSpec(mode="grid", resolution=-1.0)
-    with pytest.raises(ValueError):
-        SampleSpec(mode="monte_carlo", samples=0)
+def _sampled_estimators():
+    """The Monte Carlo estimators as functions of (samples, seed)."""
+    t1 = [HTube(HPoint(0, 0, 0), E1, 2.0 ** -4)]
+    t2 = [HTube(HPoint(0, 0, 0), E2, 2.0 ** -4)]
+    ones = lambda pts: np.ones(len(pts), dtype=np.int64)  # noqa: E731
+    region = np.array([[0.0, 1.0], [0.0, 1.0]])
+    return {
+        "tube": lambda n, seed: bilinear_tube_integral(t1, t2, 0.75, n, seed),
+        "engine": lambda n, seed: bilinear_integral_from_multiplicity(
+            ones, ones, region, 0.75, n, seed),
+        "volume": lambda n, seed: tube_intersection_volume(t1[0], t2[0], n, seed),
+    }
+
+
+@pytest.mark.parametrize("estimator", ["tube", "engine", "volume"])
+@pytest.mark.parametrize("samples", [0, -5, 2.5, 3.0, True, False, None, np.float64(100.0)])
+def test_estimators_reject_a_sample_count_that_is_not_a_positive_integer(
+    monkeypatch, estimator, samples
+):
+    # 2.5 and True ran the tube integral on one column
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(integrals, "_sharded_mean", no_draw)
+    with pytest.raises(ValueError, match="sample count"):
+        _sampled_estimators()[estimator](samples, 0)
+
+
+@pytest.mark.parametrize("estimator", ["tube", "engine", "volume"])
+def test_estimators_take_numpy_integer_sample_counts(estimator):
+    run = _sampled_estimators()[estimator]
+    assert run(np.int64(1000), 3) == run(1000, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

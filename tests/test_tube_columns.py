@@ -11,7 +11,6 @@ from heislab import _bulk
 from heislab.families import build_bush
 from heislab.heis import E1, E2, HDirection, HPoint, group_mul
 from heislab.integrals import (
-    SampleSpec,
     _column_integrator,
     _default_tube_region,
     bilinear_curve_integral,
@@ -210,7 +209,7 @@ def test_column_and_point_estimators_agree(case):
         t1, t2 = [HTube(ORIGIN, E1, d)], [HTube(ORIGIN, E2, d)]
     else:
         t1, t2, _ = _random_pair(int(n))
-    cols = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=400_000, seed=202))
+    cols = bilinear_tube_integral(t1, t2, 0.75, 400_000, seed=202)
     pts = tube_mc_reference.bilinear_tube_integral(t1, t2, 0.75, 400_000, seed=101)
     assert cols.value > 0.0 and pts.value > 0.0
     assert abs(cols.value - pts.value) <= 4.0 * math.hypot(cols.stderr, pts.stderr)
@@ -220,9 +219,9 @@ def test_column_and_point_estimators_agree(case):
 
 def test_samples_count_sections_and_the_estimate_reports_columns():
     t1, t2 = build_bush(2.0 ** -4)
-    est = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=6000, seed=0))
+    est = bilinear_tube_integral(t1, t2, 0.75, 6000, seed=0)
     assert est.samples == 6000 // (len(t1) + len(t2))
-    tiny = bilinear_tube_integral(t1, t2, 0.75, SampleSpec(samples=1, seed=0))
+    tiny = bilinear_tube_integral(t1, t2, 0.75, 1, seed=0)
     assert tiny.samples == 1
 
 
@@ -236,11 +235,10 @@ def test_integrals_reject_an_exponent_that_is_not_finite_and_positive(p):
     quads = [Quadratic(1.0, 0.0, 0.5)], [Quadratic(-1.0, 0.0, 0.5)]
     ones = lambda pts: np.ones(len(pts), dtype=np.int64)  # noqa: E731
     region = np.array([[0.0, 1.0], [0.0, 1.0]])
-    spec = SampleSpec(samples=100, seed=0)
     calls = [
-        lambda: bilinear_tube_integral(*tubes, p, spec),
-        lambda: bilinear_curve_integral(*quads, 2.0 ** -4, p, spec),
-        lambda: bilinear_integral_from_multiplicity(ones, ones, region, p, spec),
+        lambda: bilinear_tube_integral(*tubes, p, 100),
+        lambda: bilinear_curve_integral(*quads, 2.0 ** -4, p),
+        lambda: bilinear_integral_from_multiplicity(ones, ones, region, p, 100),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="finite and positive"):

@@ -11,7 +11,6 @@ standard errors.
 from __future__ import annotations
 
 from heislab.integrals import (
-    SampleSpec,
     _default_tube_region,
     bilinear_integral_from_multiplicity,
     tube_multiplicity,
@@ -28,5 +27,6 @@ def bilinear_tube_integral(t1, t2, p: float, samples: int, seed: int) -> MCEstim
         lambda pts: tube_multiplicity(t2, pts),
         region,
         p,
-        SampleSpec(samples=samples, seed=seed),
+        samples,
+        seed,
     )
