@@ -35,7 +35,6 @@ from .families import (
     net_multiplicity,
     net_tubes,
     parabolic_net_spec,
-    tube_cores,
 )
 from .incidence import quad_broadness, richness_of, wolff_bound_check
 from .integrals import (
@@ -588,7 +587,7 @@ def _exp_broadness(*, delta_exps=range(5, 9), t, mu, nu, n) -> ExperimentResult:
     for k in delta_exps:
         d = 2.0 ** -k
         t1, _ = build_bush(d)
-        rep = line_broadness(tube_cores(t1), d, 1.0)
+        rep = line_broadness(tube_params(t1), d, 1.0)
         rows.append(["bush-lines", d, 1.0, rep.worst_ratio])
         bush_worst = max(bush_worst, rep.worst_ratio)
     for k in delta_exps[: max(1, len(delta_exps) - 1)]:

@@ -4,6 +4,9 @@ gauge-ball families, the nested clamshell configuration, and the
 parabolic-net tube foliation.
 
 Same parameters always produce identical output lists in identical order.
+The line fan (`fan_cores`) comes as the six-row `tubes.tube_params` table
+that `tubes.line_broadness` takes; a tube family's lines are
+`tube_params(tubes)`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "net_family_size",
     "net_tubes",
     "fan_cores",
-    "tube_cores",
 ]
 
 # ---------------------------------------------------------------------------
@@ -61,25 +63,27 @@ def build_bush(delta: float) -> tuple[list[HTube], list[HTube]]:
     return t1, t2
 
 
-def tube_cores(tubes: list[HTube]) -> list[tuple[HPoint, HDirection]]:
-    return [(t.center, t.dir) for t in tubes]
-
-
-def fan_cores(delta: float) -> list[tuple[HPoint, HDirection]]:
+def fan_cores(delta: float) -> np.ndarray:
     """Quarter-circle fan of lines through the origin, directions on a
-    delta^2-separated net of the arc [pi/8, 3*pi/8].
+    delta^2-separated net of the arc [pi/8, 3*pi/8], as the six-row
+    `tubes.tube_params` table with radius delta.
 
     The arc keeps a + b >= 1.3 for every direction, so all fan lines project
-    to parabolas.
+    to parabolas.  Each direction is math.cos and math.sin of its angle, as
+    `HDirection.from_angle` forms it: numpy's vector cos and sin may round
+    differently on another CPU.
     """
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"fan needs finite delta > 0, got {delta}")
     step = delta * delta
     n = int(math.floor((math.pi / 4) / step)) + 1
-    origin = HPoint(0.0, 0.0, 0.0)
-    return [
-        (origin, HDirection.from_angle(math.pi / 8 + i * step))
-        for i in range(n)
-        if math.pi / 8 + i * step <= 3 * math.pi / 8 + 1e-12
-    ]
+    theta = math.pi / 8 + np.arange(n) * step
+    theta = theta[theta <= 3 * math.pi / 8 + 1e-12].tolist()
+    table = np.zeros((6, len(theta)))
+    table[3] = list(map(math.cos, theta))
+    table[4] = list(map(math.sin, theta))
+    table[5] = delta
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,11 @@ def bilinear_curve_integral(
     (G-strip multiplicity)^p, membership being |f(s) - y| <= delta, summed
     exactly over the cell centers of an n x n grid (`_curve_pair_counts`).
     The spacing is 1/n with n = round(1 / resolution), resolution delta/4 by
-    default; a given resolution must lie in (0, 1/2], so that n >= 2."""
+    default; a given resolution must lie in (0, 1/2], so that n >= 2, and
+    delta must be finite and > 0."""
     _check_exponent(p)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"strip width delta must be finite and > 0, got {delta!r}")
     if resolution is not None and not 0.0 < resolution <= 0.5:
         raise ValueError(f"grid resolution must be finite and in (0, 1/2], got {resolution!r}")
     fc, gc = coeff_array(F), coeff_array(G)

@@ -17,7 +17,7 @@ import numpy as np
 from . import _bulk
 from .heis import HPoint
 from .quadratics import Interval, Quadratic
-from .tubes import HTube, tube_bounding_box, tube_params
+from .tubes import HTube, checked_params, tube_bounding_box, tube_params
 
 __all__ = [
     "PlanePoint",
@@ -129,10 +129,11 @@ def projection_containment_ratio(tube: HTube, s: np.ndarray, z: np.ndarray) -> f
     """
     curve = tube_to_curve(tube)
     rows = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z)
-    rows = rows.compress(_bulk.norm4(rows.T) <= 1.0, axis=1)
-    if rows.shape[1] == 0:
+    x, y, t = rows.compress(_bulk.norm4(rows.T) <= 1.0, axis=1)
+    if len(x) == 0:
         return 0.0
-    theta, height = project_W_batch(rows.T).T
+    # `project_W_batch`'s operations, on the rows
+    theta, height = 0.5 * (x + y), t + 0.25 * (x ** 2 - y ** 2)
     return float(np.max(np.abs(height - curve(theta)))) / (tube.delta ** 2)
 
 
@@ -196,16 +197,8 @@ def fiber_length(tube, w, resolution: float):
 def _fiber_lengths(params, w, resolution: float) -> np.ndarray:
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 2 or params.shape[0] != 6:
-        raise ValueError(f"need a (6, n) tube table, got shape {params.shape}")
+    params = checked_params(params)
     cx, cy, _, a, b, delta = params
-    ok = np.isfinite(params).all(axis=0) & (np.abs(a * a + b * b - 1.0) <= 1e-12)
-    ok &= (0.0 < delta) & (delta < 1.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"tube {i} {tuple(params[:, i].tolist())} needs finite entries, "
-                         f"a unit direction and delta in (0, 1)")
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != 2 or len(w) != params.shape[1]:
         raise ValueError(f"need one plane point (theta, height) per tube, got "

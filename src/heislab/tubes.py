@@ -6,6 +6,11 @@ segment {x * (s*e) : s in [-1/2, 1/2]}.  Membership reduces to the minimum
 of the quartic distance-to-core profile, which `_bulk` computes exactly from
 the one real root of its derivative; a dense-scan oracle guards this in the
 tests.
+
+A batch of tubes, or of line cores, is the six-row table of `tube_params`
+(center x, y, t, direction a, b, radius delta), checked at entry by
+`checked_params` as the `HPoint`, `HDirection` and `HTube` constructors
+check one tube.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .heis import E1, E2, HDirection, HPoint, group_mul
+from .heis import _UNIT_TOL, E1, E2, HDirection, HPoint, group_mul
 
 __all__ = [
     "HTube",
@@ -29,6 +34,7 @@ __all__ = [
     "tube_multiplicity",
     "tube_params",
     "tubes_from_params",
+    "checked_params",
     "core_distance",
     "tube_bounding_box",
     "tube_intersection_volume",
@@ -117,6 +123,29 @@ def tube_params(tubes: list[HTube]) -> np.ndarray:
 def tubes_from_params(params: np.ndarray) -> list[HTube]:
     """The tubes of a `tube_params` table, one per column: its inverse."""
     return [HTube(HPoint(x, y, t), HDirection(a, b), d) for x, y, t, a, b, d in params.T.tolist()]
+
+
+def checked_params(params, radius: bool = True) -> np.ndarray:
+    """`params` as a float64 (6, n) `tube_params` table, after the checks that
+    `HPoint`, `HDirection` and `HTube` make of one tube: finite entries,
+    |a^2 + b^2 - 1| <= 1e-12 and, with `radius`, delta in (0, 1).  A table of
+    lines (radius=False) needs only a finite sixth row, since a core has no
+    radius.  Another shape, or the first column that fails, raises ValueError
+    naming it, before any other arithmetic."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or params.shape[0] != 6:
+        raise ValueError(f"need a (6, n) tube table, got shape {params.shape}")
+    a, b, delta = params[3:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
+        ok = np.isfinite(params).all(axis=0) & (np.abs(a * a + b * b - 1.0) <= _UNIT_TOL)
+    if radius:
+        ok &= (0.0 < delta) & (delta < 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        what = "tube" if radius else "line"
+        raise ValueError(f"{what} {i} {tuple(params[:, i].tolist())} needs finite entries, "
+                         f"a unit direction{' and delta in (0, 1)' if radius else ''}")
+    return params
 
 
 def tube_multiplicity(tubes: list[HTube], pts: np.ndarray) -> np.ndarray:
@@ -221,29 +250,44 @@ def _fold(alpha: float, profile, witness) -> BroadnessReport:
     return BroadnessReport(alpha, worst, witness(*best))
 
 
-def _arc_profile(cores: list[tuple[HPoint, HDirection]], delta: float, probes: ProbeSpec):
-    """(hits, arc length, lines in ball, z, sigma, arc center angle) per probe,
-    in (sigma descending, center, half-length descending) order.
+def _line_angles(table: np.ndarray) -> np.ndarray:
+    """The angle of each line of a `tube_params` table, by math.atan2 as
+    `HDirection.angle`: np.arctan2 can differ in the last bit, and that moves
+    the arc windows."""
+    return np.fromiter(map(math.atan2, table[4].tolist(), table[3].tolist()), float, table.shape[1])
 
-    Per (sigma, center) one searchsorted over all half-lengths counts the
-    lines of the ball in each window centered on a present direction, and the
-    first fullest window stands for its half-length.  Balls shrink as sigma
-    falls, so a ball holding as many lines as at the previous sigma holds the
-    same lines: its rows repeat earlier ratios and are skipped.
+
+def _arc_profile(table: np.ndarray, delta: float, probes: ProbeSpec):
+    """(hits, arc length, lines in ball, z, sigma, arc center angle) per probe,
+    in (sigma descending, center, half-length descending) order, for the
+    lines of a checked `tube_params` table.
+
+    The (line, center) frames of a block of lines are one `_bulk.tube_frame`
+    broadcast of at most `_bulk.CULL_CHUNK` cells; the frame is elementwise,
+    so a line's row has the bits of framing that line alone.  The kernel then
+    runs once per line, on that line's row.  Per (sigma, center) one
+    searchsorted over all half-lengths counts the lines of the ball in each
+    window centered on a present direction, and the first fullest window
+    stands for its half-length.  Balls shrink as sigma falls, so a ball
+    holding as many lines as at the previous sigma holds the same lines: its
+    rows repeat earlier ratios and are skipped.
     """
     sigmas = _dyadic_down(1.0, delta)
-    mids = np.array([p.as_tuple() for p, _ in cores], dtype=np.float64)
     # asking for the first indices keeps np.unique from importing numpy.ma
-    rounded = np.unique(np.round(mids, 12), axis=0, return_index=True)[0]
+    rounded = np.unique(np.round(table[:3].T, 12), axis=0, return_index=True)[0]
     centers = _subsample(rounded, probes.max_centers)
 
-    angles = np.array([e.angle for _, e in cores])
+    n = table.shape[1]
+    angles = _line_angles(table)
     # distance matrix: lines x centers, min gauge distance from center to core
-    dist = np.empty((len(cores), len(centers)))
+    dist = np.empty((n, len(centers)))
     x, y, t = np.ascontiguousarray(centers.T)
-    for j, (p, e) in enumerate(cores):
-        frame = _bulk.tube_frame(x, y, t, p.as_tuple(), e.a, e.b)
-        dist[j] = _bulk.core_distance_elementwise(*frame)
+    step = max(1, _bulk.CULL_CHUNK // len(centers))
+    for first in range(0, n, step):
+        c0, c1, c2, a, b = table[:5, first : first + step, None]
+        frame = _bulk.tube_frame(x, y, t, (c0, c1, c2), a, b)
+        for row, *line in zip(dist[first : first + step], *frame):
+            row[:] = _bulk.core_distance_elementwise(*line)
 
     halves = np.array(_dyadic_down(math.pi, min(delta * delta, math.pi)))[:, None]
     widths = (2.0 * halves[:, 0]).tolist()
@@ -279,7 +323,7 @@ def _line_witness(n_hit, width, n_ball, z, sigma, angle) -> str:
 
 
 def line_broadness(
-    cores: list[tuple[HPoint, HDirection]],
+    cores,
     delta: float,
     alpha: float,
     probes: ProbeSpec | None = None,
@@ -298,10 +342,16 @@ def line_broadness(
     arcs are centered on directions present in the family.  The counts do
     not depend on alpha: `_arc_profile` gives them, and `_fold` folds them.
 
-    Raises ValueError for an empty family, an alpha that is negative or not
-    finite, or a delta that is not finite and > 0.
+    `cores` is a (6, n) `tube_params` table of the lines (its radius row is
+    not read), or a list of (HPoint, HDirection) pairs, which becomes one at
+    entry.  Raises ValueError for a table that `checked_params` refuses as
+    lines, an empty family, an alpha that is negative or not finite, or a
+    delta that is not finite and > 0.
     """
-    if not cores:
+    if not isinstance(cores, np.ndarray):
+        cores = np.array([(*p.as_tuple(), e.a, e.b, 0.0) for p, e in cores]).reshape(-1, 6).T
+    table = checked_params(cores, radius=False)
+    if table.shape[1] == 0:
         raise ValueError("line family must be nonempty")
     probes = probes or ProbeSpec()
-    return _fold(alpha, lambda: _arc_profile(cores, delta, probes), _line_witness)
+    return _fold(alpha, lambda: _arc_profile(table, delta, probes), _line_witness)

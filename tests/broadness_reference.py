@@ -6,7 +6,8 @@ every base midpoint and every deduplicated anchor it counts the jet-tangent
 curves.  `line_broadness`: for every scale, ball center and arc half-length
 it counts the lines of the ball in the fullest arc.  Both keep the first
 probe of strictly greatest ratio.  The oracle tests compare whole reports,
-witness included.
+witness included.  `fan_pairs` is the fan of `families.fan_cores` as the
+(HPoint, HDirection) pairs that generator built before it returned a table.
 """
 
 import math
@@ -70,6 +71,17 @@ def quad_broadness(
                             f"anchor_curve={i} tangent={count}/{n}"
                         )
     return BroadnessReport(alpha, worst, witness)
+
+
+def fan_pairs(delta: float) -> list[tuple[HPoint, HDirection]]:
+    step = delta * delta
+    n = int(math.floor((math.pi / 4) / step)) + 1
+    origin = HPoint(0.0, 0.0, 0.0)
+    return [
+        (origin, HDirection.from_angle(math.pi / 8 + i * step))
+        for i in range(n)
+        if math.pi / 8 + i * step <= 3 * math.pi / 8 + 1e-12
+    ]
 
 
 def line_broadness(

@@ -17,6 +17,7 @@ from heislab.families import (
     build_clamshell,
     build_opposed_pair,
     build_parabolic_net,
+    fan_cores,
     net_family_size,
     net_multiplicity,
     net_tubes,
@@ -71,6 +72,14 @@ def test_bush_geometry():
 def test_bush_rejects_large_delta():
     with pytest.raises(ValueError):
         build_bush(0.25)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
+def test_fan_rejects_a_delta_not_finite_and_positive(delta):
+    # 0 divided by zero, -0.1 gave a fan of radius -0.1, inf an empty fan
+    # (through 0 * inf), NaN failed in int()
+    with pytest.raises(ValueError, match="fan needs finite delta > 0"):
+        fan_cores(delta)
 
 
 def test_bush_deterministic():

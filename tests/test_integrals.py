@@ -172,6 +172,17 @@ def test_curve_integral_rejects_a_resolution_outside_zero_to_one_half(resolution
         bilinear_curve_integral(q, q, 2.0 ** -3, 0.75, resolution)
 
 
+@pytest.mark.parametrize("resolution", [None, 2.0 ** -5])
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
+def test_curve_integral_rejects_a_delta_not_finite_and_positive(monkeypatch, delta, resolution):
+    # 0 divided by zero, -0.1 and inf gave the value 0.0, NaN failed in int()
+    # or, with a resolution, gave 0.0
+    monkeypatch.setattr(integrals, "_curve_pair_counts", lambda *a: pytest.fail("grid formed"))
+    q = [Quadratic(0.0, 0.0, 0.5)]
+    with pytest.raises(ValueError, match="delta"):
+        bilinear_curve_integral(q, q, delta, 0.75, resolution)
+
+
 def test_curve_integral_takes_a_resolution_of_one_half():
     # the coarsest grid, 2 x 2 cells: the strip around y = 3/4 holds the two
     # cells centered on it, each of area 1/4

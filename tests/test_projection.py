@@ -419,6 +419,8 @@ def spoiled_table(row, value):
     # |a^2 + b^2 - 1| past 1e-12, as `HDirection` refuses it
     spoiled_table(3, 1.0 + 1e-11), spoiled_table(4, 1e-5), spoiled_table(3, 0.0),
     spoiled_table(5, 0.0), spoiled_table(5, 1.0), spoiled_table(5, -0.5), spoiled_table(5, 1.5),
+    # a^2 overflows: refused, without numpy's overflow warning
+    spoiled_table(3, 1e200),
 ])
 def test_fiber_length_rejects_bad_tube_tables_before_any_arithmetic(monkeypatch, params):
     calls = []
@@ -439,12 +441,12 @@ def test_broadness_transfer_fan():
     # a direction-broad fan stays broad after projection, within a constant
     from heislab.families import fan_cores
     from heislab.incidence import quad_broadness
-    from heislab.tubes import line_broadness
+    from heislab.tubes import line_broadness, tubes_from_params
 
     delta = 2.0 ** -4
     cores = fan_cores(delta)
     line_rep = line_broadness(cores, delta, 0.5)
-    curves = [tube_to_curve(HTube(p, e, delta)).as_quadratic() for p, e in cores]
+    curves = [tube_to_curve(tube).as_quadratic() for tube in tubes_from_params(cores)]
     quad_rep = quad_broadness(curves, delta * delta, 0.5)
     assert quad_rep.worst_ratio <= 4.0 * max(line_rep.worst_ratio, 1.0)
     assert quad_rep == broadness_reference.quad_broadness(curves, delta * delta, 0.5)

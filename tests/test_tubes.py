@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab import _bulk
-from heislab.families import build_bush, fan_cores, tube_cores
+from heislab.families import build_bush, fan_cores
 from heislab.heis import E1, E2, HDirection, HPoint, group_mul
 from heislab.tubes import (
     HTube,
@@ -23,7 +23,7 @@ from heislab.tubes import (
     tube_intersection_volume,
     tube_params,
 )
-from heislab.tubes import _arc_profile, _dyadic_down
+from heislab.tubes import _arc_profile, _dyadic_down, _line_angles
 
 
 def dense_core_distance(tube, p, n=10_001):
@@ -257,6 +257,8 @@ def test_line_broadness_single_line():
 def test_line_broadness_empty_rejected():
     with pytest.raises(ValueError):
         line_broadness([], 0.1, 1.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        line_broadness(np.zeros((6, 0)), 0.1, 1.0)
     with pytest.raises(ValueError):
         line_broadness([(HPoint(0, 0, 0), E1)], 0.1, 1.0, ProbeSpec(max_centers=0))
 
@@ -325,7 +327,7 @@ def test_bush_lines_fail_broadness():
     # point with the delta^(3/2)-arc sees every line
     delta = 2.0 ** -8
     t1, _ = build_bush(delta)
-    rep = line_broadness(tube_cores(t1), delta, 1.0)
+    rep = line_broadness(tube_params(t1), delta, 1.0)
     n = len(t1)
     assert rep.worst_ratio > 8.0
     assert rep.worst_ratio >= 0.5 * n / (1.0 + delta ** 1.5 * n)
@@ -347,10 +349,14 @@ _ALPHAS = (0.0, 0.2, 0.5, 1.0, 2.0)
 )
 def test_line_broadness_equals_reference_bush_and_fan(family, k):
     delta = 2.0 ** -k
-    cores = tube_cores(build_bush(delta)[0]) if family == "bush" else fan_cores(delta)
+    if family == "bush":
+        t1 = build_bush(delta)[0]
+        table, pairs = tube_params(t1), [(t.center, t.dir) for t in t1]
+    else:
+        table, pairs = fan_cores(delta), broadness_reference.fan_pairs(delta)
     for alpha in _ALPHAS:
-        expected = broadness_reference.line_broadness(cores, delta, alpha)
-        assert line_broadness(cores, delta, alpha) == expected, alpha
+        expected = broadness_reference.line_broadness(pairs, delta, alpha)
+        assert line_broadness(table, delta, alpha) == expected, alpha
 
 
 def _random_cores(rng):
@@ -389,6 +395,81 @@ def test_arc_profile_skips_balls_that_keep_their_lines():
     rows = list(_arc_profile(fan_cores(delta), delta, ProbeSpec()))
     assert {row[4] for row in rows} == {1.0}
     assert len(rows) == len(_dyadic_down(math.pi, delta * delta))
+
+
+def pairs_of(table):
+    return [(HPoint(x, y, t), HDirection(a, b)) for x, y, t, a, b, _ in table.T.tolist()]
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_fan_table_is_the_fan_of_hdirections_bit_for_bit(k):
+    delta = 2.0 ** -k
+    table, pairs = fan_cores(delta), broadness_reference.fan_pairs(delta)
+    want = [(*p.as_tuple(), e.a, e.b, delta) for p, e in pairs]
+    assert np.array_equal(table.T.view(np.int64), np.array(want).view(np.int64))
+    # the arc windows are centered on these angles, so they must be HDirection's
+    got = _line_angles(table)
+    assert np.array_equal(got.view(np.int64), np.array([e.angle for _, e in pairs]).view(np.int64))
+
+
+def test_line_broadness_table_and_pair_list_give_equal_reports():
+    rng = np.random.default_rng(5)
+    delta = 2.0 ** -5
+    families = [fan_cores(delta), tube_params(build_bush(delta)[0])]
+    families += [tube_params([HTube(p, e, delta) for p, e in _random_cores(rng)]) for _ in range(3)]
+    for table in families:
+        for alpha in (0.0, 1.0):
+            got = line_broadness(table, delta, alpha)
+            assert got == line_broadness(pairs_of(table), delta, alpha)
+
+
+def test_line_broadness_makes_one_one_point_kernel_call_per_fan_line(monkeypatch):
+    # ROADMAP item 1: the frames are batched, but the kernel keeps one call
+    # per line until the benchmark changes, because perfbench's probe-scan
+    # exists to expose per-call cost and its points-per-call ratio against
+    # tube-mc (test_tube_batches_are_far_larger_than_probe_batches) reads it
+    sizes = []
+    kernel = _bulk.core_distance_elementwise
+
+    def counted(beta, gamma, w):
+        sizes.append(len(beta))
+        return kernel(beta, gamma, w)
+
+    monkeypatch.setattr(_bulk, "core_distance_elementwise", counted)
+    delta = 2.0 ** -5
+    line_broadness(fan_cores(delta), delta, 1.0)
+    assert sizes == [1] * 805
+
+
+def spoiled_lines(row, value):
+    """Three good lines, the second with `value` in table row `row`."""
+    params = tube_params([HTube(HPoint(0.1 * i, 0.0, 0.0), E1, 2.0 ** -6) for i in range(3)])
+    params[row, 1] = value
+    return params
+
+
+@pytest.mark.parametrize("params", [
+    np.zeros((5, 3)), np.zeros((3, 6)), np.zeros(6), np.zeros((6, 3, 1)),
+    *(spoiled_lines(row, v) for row in range(6) for v in (math.nan, math.inf, -math.inf)),
+    # |a^2 + b^2 - 1| past 1e-12, as `HDirection` refuses it
+    spoiled_lines(3, 1.0 + 1e-11), spoiled_lines(4, 1e-5), spoiled_lines(3, 0.0),
+    spoiled_lines(3, 1e200),
+])
+def test_line_broadness_rejects_bad_line_tables_before_any_arithmetic(monkeypatch, params):
+    calls = []
+    monkeypatch.setattr(_bulk, "tube_frame", lambda *a: calls.append(a))
+    monkeypatch.setattr(_bulk, "core_distance_elementwise", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="line 1 |tube table"):
+        line_broadness(params, 2.0 ** -4, 1.0)
+    assert calls == []
+
+
+def test_line_broadness_takes_the_lines_hdirection_takes_and_any_radius():
+    # a core has no radius, so the sixth row need only be finite
+    for row, value in ((3, 1.0 + 4e-13), (5, 0.0), (5, 1.5), (5, -2.0)):
+        params = spoiled_lines(row, value)
+        assert line_broadness(params, 2.0 ** -4, 1.0) == line_broadness(
+            pairs_of(params), 2.0 ** -4, 1.0)
 
 
 def test_volume_rejects_nonpositive_samples():
