@@ -145,9 +145,10 @@ def core_distance_elementwise(beta, gamma, w) -> np.ndarray:
     it adds to h and v is far below their rounding.  The quartic is evaluated
     in these centred coordinates, where no expanded coefficient cancels.
     Every step is elementwise, so a point's distance does not depend on its
-    batch.  A non-finite frame row raises ValueError, before any arithmetic.
+    batch.  The three rows share one shape; a non-finite entry raises
+    ValueError, before any arithmetic, from one check of the stacked rows.
     """
-    if not (np.isfinite(beta).all() and np.isfinite(gamma).all() and np.isfinite(w).all()):
+    if not np.isfinite((beta, gamma, w)).all():
         raise ValueError("frame rows must be finite")
     g2 = gamma * gamma
     gw = gamma * w

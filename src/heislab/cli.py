@@ -30,10 +30,10 @@ from .families import (
     build_bush,
     build_clamshell,
     build_opposed_pair,
+    build_parabolic_net,
     fan_cores,
     net_family_size,
     net_multiplicity,
-    net_tubes,
     parabolic_net_spec,
 )
 from .incidence import quad_broadness, richness_of, wolff_bound_check
@@ -55,8 +55,10 @@ from .projection import (
 )
 from .quadratics import (
     PLANAR_DOMAIN,
+    CurviRect,
+    Interval,
     Quadratic,
-    coeff_array,
+    _jet_coeffs,
     delta_gauge,
     near_intersection_intervals,
     tau,
@@ -277,9 +279,7 @@ def _near_contact_pairs(rng, delta, n):
             for top in (0.3, 0.5))
     a, b, c = F.T
     value, slope, curv = (0.5 * a * theta0 + b) * theta0 + c + v, a * theta0 + b + u, a + w
-    G = np.stack([curv, slope - curv * theta0,
-                  value - slope * theta0 + 0.5 * curv * theta0 * theta0], axis=1)
-    return F, G, theta0
+    return F, _jet_coeffs(theta0, value, slope, curv), theta0
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def _exp_opposed(*, delta_exps=range(4, 11), rho=1.0, grid_res=None) -> Experime
 
     def lhs(d, r):
         pair = build_opposed_pair(d, r)
-        return bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75, grid_res).value
+        return bilinear_curve_integral(pair.F, pair.G, d, 0.75, grid_res).value
 
     rows, dpts, rpts = [], [], []
     for k in delta_exps:
@@ -367,11 +367,11 @@ def _exp_balls(*, delta_exps=range(5, 8), rho=0.25, seed) -> ExperimentResult:
     for k in delta_exps:
         d = 2.0 ** -k
         pair = build_bipartite_balls(d, rho)
-        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
+        est = bilinear_curve_integral(pair.F, pair.G, d, 0.75)
         rng = np.random.default_rng([seed, k])
         s = rng.uniform(0.1, 0.9, 1000)
         y = rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
-        m = strip_multiplicity(coeff_array(pair.F), s, y, d)
+        m = strip_multiplicity(pair.F, s, y, d)
         scale = (rho / d) ** 2
         norm = est.value * d ** 3
         norm_pts.append((d, norm))
@@ -555,14 +555,13 @@ def _exp_rect(*, delta_exps=range(6, 7), samples=10_000, seed) -> ExperimentResu
 def _exp_wolff(*, rho=0.25, t, mu, nu, n, seed) -> ExperimentResult:
     d = 2.0 ** -5
     pair = build_bipartite_balls(d, rho)
-    F, G = list(pair.F), list(pair.G)
+    F, G = pair.F, pair.G
     rng = np.random.default_rng([seed, 41])
     rows = []
     all_ok = True
     for i in range(20):
-        fi = sorted(rng.choice(len(F), size=min(64, len(F)), replace=False).tolist())
-        gi = sorted(rng.choice(len(G), size=min(64, len(G)), replace=False).tolist())
-        Fs, Gs = [F[j] for j in fi], [G[j] for j in gi]
+        Fs = F[np.sort(rng.choice(len(F), size=min(64, len(F)), replace=False))]
+        Gs = G[np.sort(rng.choice(len(G), size=min(64, len(G)), replace=False))]
         chk = wolff_bound_check(Fs, Gs, d, pair.rho, 1, 1)
         all_ok = all_ok and chk.ok
         rows.append([f"random-{i}", len(Fs), len(Gs), 1, 1, chk.count, chk.bound,
@@ -620,38 +619,27 @@ QUAD_COLUMNS = ["a", "b", "c"]
 RECT_COLUMNS = ["a", "b", "c", "lo", "hi", "delta"]
 
 
-def _quad_rows(quads):
-    return [[q.a, q.b, q.c] for q in quads]
-
-
-def _rect_rows(rects):
-    return [
-        [r.center.a, r.center.b, r.center.c, r.base.lo, r.base.hi, r.thickness]
-        for r in rects
-    ]
-
-
 def _tube_file(t1, t2):
-    return [("", TUBE_COLUMNS, tube_params(t1 + t2).T.tolist())]
+    return [("", TUBE_COLUMNS, np.hstack([t1, t2]).T.tolist())]
 
 
 def _quad_file(pair):
-    return [("", QUAD_COLUMNS, _quad_rows(pair.F) + _quad_rows(pair.G))]
+    return [("", QUAD_COLUMNS, np.vstack([pair.F, pair.G]).tolist())]
 
 
 def _clamshell_files(d, *, t, mu, nu, n):
     F, G, R = build_clamshell(d, t, mu, nu, n)
-    return [("", QUAD_COLUMNS, _quad_rows(F) + _quad_rows(G)),
-            (".rects", RECT_COLUMNS, _rect_rows(R))]
+    rects = [[r.center.a, r.center.b, r.center.c, r.base.lo, r.base.hi, r.thickness] for r in R]
+    return [("", QUAD_COLUMNS, np.vstack([F, G]).tolist()), (".rects", RECT_COLUMNS, rects)]
 
 
 # generator name -> (delta, *, <options it reads>) -> [(file suffix, columns, rows)]
 GENERATORS = {
-    "bush": lambda d: _tube_file(*build_bush(d)),
+    "bush": lambda d: _tube_file(*map(tube_params, build_bush(d))),
     "opposed-pair": lambda d, *, rho=1.0: _quad_file(build_opposed_pair(d, rho)),
     "bipartite-balls": lambda d, *, rho=0.25: _quad_file(build_bipartite_balls(d, rho)),
     "clamshell": _clamshell_files,
-    "parabolic-net": lambda d: _tube_file(*net_tubes(parabolic_net_spec(d))),
+    "parabolic-net": lambda d: _tube_file(*build_parabolic_net(d)),
 }
 
 
@@ -681,8 +669,6 @@ def load_family(path: str):
     """Round-trip loader for the dump format; the header names the object
     type.  A row whose field count differs from the header's raises
     ValueError naming the path and the line."""
-    from .quadratics import CurviRect, Interval
-
     lines = Path(path).read_text().splitlines() or [""]
     header = lines[0].split(",")
     rows = []

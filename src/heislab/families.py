@@ -3,10 +3,11 @@ the direction-concentrated bush, the opposed-parabola pair, bipartite
 gauge-ball families, the nested clamshell configuration, and the
 parabolic-net tube foliation.
 
-Same parameters always produce identical output lists in identical order.
-The line fan (`fan_cores`) comes as the six-row `tubes.tube_params` table
-that `tubes.line_broadness` takes; a tube family's lines are
-`tube_params(tubes)`.
+Same parameters always produce identical output in identical order.  A
+planar family is an (n, 3) float64 array of coefficient rows (a, b, c), the
+form `quadratics.coeff_array` checks; the parabolic net and the line fan
+(`fan_cores`) are six-row `tubes.tube_params` tables, and the bush is a pair
+of `HTube` lists, whose lines are `tube_params(tubes)`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .heis import E1, E2, HDirection, HPoint
+from .heis import E2, HDirection, HPoint
 from .quadratics import _PAIR_CHUNK, BipartitePair, CurviRect, Interval, Quadratic, jet_gauges
+from .quadratics import _jet_coeffs
 from .quadratics import tau  # noqa: F401  (perfbench/tests/test_spans.py wraps families.tau)
 from .tubes import HTube
 
@@ -95,7 +97,7 @@ def build_opposed_pair(delta: float, rho: float) -> BipartitePair:
     near-intersection set |s| <= sqrt(delta/rho)."""
     if not (0.0 < delta <= rho <= 1.0):
         raise ValueError(f"need 0 < delta <= rho <= 1, got delta={delta}, rho={rho}")
-    return BipartitePair((Quadratic(rho, 0.0, 0.0),), (Quadratic(-rho, 0.0, 0.0),), rho)
+    return BipartitePair(np.array([[rho, 0.0, 0.0]]), np.array([[-rho, 0.0, 0.0]]), rho)
 
 
 # lattice steps per coefficient, in units of the separation target; tuned so
@@ -104,8 +106,9 @@ def build_opposed_pair(delta: float, rho: float) -> BipartitePair:
 _BALL_STEPS = (1.0 / 6.0, 1.0 / 3.0, 1.0)
 
 
-def _tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quadratic]:
-    """Deterministic sep-separated lattice filling the tau-ball of the center.
+def _tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> np.ndarray:
+    """Deterministic sep-separated lattice filling the tau-ball of the center,
+    as (n, 3) coefficient rows in (i, j, k) order.
 
     Rectangular steps sep*(1/6, 1/3, 1) in (a, b, c); the gauge of a
     coefficient offset dominates |da| + |db| + |dc| (its value at s = 0), and
@@ -130,7 +133,7 @@ def _tau_ball_lattice(center: Quadratic, radius: float, sep: float) -> list[Quad
         jet_gauges(cand[k : k + _PAIR_CHUNK] - h0)[0] <= radius
         for k in range(0, len(cand), _PAIR_CHUNK)
     ])
-    return [Quadratic(a, b, c) for a, b, c in cand[keep].tolist()]
+    return cand[keep]
 
 
 def build_bipartite_balls(delta: float, rho: float) -> BipartitePair:
@@ -144,9 +147,9 @@ def build_bipartite_balls(delta: float, rho: float) -> BipartitePair:
         raise ValueError(f"need delta <= rho/8, got delta={delta}, rho={rho}")
     F = _tau_ball_lattice(Quadratic(2.0 * rho, 0.0, 0.0), rho, delta)
     G = _tau_ball_lattice(Quadratic(-2.0 * rho, 0.0, 0.0), rho, delta)
-    if not F or not G:
+    if not len(F) or not len(G):
         raise ValueError(f"parameters delta={delta}, rho={rho} leave a family empty")
-    return BipartitePair(tuple(F), tuple(G), 2.0 * rho)
+    return BipartitePair(F, G, 2.0 * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,7 @@ _CLAM_G_CURV = 4.0            # curvature offset of the short-tangent curves
 
 def build_clamshell(
     delta: float, t: float, mu: int, nu: int, n_total: int
-) -> tuple[list[Quadratic], list[Quadratic], list[CurviRect]]:
+) -> tuple[np.ndarray, np.ndarray, list[CurviRect]]:
     """Nested rich configuration: n_total/mu disjoint (delta, t)-rectangles,
     mu long-tangent curves per rectangle, and nu short-tangent curves per
     length-sqrt(delta) subdivision, tangent only to their own subdivision.
@@ -170,7 +173,7 @@ def build_clamshell(
     subdivision midpoint, lifted by 3.5*delta with curvature offset near 4,
     which puts them inside the subdivision's jet window and strictly outside
     every other subdivision's (the tests verify the resulting richness counts
-    exactly).
+    exactly).  F and G come as (n, 3) coefficient arrays, R as `CurviRect`s.
     """
     if not (0.0 < delta <= t <= 1.0):
         raise ValueError(f"need 0 < delta <= t <= 1, got delta={delta}, t={t}")
@@ -194,43 +197,30 @@ def build_clamshell(
         raise ValueError(f"row span {width} exceeds the planar domain")
     row_sep = _CLAM_ROW_SEP
     if row_sep <= 4.0 + n_rows * n_rows / 16.0:
-        raise ValueError(
-            f"vertical row separation {row_sep} cannot isolate {n_rows} rows"
-        )
+        raise ValueError(f"vertical row separation {row_sep} cannot isolate {n_rows} rows")
 
+    # row j's center curve is Quadratic(1, 0, c[j]), evaluated with
+    # `Quadratic.__call__`'s and `deriv`'s operations, so every bit is kept;
+    # the axes are (row, curve) for F and (row, subdivision, curve) for G
+    j = np.arange(n_rows)[:, None]
+    c = j * row_sep * delta
+
+    def jet(s):
+        return (0.5 * _CLAM_BASE_CURVATURE * s + 0.0) * s + c, _CLAM_BASE_CURVATURE * s + 0.0
+
+    theta = (j - 0.5 * (n_rows - 1)) * length
+    beta = (2 * np.arange(mu) + 1 - mu) / mu * (t / 8.0)
+    F = _jet_coeffs(theta, *jet(theta), _CLAM_BASE_CURVATURE + beta)
     sub_len = math.sqrt(delta)
-    F: list[Quadratic] = []
-    G: list[Quadratic] = []
-    R: list[CurviRect] = []
-    for j in range(n_rows):
-        center_j = Quadratic(_CLAM_BASE_CURVATURE, 0.0, j * row_sep * delta)
-        theta_j = (j - 0.5 * (n_rows - 1)) * length
-        for k in range(mu):
-            beta = (2 * k + 1 - mu) / mu * (t / 8.0)
-            F.append(
-                Quadratic.from_jet(
-                    theta_j,
-                    center_j(theta_j),
-                    center_j.deriv(theta_j),
-                    _CLAM_BASE_CURVATURE + beta,
-                )
-            )
-        for l in range(n_sub):
-            mid = theta_j - 0.5 * length + (l + 0.5) * sub_len
-            R.append(
-                CurviRect(center_j, Interval(mid - 0.5 * sub_len, mid + 0.5 * sub_len), delta)
-            )
-            for n in range(nu):
-                beta = _CLAM_G_CURV - (n + 1) * delta
-                G.append(
-                    Quadratic.from_jet(
-                        mid,
-                        center_j(mid) + _CLAM_G_LIFT * delta,
-                        center_j.deriv(mid),
-                        _CLAM_BASE_CURVATURE + beta,
-                    )
-                )
-    return F, G, R
+    mid = theta - 0.5 * length + (np.arange(n_sub) + 0.5) * sub_len
+    value, slope = (x[..., None] for x in jet(mid))
+    beta = _CLAM_G_CURV - (np.arange(nu) + 1) * delta
+    G = _jet_coeffs(mid[..., None], value + _CLAM_G_LIFT * delta, slope,
+                    _CLAM_BASE_CURVATURE + beta)
+    R = [CurviRect(Quadratic(_CLAM_BASE_CURVATURE, 0.0, cj),
+                   Interval(m - 0.5 * sub_len, m + 0.5 * sub_len), delta)
+         for cj, row in zip(c.ravel().tolist(), mid.tolist()) for m in row]
+    return F.reshape(-1, 3), G.reshape(-1, 3), R
 
 
 # ---------------------------------------------------------------------------
@@ -336,33 +326,33 @@ def net_multiplicity(spec: ParabolicNetSpec, pts: np.ndarray, family: int = 1) -
     return _bulk.count_members(len(pts), *found, d)
 
 
-# the most tubes `net_tubes` builds for both families, some 260 bytes each;
-# delta = 2^-5 makes 670,804 and 2^-6 5,407,020
+# the most tubes `net_tubes` tabulates for both families: 48 bytes each in
+# its tables, several times that in a dump's rows; delta = 2^-5 makes 670,804
+# and 2^-6 5,407,020
 NET_TUBES_CAP = 10 ** 6
 
 
-def net_tubes(spec: ParabolicNetSpec) -> tuple[list[HTube], list[HTube]]:
-    """Materialize both families as explicit tube lists; past `NET_TUBES_CAP`
-    tubes in all, raise ValueError before building any."""
+def net_tubes(spec: ParabolicNetSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Both families as six-row `tubes.tube_params` tables, in (sheet, y,
+    t) order; past `NET_TUBES_CAP` tubes in all, raise ValueError before
+    forming any."""
     if (size := 2 * net_family_size(spec)) > NET_TUBES_CAP:
         raise ValueError(f"parabolic net at delta = {spec.delta} has {size} tubes, "
                          f"more than the {NET_TUBES_CAP} that net_tubes builds")
-    t1: list[HTube] = []
-    t2: list[HTube] = []
     ny, nt = spec.y_half_count, spec.t_half_count
-    for x0 in spec.sheets:
-        for i in range(-ny, ny + 1):
-            yi = i * spec.y_step
-            for k in range(-nt, nt + 1):
-                tk = k * spec.t_step
-                t1.append(HTube(HPoint(x0, yi, tk), E1, spec.delta))
-                t2.append(HTube(HPoint(yi, x0, -tk), E2, spec.delta))
-    return t1, t2
+    x, y, t = (c.ravel() for c in np.broadcast_arrays(
+        np.array(spec.sheets)[:, None, None],
+        np.arange(-ny, ny + 1)[:, None] * spec.y_step,
+        np.arange(-nt, nt + 1) * spec.t_step,
+    ))
+    one, zero, d = (np.full(len(x), v) for v in (1.0, 0.0, spec.delta))
+    return np.array([x, y, t, one, zero, d]), np.array([y, x, -t, zero, one, d])
 
 
-def build_parabolic_net(delta: float) -> tuple[list[HTube], list[HTube]]:
+def build_parabolic_net(delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Two transversal tube families of about delta^-3 tubes each, covering
-    the unit gauge ball with bounded overlap, built up to delta = 2^-5
-    (`NET_TUBES_CAP`); the experiment harness works from `parabolic_net_spec`.
+    the unit gauge ball with bounded overlap, as `tube_params` tables up to
+    delta = 2^-5 (`NET_TUBES_CAP`); the experiment harness works from
+    `parabolic_net_spec`.
     """
     return net_tubes(parabolic_net_spec(delta))

@@ -63,7 +63,7 @@ def _jet_tangent_mask(coeffs, center: Quadratic, theta: float, delta: float, t: 
     return in_jet_window(*(x[0] for x in _jets_at(h, np.array([theta]))), _C_JET, delta, t)
 
 
-def richness_of(rect: CurviRect, F: list[Quadratic], G: list[Quadratic]) -> Richness:
+def richness_of(rect: CurviRect, F: np.ndarray, G: np.ndarray) -> Richness:
     """Counts of jet-tangent curves from each family."""
     probe = rect.center, rect.base.mid, rect.thickness, rect_t_scale(rect)
     return Richness(*(int(_jet_tangent_mask(coeff_array(Q), *probe).sum()) for Q in (F, G)))
@@ -172,8 +172,8 @@ def _value_window_hits(targets: np.ndarray, sources: np.ndarray, bound: float) -
 
 
 def max_incomparable_rich(
-    F: list[Quadratic],
-    G: list[Quadratic],
+    F: np.ndarray,
+    G: np.ndarray,
     delta: float,
     t: float,
     mu: int,
@@ -211,7 +211,7 @@ def max_incomparable_rich(
     rest = np.arange(len(ci))
     while len(rest):
         k, rest = rest[0], rest[1:]
-        cand = dt_rectangle(F[ci[k]], float(mids[cm[k]]), delta, t)
+        cand = dt_rectangle(Quadratic(*fc[ci[k]].tolist()), float(mids[cm[k]]), delta, t)
         if any(comparable(cand, r) for r in chosen):
             raise RuntimeError("bulk first-fit kept a rectangle comparable to a chosen one")
         chosen.append(cand)
@@ -230,8 +230,8 @@ class WolffCheck:
 
 
 def wolff_bound_check(
-    F: list[Quadratic],
-    G: list[Quadratic],
+    F: np.ndarray,
+    G: np.ndarray,
     delta: float,
     t: float,
     mu: int,
@@ -246,13 +246,14 @@ def wolff_bound_check(
     validated and a failure is reported in the result (the count and bound
     are still computed; the bound is only guaranteed under the hypothesis).
     """
-    if not F or not G:
+    pair = BipartitePair(F, G, t)
+    nf, ng = len(pair.F), len(pair.G)
+    if not nf or not ng:
         raise ValueError("both families must be nonempty")
     if mu < 1 or nu < 1:
         raise ValueError("richness thresholds must be positive integers")
-    report = validate_bipartite(BipartitePair(tuple(F), tuple(G), t))
-    count = len(max_incomparable_rich(F, G, delta, t, mu, nu))
-    nf, ng = len(F), len(G)
+    report = validate_bipartite(pair)
+    count = len(max_incomparable_rich(pair.F, pair.G, delta, t, mu, nu))
     bound = (nf * ng) ** 0.1 * ((nf * ng / (mu * nu)) ** 0.75 + nf / mu + ng / nu)
     return WolffCheck(
         count=count,
@@ -265,7 +266,7 @@ def wolff_bound_check(
 
 @functools.lru_cache(maxsize=1)
 def _concentration_profile(
-    Q: tuple[Quadratic, ...], delta: float, probes: ProbeSpec
+    shape: tuple[int, int], coeffs: bytes, delta: float, probes: ProbeSpec
 ) -> tuple[tuple[int, float, int, float, float, int], ...]:
     """(max count, t, #Q, sigma, midpoint, anchor curve) for every (sigma, t) level.
 
@@ -273,10 +274,11 @@ def _concentration_profile(
     [sigma, 1].  The probe of a level is the first one reaching its maximum
     tangent count, in (midpoint, quantized anchor jet) order.  The profile
     does not depend on alpha, so the last one is kept for the next call: an
-    alpha sweep computes it once.  Equal families are one key (as tuples of
-    Quadratic, so -0.0 and 0.0 coefficients are equal), and give one profile.
+    alpha sweep computes it once.  The family is keyed by its shape and the
+    bytes of its (n, 3) coefficient rows plus 0.0, so equal families are one
+    key (-0.0 and 0.0 coefficients are equal) and give one profile.
     """
-    qc = coeff_array(Q)
+    qc = np.frombuffer(coeffs).reshape(shape)
     n = len(qc)
     profile = []
     for sigma in _dyadic_down(1.0, delta):
@@ -315,7 +317,7 @@ def _quad_witness(count, t, n, sigma, mid, i) -> str:
 
 
 def quad_broadness(
-    Q: list[Quadratic],
+    Q: np.ndarray,
     delta: float,
     alpha: float,
     probes: ProbeSpec | None = None,
@@ -337,13 +339,15 @@ def quad_broadness(
     Raises ValueError for an empty family, a non-finite coefficient, an alpha
     that is negative or not finite, or a delta that is not finite and > 0.
     """
-    if not Q:
+    qc = coeff_array(Q)
+    if not len(qc):
         raise ValueError("family must be nonempty")
     probes = probes or ProbeSpec()
-    return _fold(alpha, lambda: _concentration_profile(tuple(Q), delta, probes), _quad_witness)
+    key = qc.shape, (qc + 0.0).tobytes()
+    return _fold(alpha, lambda: _concentration_profile(*key, delta, probes), _quad_witness)
 
 
-def classify_broad_narrow(S: CurviRect, G: list[Quadratic], K: float) -> tuple[bool, int, int]:
+def classify_broad_narrow(S: CurviRect, G: np.ndarray, K: float) -> tuple[bool, int, int]:
     """Classify a (sigma, t)-rectangle by the transversality of its tangent pairs.
 
     Counts ordered pairs (g1, g2) of tangent curves with

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .quadratics import Quadratic, coeff_array
+from .quadratics import coeff_array
 from .tubes import HTube, MCEstimate, tube_bounding_box, tube_multiplicity, tube_params
 
 __all__ = [
@@ -408,8 +408,8 @@ def _exact_weighted_sum(counts: np.ndarray, v: np.ndarray) -> float:
 
 
 def bilinear_curve_integral(
-    F: list[Quadratic],
-    G: list[Quadratic],
+    F: np.ndarray,
+    G: np.ndarray,
     delta: float,
     p: float,
     resolution: float | None = None,

@@ -74,6 +74,14 @@ class Quadratic:
         return Quadratic(curvature, b, c)
 
 
+def _jet_coeffs(theta, value, slope, curvature) -> np.ndarray:
+    """`Quadratic.from_jet` on broadcast arrays, by its operations in its
+    order: the coefficient rows (a, b, c) on a last axis of length 3."""
+    b = slope - curvature * theta
+    c = value - slope * theta + 0.5 * curvature * theta * theta
+    return np.stack(np.broadcast_arrays(curvature, b, c), axis=-1)
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -426,19 +434,20 @@ def _comparable_mask(m1, m2, h, delta: float, t, c_cmp: float = 10.0):
     return near & in_jet_window(value, slope, ha, c_cmp, delta, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartitePair:
-    """Two families with cross tau in [rho, 100*rho] and in-family tau <= rho."""
+    """Two (n, 3) coefficient arrays with cross tau in [rho, 100*rho] and
+    in-family tau <= rho."""
 
-    F: tuple[Quadratic, ...]
-    G: tuple[Quadratic, ...]
+    F: np.ndarray
+    G: np.ndarray
     rho: float
 
     def __post_init__(self):
         if not (0.0 < self.rho < math.inf):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        object.__setattr__(self, "F", tuple(self.F))
-        object.__setattr__(self, "G", tuple(self.G))
+        object.__setattr__(self, "F", coeff_array(self.F))
+        object.__setattr__(self, "G", coeff_array(self.G))
 
 
 @dataclass
@@ -544,7 +553,7 @@ def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> 
     If `separation` is given, also checks that each family is that separated
     in tau (on the same pair sample); a non-finite coefficient raises ValueError.
     """
-    F, G, rho = coeff_array(pair.F), coeff_array(pair.G), pair.rho
+    F, G, rho = pair.F, pair.G, pair.rho
     within = itertools.chain.from_iterable(
         _pair_differences(fam, fam, 100_000, 0, within=True) for fam in (F, G))
     cross = _pair_differences(F, G, 200_000, 1, within=False)
@@ -570,9 +579,15 @@ def validate_bipartite(pair: BipartitePair, separation: float | None = None) -> 
 
 
 def coeff_array(curves) -> np.ndarray:
-    """Stack coefficient triples into an (n, 3) float64 array; raises
-    ValueError if a coefficient is not finite."""
-    qc = np.array([(q.a, q.b, q.c) for q in curves], dtype=np.float64).reshape(-1, 3)
+    """The one entry check of a curve family, which returns it as an (n, 3)
+    float64 array of coefficient rows (a, b, c): an array of that shape, with
+    no copy when it is float64, or a sequence of `Quadratic`s, stacked.
+    Another shape or a coefficient that is not finite raises ValueError."""
+    if not isinstance(curves, np.ndarray):
+        curves = np.reshape([(q.a, q.b, q.c) for q in curves], (-1, 3))
+    qc = np.asarray(curves, dtype=np.float64)
+    if qc.ndim != 2 or qc.shape[1] != 3:
+        raise ValueError(f"need an (n, 3) coefficient array, got shape {qc.shape}")
     if not np.isfinite(qc).all():
         raise ValueError("quadratic coefficients must be finite")
     return qc

@@ -19,6 +19,7 @@ from heislab.heis import HDirection, HPoint
 from heislab.incidence import _C_JET, _anchor_grid
 from heislab.quadratics import Quadratic, coeff_array, in_jet_window
 from heislab.tubes import BroadnessReport, ProbeSpec, _dyadic_down
+from jet_reference import quads
 
 
 def quad_broadness(
@@ -27,6 +28,7 @@ def quad_broadness(
     alpha: float,
     probes: ProbeSpec | None = None,
 ) -> BroadnessReport:
+    Q = quads(Q)
     if not Q:
         raise ValueError("family must be nonempty")
     probes = probes or ProbeSpec()

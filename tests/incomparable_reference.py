@@ -20,6 +20,7 @@ from heislab.quadratics import (
     dt_rectangle,
     in_jet_window,
 )
+from jet_reference import quads
 
 
 def max_incomparable_rich(
@@ -32,6 +33,7 @@ def max_incomparable_rich(
 ) -> list[CurviRect]:
     if not (delta <= t <= 1.0):
         raise ValueError(f"need delta <= t <= 1, got delta={delta}, t={t}")
+    F, G = quads(F), quads(G)
     if not F:
         return []
     length = math.sqrt(delta / t)

@@ -21,6 +21,12 @@ from heislab.quadratics import (
 )
 
 
+def quads(family) -> list[Quadratic]:
+    """A family's (n, 3) coefficient rows as `Quadratic`s, for the loops that
+    iterate one."""
+    return [Quadratic(*row) for row in coeff_array(family).tolist()]
+
+
 def quadratic_roots(da: float, db: float, dc: float) -> list[float]:
     """Real roots of (da/2) s^2 + db s + dc, cancellation-safe for tiny da."""
     if da == 0.0:
@@ -106,7 +112,7 @@ def _report(rho, within_max, sep_min, cross_min, cross_max, checked, separation)
 
 
 def validate_bipartite(pair, separation=None) -> BipartiteReport:
-    F, G, rho = pair.F, pair.G, pair.rho
+    F, G, rho = quads(pair.F), quads(pair.G), pair.rho
     within_max, sep_min, checked = 0.0, math.inf, 0
     for fam in (F, G):
         for i, j in _scalar_pairs(len(fam), len(fam), 100_000, 0, True):
@@ -181,7 +187,7 @@ def classify_broad_narrow(S, G, K) -> tuple[bool, int, int]:
     t = rect_t_scale(S)
     theta = S.base.mid
     tangent = []
-    for g in G:
+    for g in quads(G):
         h = g.sub(S.center)
         if (
             abs(h(theta)) <= 4.0 * sigma

@@ -288,14 +288,14 @@ def test_criterion_07_opposed_pair_scaling():
     for k in range(4, 11):
         d = 2.0 ** -k
         pair = build_opposed_pair(d, 1.0)
-        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
+        est = bilinear_curve_integral(pair.F, pair.G, d, 0.75)
         pts.append((d, est.value))
     slope_d = fit_exponent(pts).slope
     pts = []
     for j in range(1, 5):
         r = 2.0 ** -j
         pair = build_opposed_pair(2.0 ** -8, r)
-        est = bilinear_curve_integral(list(pair.F), list(pair.G), 2.0 ** -8, 0.75)
+        est = bilinear_curve_integral(pair.F, pair.G, 2.0 ** -8, 0.75)
         pts.append((r, est.value))
     slope_r = fit_exponent(pts).slope
     runtime = time.monotonic() - t0
@@ -370,12 +370,12 @@ def test_criterion_09_bipartite_ball_sharpness():
     for k in (5, 6, 7):
         d = 2.0 ** -k
         pair = build_bipartite_balls(d, rho)
-        est = bilinear_curve_integral(list(pair.F), list(pair.G), d, 0.75)
+        est = bilinear_curve_integral(pair.F, pair.G, d, 0.75)
         norm_pts.append((d, est.value * d ** 3))
         rng = np.random.default_rng([SEED, k])
         s = rng.uniform(0.1, 0.9, 1000)
         y = rho * s * s + rng.uniform(-rho / 8, rho / 8, 1000)
-        m = strip_multiplicity(coeff_array(pair.F), s, y, d)
+        m = strip_multiplicity(pair.F, s, y, d)
         scale = (rho / d) ** 2
         m_ok = m_ok and m.min() >= scale / 8 and m.max() <= scale * 8
     slope = fit_exponent(norm_pts).slope
@@ -496,15 +496,13 @@ def test_criterion_12_incidence_bound_oracle():
     t0 = time.monotonic()
     d, rho = 2.0 ** -5, 0.25
     pair = build_bipartite_balls(d, rho)
-    F, G = list(pair.F), list(pair.G)
+    F, G = pair.F, pair.G
     rng = np.random.default_rng([SEED, 12])
     violations = 0
     for _ in range(20):
-        fi = sorted(rng.choice(len(F), size=64, replace=False).tolist())
-        gi = sorted(rng.choice(len(G), size=64, replace=False).tolist())
-        chk = wolff_bound_check(
-            [F[j] for j in fi], [G[j] for j in gi], d, pair.rho, 1, 1, k_eps=64.0
-        )
+        fi = np.sort(rng.choice(len(F), size=64, replace=False))
+        gi = np.sort(rng.choice(len(G), size=64, replace=False))
+        chk = wolff_bound_check(F[fi], G[gi], d, pair.rho, 1, 1, k_eps=64.0)
         violations += not chk.ok
     Fc, Gc, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, 256)
     chk = wolff_bound_check(Fc, Gc, 2.0 ** -8, 1.0, 16, 4, k_eps=64.0)

@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -31,9 +32,9 @@ from heislab.cli import (
     read_config,
     reads,
 )
-from heislab.families import build_bush, build_clamshell, net_tubes, parabolic_net_spec
+from heislab.families import build_bush, build_clamshell
 from heislab.projection import PlanePoint
-from heislab.quadratics import PLANAR_DOMAIN, Quadratic, delta_gauge, tau
+from heislab.quadratics import PLANAR_DOMAIN, Quadratic, coeff_array, delta_gauge, tau
 from heislab.tubes import tubes_from_params
 
 
@@ -160,30 +161,51 @@ def test_dump_clamshell_roundtrip(tmp_path):
     files = dump_family("clamshell", cfg, str(out))
     assert len(files) == 2
     F, G, R = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, 256)
-    assert load_family(files[0]) == F + G
+    assert np.array_equal(coeff_array(load_family(files[0])), np.vstack([F, G]))
     assert load_family(files[1]) == R
 
 
-def test_dump_parabolic_net_refuses_its_default_rung(tmp_path, capsys, monkeypatch):
-    # delta = 2^-8 would build 344,107,452 tube objects
-    from heislab import families
-
-    built = []
-    monkeypatch.setattr(families, "HTube", lambda *a: built.append(a))
+def test_dump_parabolic_net_refuses_its_default_rung(tmp_path, capsys):
+    # delta = 2^-8 would tabulate 344,107,452 tubes, 16 GB of tables
     out = tmp_path / "net.csv"
-    assert main(["dump", "parabolic-net", "--out", str(out)]) == 1
+    tracemalloc.start()
+    try:
+        assert main(["dump", "parabolic-net", "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert "344107452 tubes" in capsys.readouterr().err
     assert not out.exists()
-    assert built == []
+    assert peak < 2 ** 20
 
 
-def test_dump_parabolic_net_keeps_its_bytes_at_rung_three(tmp_path):
-    out = tmp_path / "net.csv"
-    assert main(["dump", "parabolic-net", "--delta-exps", "3", "--out", str(out)]) == 0
-    digest = "ff826923284487b6728bee44778f2bc51c1593aa00315b4461cfdf5577941c42"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    t1, t2 = net_tubes(parabolic_net_spec(2.0 ** -3))
-    assert load_family(str(out)) == t1 + t2
+# sha256 of every file each generator writes at the rungs CI dumps, taken
+# when the generators still built Quadratic and HTube objects
+DUMP_DIGESTS = {
+    "bush": (["--delta-exps", "5"], {
+        "": "36c67ad7a74290c2291090cb9493c380edeca69eac74380014b3927f0845fb15"}),
+    "opposed-pair": (["--delta-exps", "5"], {
+        "": "4fa246bf647494332c64d1b2a1801b09ef5752219449e5f861230d2cb200a1a3"}),
+    "bipartite-balls": (["--delta-exps", "5"], {
+        "": "2e3a019bac7d38e5f7c99d7d4849cf2c7ffc634ac6c940bc0074a35d2811b099"}),
+    "clamshell": (["--delta-exps", "5", "--mu", "2", "--n", "16"], {
+        "": "84aeb21ec0f9734ac15f3526f28f30704efba8e1d8ac81ad6860f42f5756b1eb",
+        ".rects": "e45e10bf49aca2132804265ebef3214b75cb1f640be4c4a1c5863ffe32728a79"}),
+    "parabolic-net": (["--delta-exps", "3"], {
+        "": "ff826923284487b6728bee44778f2bc51c1593aa00315b4461cfdf5577941c42"}),
+}
+
+
+@pytest.mark.parametrize("gen", DUMP_DIGESTS)
+def test_dump_keeps_its_bytes_at_the_ci_rungs(tmp_path, gen):
+    flags, digests = DUMP_DIGESTS[gen]
+    out = tmp_path / "family.csv"
+    assert main(["dump", gen, *flags, "--out", str(out)]) == 0
+    for suffix, digest in digests.items():
+        path = tmp_path / f"family{suffix}.csv"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"family{suffix}.csv" for suffix in digests)
 
 
 @pytest.mark.parametrize("header, rows, line", [
@@ -734,7 +756,7 @@ def test_opposed_pair_scaling_rows_are_the_curve_integral_at_the_set_grid_res(tm
     assert [r[0] for r in rows] == ["delta"] * 3 + ["rho"] * 4
     for sweep, d, rho, lhs in rows:
         pair = build_opposed_pair(float(d), float(rho))
-        est = bilinear_curve_integral(list(pair.F), list(pair.G), float(d), 0.75, 0.002)
+        est = bilinear_curve_integral(pair.F, pair.G, float(d), 0.75, 0.002)
         assert lhs == repr(est.value)
         # 0.002 is a 500 x 500 grid; the default, delta / 4, is finer
         assert est.samples == 500 * 500

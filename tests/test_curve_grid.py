@@ -34,7 +34,7 @@ def _random_family(seed, n):
 
 
 def _families(pair):
-    return list(pair.F), list(pair.G)
+    return pair.F, pair.G
 
 
 # name -> (F, G, delta, resolution): every family kind the curve grid meets,

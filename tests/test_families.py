@@ -34,7 +34,7 @@ from heislab.quadratics import (
     tau,
     validate_bipartite,
 )
-from heislab.tubes import tube_intersection_volume
+from heislab.tubes import tube_intersection_volume, tubes_from_params
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +102,17 @@ def test_bush_pair_intersection_volumes():
 
 def test_opposed_pair_contents():
     pair = build_opposed_pair(2.0 ** -8, 1.0)
-    (f,), (g,) = pair.F, pair.G
-    assert (f.a, f.b, f.c) == (1.0, 0.0, 0.0)
-    assert (g.a, g.b, g.c) == (-1.0, 0.0, 0.0)
-    assert tau(f, g) == pytest.approx(37.0)
-    assert delta_gauge(f, g) == 0.0
+    assert pair.F.tolist() == [[1.0, 0.0, 0.0]]
+    assert pair.G.tolist() == [[-1.0, 0.0, 0.0]]
+    assert tau(pair.F, pair.G) == pytest.approx([37.0])
+    assert delta_gauge(pair.F, pair.G).tolist() == [0.0]
 
 
 def test_opposed_pair_near_intersection():
     d = 2.0 ** -8
     pair = build_opposed_pair(d, 1.0)
-    (piece,) = near_intersection_intervals(
-        pair.F[0], pair.G[0], d, PLANAR_DOMAIN.shrink(4.0)
-    )
+    (f,), (g,) = ref.quads(pair.F), ref.quads(pair.G)
+    (piece,) = near_intersection_intervals(f, g, d, PLANAR_DOMAIN.shrink(4.0))
     assert piece.lo == pytest.approx(-math.sqrt(d), rel=1e-9)
     assert piece.hi == pytest.approx(math.sqrt(d), rel=1e-9)
 
@@ -144,9 +142,10 @@ def test_bipartite_balls_equal_scalar_lattice_in_order(k):
     # the family order reaches the dump CSVs and wolff-bound-check's draws
     d, rho = 2.0 ** -k, 0.25
     pair = build_bipartite_balls(d, rho)
-    assert list(pair.F) == ref.tau_ball_lattice(Quadratic(2.0 * rho, 0.0, 0.0), rho, d)
-    assert list(pair.G) == ref.tau_ball_lattice(Quadratic(-2.0 * rho, 0.0, 0.0), rho, d)
-    assert all(type(x) is float for q in pair.F[:5] for x in (q.a, q.b, q.c))
+    for fam, a in ((pair.F, 2.0 * rho), (pair.G, -2.0 * rho)):
+        lattice = coeff_array(ref.tau_ball_lattice(Quadratic(a, 0.0, 0.0), rho, d))
+        assert fam.dtype == np.float64 and fam.shape == lattice.shape
+        assert fam.view(np.uint64).tolist() == lattice.view(np.uint64).tolist()
 
 
 def test_ball_lattice_memory_is_bounded():
@@ -190,6 +189,7 @@ CLAM = dict(delta=2.0 ** -8, t=2.0 ** -4, mu=16, nu=4, n_total=256)
 
 def test_clamshell_exact_counts():
     F, G, R = build_clamshell(**CLAM)
+    assert F.dtype == G.dtype == np.float64 and F.shape[1] == G.shape[1] == 3
     assert len(F) == CLAM["n_total"]
     assert len(R) == round(CLAM["t"] ** -0.5 * CLAM["n_total"] / CLAM["mu"])
     assert len(G) == CLAM["nu"] * len(R)
@@ -206,7 +206,7 @@ def test_clamshell_cross_tau_separated(rng):
     F, G, _ = build_clamshell(**CLAM)
     idx = rng.integers(0, len(F), size=300)
     jdx = rng.integers(0, len(G), size=300)
-    assert min(tau(F[i], G[j]) for i, j in zip(idx, jdx)) >= 0.5
+    assert tau(F[idx], G[jdx]).min() >= 0.5
 
 
 def test_clamshell_in_family_separation(rng):
@@ -214,9 +214,8 @@ def test_clamshell_in_family_separation(rng):
     d = CLAM["delta"]
     for fam in (F, G):
         k = rng.integers(0, len(fam), size=(200, 2))
-        for i, j in k:
-            if i != j:
-                assert tau(fam[i], fam[j]) >= d * (1 - 1e-9)
+        i, j = k[k[:, 0] != k[:, 1]].T
+        assert (tau(fam[i], fam[j]) >= d * (1 - 1e-9)).all()
 
 
 def test_clamshell_subdivisions_inherit_long_tangencies():
@@ -227,7 +226,7 @@ def test_clamshell_subdivisions_inherit_long_tangencies():
     from heislab.quadratics import is_tangent_jet
 
     for j in (0, n_rows // 2, n_rows - 1):
-        row_curves = F[j * mu : (j + 1) * mu]
+        row_curves = ref.quads(F[j * mu : (j + 1) * mu])
         for rect in R[j * n_sub : (j + 1) * n_sub]:
             assert all(is_tangent_jet(f, rect) for f in row_curves)
 
@@ -249,9 +248,8 @@ def test_clamshell_saturation_inequality():
 
 
 def test_clamshell_deterministic():
-    a = build_clamshell(**CLAM)
-    b = build_clamshell(**CLAM)
-    assert a == b
+    (fa, ga, ra), (fb, gb, rb) = build_clamshell(**CLAM), build_clamshell(**CLAM)
+    assert np.array_equal(fa, fb) and np.array_equal(ga, gb) and ra == rb
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def test_net_multiplicity_band_on_unit_ball(rng):
 def test_net_structured_matches_materialized(rng):
     d = 2.0 ** -3
     spec = parabolic_net_spec(d)
-    t1, t2 = net_tubes(spec)
+    t1, t2 = map(tubes_from_params, net_tubes(spec))
     assert len(t1) == len(t2) == net_family_size(spec)
     pts = rng.random((60, 3)) * 2.0 - 1.0
     pts[:, 2] *= 0.25
@@ -296,7 +294,7 @@ def test_net_translation_moves_multiplicity(rng):
     d = 2.0 ** -4
     spec = parabolic_net_spec(d)
     t1, _ = net_tubes(spec)
-    sub = t1[:: max(1, len(t1) // 400)]
+    sub = tubes_from_params(t1[:, :: max(1, t1.shape[1] // 400)])
     g = np.array([0.2, -0.3, 0.1])
     pts = rng.random((40, 3)) - 0.5
     moved = [tube.translated(HPoint(*g)) for tube in sub]
@@ -306,20 +304,24 @@ def test_net_translation_moves_multiplicity(rng):
 
 
 def test_remaining_generators_deterministic():
-    assert build_bipartite_balls(2.0 ** -5, 0.25) == build_bipartite_balls(2.0 ** -5, 0.25)
-    assert build_opposed_pair(2.0 ** -6, 0.5) == build_opposed_pair(2.0 ** -6, 0.5)
-    assert net_tubes(parabolic_net_spec(2.0 ** -3)) == net_tubes(parabolic_net_spec(2.0 ** -3))
+    for make in (lambda: build_bipartite_balls(2.0 ** -5, 0.25),
+                 lambda: build_opposed_pair(2.0 ** -6, 0.5)):
+        a, b = make(), make()
+        assert np.array_equal(a.F, b.F) and np.array_equal(a.G, b.G) and a.rho == b.rho
+    a, b = net_tubes(parabolic_net_spec(2.0 ** -3)), net_tubes(parabolic_net_spec(2.0 ** -3))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_net_tubes_refuses_a_million_tubes_before_building_any(monkeypatch, k):
-    from heislab import families
-
-    built = []
-    monkeypatch.setattr(families, "HTube", lambda *a: built.append(a))
-    with pytest.raises(ValueError, match="more than the 1000000"):
-        net_tubes(parabolic_net_spec(2.0 ** -k))
-    assert built == []
+def test_net_tubes_refuses_a_million_tubes_before_building_any(k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the 1000000"):
+            net_tubes(parabolic_net_spec(2.0 ** -k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_net_tubes_cap_keeps_rungs_three_to_five():
@@ -330,9 +332,12 @@ def test_net_tubes_cap_keeps_rungs_three_to_five():
 
 def test_net_build_contract():
     t1, t2 = build_parabolic_net(2.0 ** -4)
-    assert len(t1) == len(t2)
-    assert all((t.dir.a, t.dir.b) == (1.0, 0.0) for t in t1[:50])
-    assert all((t.dir.a, t.dir.b) == (0.0, 1.0) for t in t2[:50])
+    assert t1.shape == t2.shape == (6, net_family_size(parabolic_net_spec(2.0 ** -4)))
+    assert t1.dtype == t2.dtype == np.float64
+    assert t1[3:5].T.tolist() == [[1.0, 0.0]] * t1.shape[1]
+    assert t2[3:5].T.tolist() == [[0.0, 1.0]] * t2.shape[1]
+    # the e2 family is the image of the e1 family under (x, y, t) -> (y, x, -t)
+    assert np.array_equal(t2[:3], t1[[1, 0, 2]] * [[1.0], [1.0], [-1.0]])
     with pytest.raises(ValueError):
         build_parabolic_net(0.25)
 

@@ -74,10 +74,10 @@ def test_richness_cross_validates_with_containment(rng):
 
 def test_greedy_single_tangency_site():
     pair = build_opposed_pair(2.0 ** -8, 1.0)
-    rects = max_incomparable_rich(list(pair.F), list(pair.G), 2.0 ** -8, 1.0, 1, 1)
+    rects = max_incomparable_rich(pair.F, pair.G, 2.0 ** -8, 1.0, 1, 1)
     assert 1 <= len(rects) <= 4
     for r in rects:
-        rich = richness_of(r, list(pair.F), list(pair.G))
+        rich = richness_of(r, pair.F, pair.G)
         assert rich.mu >= 1 and rich.nu >= 1
 
 
@@ -115,12 +115,12 @@ def _wolff_instances(seed):
     """The 20 random (F, G) instances of the wolff-bound-check experiment."""
     d = 2.0 ** -5
     pair = build_bipartite_balls(d, 0.25)
-    F, G = list(pair.F), list(pair.G)
+    F, G = pair.F, pair.G
     rng = np.random.default_rng([seed, 41])
     for _ in range(20):
-        fi = sorted(rng.choice(len(F), size=min(64, len(F)), replace=False).tolist())
-        gi = sorted(rng.choice(len(G), size=min(64, len(G)), replace=False).tolist())
-        yield [F[j] for j in fi], [G[j] for j in gi], d, pair.rho
+        fi = np.sort(rng.choice(len(F), size=min(64, len(F)), replace=False))
+        gi = np.sort(rng.choice(len(G), size=min(64, len(G)), replace=False))
+        yield F[fi], G[gi], d, pair.rho
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -142,7 +142,7 @@ def test_validate_bipartite_equals_exhaustive_oracle_on_wolff_instances(monkeypa
     rows, gauges = [], quadratics.jet_gauges
     monkeypatch.setattr(quadratics, "jet_gauges", lambda h: rows.append(len(h)) or gauges(h))
     for F, G, _, rho in _wolff_instances(seed):
-        pair = quadratics.BipartitePair(tuple(F), tuple(G), rho)
+        pair = quadratics.BipartitePair(F, G, rho)
         rows.clear()
         report = quadratics.validate_bipartite(pair)
         assert len(rows) == 1 and rows[0] < report.pairs_checked == 2 * 2016 + 4096
@@ -152,7 +152,7 @@ def test_validate_bipartite_equals_exhaustive_oracle_on_wolff_instances(monkeypa
 @pytest.mark.parametrize("n", [16, 256])
 def test_validate_bipartite_equals_exhaustive_oracle_on_clamshell(n):
     F, G, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, n)
-    pair = quadratics.BipartitePair(tuple(F), tuple(G), 1.0)
+    pair = quadratics.BipartitePair(F, G, 1.0)
     report = quadratics.validate_bipartite(pair, 2.0 ** -8)
     assert report == ref.validate_bipartite_exhaustive(pair, 2.0 ** -8)
     assert not report.ok and report.note
@@ -161,7 +161,7 @@ def test_validate_bipartite_equals_exhaustive_oracle_on_clamshell(n):
 def test_greedy_equals_reference_on_small_families():
     d, t = 2.0 ** -6, 2.0 ** -2
     pair = build_opposed_pair(2.0 ** -8, 1.0)
-    assert _assert_greedy_equals_reference(list(pair.F), list(pair.G), 2.0 ** -8, 1.0, 1, 1)
+    assert _assert_greedy_equals_reference(pair.F, pair.G, 2.0 ** -8, 1.0, 1, 1)
     q = Quadratic(1, 0, 0)
     assert _assert_greedy_equals_reference([q], [q], d, t, 1, 1)
     F, G, _ = build_clamshell(2.0 ** -8, 2.0 ** -4, 16, 4, 16)
@@ -169,13 +169,14 @@ def test_greedy_equals_reference_on_small_families():
     assert _assert_greedy_equals_reference(F, [], 2.0 ** -8, 1.0, 1, 1) == []
     assert _assert_greedy_equals_reference(F, [], 2.0 ** -8, 1.0, 1, 0)
     # a G far above F meets no rectangle of F
-    far = [Quadratic(g.a, g.b, g.c + 3.0) for g in G]
+    far = G + [0.0, 0.0, 3.0]
     assert _assert_greedy_equals_reference(F, far, 2.0 ** -8, 1.0, 1, 1) == []
     # thresholds above every count
     assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, len(F) + 1, 1) == []
     assert _assert_greedy_equals_reference(F, G, 2.0 ** -8, 1.0, 1, len(G) + 1) == []
     # every curve twice: the counts double, the chosen anchors stay first copies
-    rects = _assert_greedy_equals_reference(F + F, G + G, 2.0 ** -8, 1.0, 32, 8)
+    rects = _assert_greedy_equals_reference(np.vstack([F, F]), np.vstack([G, G]), 2.0 ** -8,
+                                            1.0, 32, 8)
     assert rects == max_incomparable_rich(F, G, 2.0 ** -8, 1.0, 16, 4)
 
 
@@ -409,7 +410,7 @@ def test_greedy_drops_anchors_out_of_value_reach_only_for_nu_positive(monkeypatc
     monkeypatch.setattr(incidence, "_value_window_hits",
                         lambda *args: calls.append(args[0].shape) or hits(*args))
     pair = build_bipartite_balls(2.0 ** -5, 0.25)
-    F, G = list(pair.F[::20]), list(pair.G[::20])
+    F, G = pair.F[::20], pair.G[::20]
     for nu, n_calls in ((0, 0), (1, 1), (3, 1)):
         calls.clear()
         rects = max_incomparable_rich(F, G, 2.0 ** -5, 0.25, 1, nu)
@@ -425,7 +426,7 @@ def test_greedy_skips_the_mu_count_at_mu_one(monkeypatch):
     monkeypatch.setattr(incidence, "_jet_window_counts",
                         lambda *args: calls.append(args[0]) or counter(*args))
     pair = build_bipartite_balls(2.0 ** -5, 0.25)
-    F, G = list(pair.F[::40]), list(pair.G[::40])
+    F, G = pair.F[::40], pair.G[::40]
     for mu, n_calls in ((0, 1), (1, 1), (2, 2)):
         calls.clear()
         rects = max_incomparable_rich(F, G, 2.0 ** -5, 0.25, mu, 1)
@@ -443,11 +444,11 @@ def test_clamshell_rectangle_count_scaling():
 def test_wolff_bound_on_random_instances(rng):
     d, rho = 2.0 ** -5, 0.25
     pair = build_bipartite_balls(d, rho)
-    F, G = list(pair.F), list(pair.G)
+    F, G = pair.F, pair.G
     for i in range(5):
-        fi = sorted(rng.choice(len(F), size=32, replace=False).tolist())
-        gi = sorted(rng.choice(len(G), size=32, replace=False).tolist())
-        chk = wolff_bound_check([F[j] for j in fi], [G[j] for j in gi], d, pair.rho, 1, 1)
+        fi = np.sort(rng.choice(len(F), size=32, replace=False))
+        gi = np.sort(rng.choice(len(G), size=32, replace=False))
+        chk = wolff_bound_check(F[fi], G[gi], d, pair.rho, 1, 1)
         assert chk.bipartite_ok
         assert chk.ok
 
@@ -462,7 +463,7 @@ def test_wolff_bound_reports_bipartite_failure():
 
 def test_wolff_bound_singletons():
     pair = build_opposed_pair(2.0 ** -6, 1.0)
-    chk = wolff_bound_check(list(pair.F), list(pair.G), 2.0 ** -6, 1.0, 1, 1)
+    chk = wolff_bound_check(pair.F, pair.G, 2.0 ** -6, 1.0, 1, 1)
     assert chk.count <= 4
     assert chk.bound >= 1.0
     assert chk.ok
@@ -504,11 +505,11 @@ def test_quad_broadness_net_family_bounded():
     for d, rho in ((2.0 ** -4, 1.0), (2.0 ** -5, 0.25), (2.0 ** -6, 0.25)):
         pair = build_bipartite_balls(d, rho)
         probes = ProbeSpec(max_anchor_midpoints=128)
-        rep = quad_broadness(list(pair.F), d, 0.5, probes)
+        rep = quad_broadness(pair.F, d, 0.5, probes)
         worst.append(rep.worst_ratio)
         assert rep.worst_ratio <= 6.0
         if d == 2.0 ** -5:
-            assert rep == broadness_reference.quad_broadness(list(pair.F), d, 0.5, probes)
+            assert rep == broadness_reference.quad_broadness(pair.F, d, 0.5, probes)
     assert worst[2] <= worst[1] * 1.25  # same rho, finer delta: no growth
 
 
@@ -575,6 +576,10 @@ def test_quad_broadness_alpha_sweep_computes_one_profile(profile_memo):
     assert (info.misses, info.hits) == (1, 2)
     for rep, alpha in zip(reports, alphas):
         assert rep == broadness_reference.quad_broadness(F, d, alpha)
+    # the same family as Quadratics is the table's key
+    assert [quad_broadness(ref.quads(F), d, alpha) for alpha in alphas] == reports
+    info = profile_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_quad_broadness_memo_keys_on_family_delta_and_probes(profile_memo):
@@ -591,6 +596,9 @@ def test_quad_broadness_memo_keys_on_family_delta_and_probes(profile_memo):
     for Q, delta, probes in calls:
         expected = broadness_reference.quad_broadness(Q, delta, 0.5, probes)
         assert quad_broadness(Q, delta, 0.5, probes) == expected, (len(Q), delta, probes)
+    assert profile_memo.cache_info().misses == len(calls)
+    # the last family as Quadratics is the last key again
+    assert quad_broadness(ref.quads(Q), delta, 0.5, probes) == expected
     assert profile_memo.cache_info().misses == len(calls)
 
 
@@ -610,12 +618,18 @@ def test_quad_broadness_signed_zero_family_gives_one_report(profile_memo):
     # the -0.0 family is the +0.0 family's key, and its report is the same
     assert quad_broadness(minus, d, 0.5) == fresh_plus
     assert profile_memo.cache_info().hits == 1
+    # so is its (n, 3) table, which keeps the -0.0 bits
+    table = coeff_array(minus)
+    assert np.signbit(table).sum() == 7
+    assert quad_broadness(table, d, 0.5) == fresh_plus
+    assert profile_memo.cache_info().hits == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quad_broadness_rejects_nonfinite_coefficients(bad):
-    with pytest.raises(ValueError, match="finite"):
-        quad_broadness([Quadratic(bad, 0, 0), Quadratic(1, 0, 0)], 2.0 ** -4, 0.5)
+    for Q in ([Quadratic(bad, 0, 0), Quadratic(1, 0, 0)], np.array([[bad, 0, 0], [1, 0, 0]])):
+        with pytest.raises(ValueError, match="finite"):
+            quad_broadness(Q, 2.0 ** -4, 0.5)
 
 
 def test_classify_broad_narrow_small_families():

@@ -123,7 +123,7 @@ def test_curve_integral_single_strip_area():
 def test_curve_integral_grid_mc_agree():
     delta = 2.0 ** -5
     pair = build_opposed_pair(delta, 1.0)
-    F, G = list(pair.F), list(pair.G)
+    F, G = pair.F, pair.G
     grid = bilinear_curve_integral(F, G, delta, 0.75)
     mc = curve_grid_reference.monte_carlo_integral(F, G, delta, 0.75, 400_000, seed=3)
     assert abs(grid.value - mc.value) <= 4 * mc.stderr + 0.02 * grid.value
@@ -144,7 +144,7 @@ def test_curve_integral_worker_invariance():
     # the sampling engine on strip counts: the same value for any worker count
     delta = 2.0 ** -5
     pair = build_opposed_pair(delta, 1.0)
-    fc, gc = coeff_array(list(pair.F)), coeff_array(list(pair.G))
+    fc, gc = pair.F, pair.G
     m1 = lambda pts: strip_multiplicity(fc, pts[:, 0], pts[:, 1], delta)  # noqa: E731
     m2 = lambda pts: strip_multiplicity(gc, pts[:, 0], pts[:, 1], delta)  # noqa: E731
     region = np.array([[0.0, 1.0], [0.0, 1.0]])

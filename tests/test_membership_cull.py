@@ -23,7 +23,13 @@ from heislab.families import (
 )
 from heislab.heis import HDirection, HPoint
 from heislab.integrals import _default_tube_region
-from heislab.tubes import HTube, tube_contains_batch, tube_multiplicity, tube_params
+from heislab.tubes import (
+    HTube,
+    tube_contains_batch,
+    tube_multiplicity,
+    tube_params,
+    tubes_from_params,
+)
 
 EPS = 2.0 ** -40
 
@@ -203,7 +209,7 @@ def test_net_multiplicity_matches_the_oracle(k):
     d = 2.0 ** -k
     spec = net_window(d, 5.5 * d, 12.5 * parabolic_net_spec(d).t_step)
     rng = np.random.default_rng(k)
-    t1, t2 = net_tubes(spec)
+    t1, t2 = map(tubes_from_params, net_tubes(spec))
     # beyond the window's rows and heights (the cores rise by |y0|/4)
     span = np.array([1.2, spec.y_halfrange + 2 * d, spec.t_halfrange + 0.3 * spec.y_halfrange])
     uniform = (rng.random((3000, 3)) * 2.0 - 1.0) * span

@@ -1,6 +1,7 @@
 """Jet gauges, near-intersection structure, tangency tests, comparability."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -502,7 +503,21 @@ def test_tau_and_delta_gauge_reject_nonfinite_coefficients(bad):
 def test_coeff_array_rejects_nonfinite_coefficients(bad):
     with pytest.raises(ValueError, match="finite"):
         coeff_array([Quadratic(1.0, 0.0, 0.0), Quadratic(0.0, 0.0, bad)])
+    with pytest.raises(ValueError, match="finite"):
+        coeff_array(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, bad]]))
     assert coeff_array([]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3,), (2, 4, 3)])
+def test_coeff_array_refuses_other_shapes(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        coeff_array(np.zeros(shape))
+
+
+def test_coeff_array_takes_a_float64_table_without_a_copy():
+    table = np.arange(12.0).reshape(4, 3)
+    assert coeff_array(table) is table
+    assert coeff_array(table.astype(np.float32)).dtype == np.float64
 
 
 @pytest.mark.parametrize("bad", _NONFINITE)
@@ -511,7 +526,7 @@ def test_validate_bipartite_rejects_nonfinite_coefficients(bad):
         validate_bipartite(BipartitePair((Quadratic(bad, 0, 0),), (Quadratic(1, 0, 0),), 0.25))
     # a sampled family: the bad curve need not be among the drawn pairs
     pair = build_bipartite_balls(2.0 ** -6, 0.25)
-    G = pair.G[:-1] + (Quadratic(0.0, bad, 0.0),)
+    G = np.vstack([pair.G[:-1], [0.0, bad, 0.0]])
     with pytest.raises(ValueError):
         validate_bipartite(BipartitePair(pair.F, G, pair.rho))
 
