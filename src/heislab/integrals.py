@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _SHARD = 65536
+# cells per axis of the finest curve grid: the default spacing delta/4 has no
+# floor, and delta = 1e-9 asked numpy for 29.8 GiB; the experiments' finest
+# grid is 4,096 (opposed-pair-scaling at delta = 2^-10)
+_GRID_AXIS_MAX = 2 ** 16
 # (column, section end) entries per block of the column sweep: each of its
 # temporaries is 64 KiB and stays in cache; this measured about 20 % faster
 # per column than blocks of _SHARD entries on a 2-vCPU machine
@@ -419,14 +423,18 @@ def bilinear_curve_integral(
     exactly over the cell centers of an n x n grid (`_curve_pair_counts`).
     The spacing is 1/n with n = round(1 / resolution), resolution delta/4 by
     default; a given resolution must lie in (0, 1/2], so that n >= 2, and
-    delta must be finite and > 0."""
+    delta must be finite and > 0.  A spacing that asks for more than
+    `_GRID_AXIS_MAX` cells per axis raises ValueError before any grid."""
     _check_exponent(p)
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"strip width delta must be finite and > 0, got {delta!r}")
     if resolution is not None and not 0.0 < resolution <= 0.5:
         raise ValueError(f"grid resolution must be finite and in (0, 1/2], got {resolution!r}")
-    fc, gc = coeff_array(F), coeff_array(G)
     res = resolution if resolution is not None else delta / 4.0
+    if not res * _GRID_AXIS_MAX >= 1.0:
+        raise ValueError(f"curve grid with delta {delta!r} and resolution {res!r} "
+                         f"needs more than {_GRID_AXIS_MAX} cells per axis")
+    fc, gc = coeff_array(F), coeff_array(G)
     n = max(2, int(round(1.0 / res)))
     res = 1.0 / n
     m1, m2, counts = _curve_pair_counts(fc, gc, n, delta)

@@ -87,22 +87,25 @@ def tube_to_curve(tube: HTube) -> ProjectedCurve:
 
     kappa = (a-b)/(a+b), slope = x-y, offset = t + (x^2-y^2)/4,
     theta0 = (x+y)/2; the core maps exactly onto the graph.  Directions with
-    |a+b| < 1/2 are rejected: the projection degenerates near L.
+    |a+b| < 1/2 are rejected: the projection degenerates near L.  This is
+    `_curve_rows` on `tube_params([tube])`.
     """
-    a, b = tube.dir.a, tube.dir.b
-    s = a + b
-    if abs(s) < _MIN_AXIS_SUM:
-        raise ValueError(
-            f"direction ({a}, {b}) too close to the line (s,-s,0): |a+b|={abs(s)} < 0.5"
-        )
-    p = tube.center
-    return ProjectedCurve(
-        kappa=(a - b) / s,
-        slope=p.x - p.y,
-        offset=p.t + 0.25 * (p.x * p.x - p.y * p.y),
-        theta0=0.5 * (p.x + p.y),
-        domain=PROJECTION_DOMAIN,
-    )
+    kappa, slope, offset, theta0 = np.concatenate(_curve_rows(tube_params([tube]))).tolist()
+    return ProjectedCurve(kappa, slope, offset, theta0, PROJECTION_DOMAIN)
+
+
+def _curve_rows(params: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows kappa, slope, offset, theta0 of `tube_to_curve` for each column of
+    a (6, n) table; the first column with |a + b| < 1/2 raises ValueError
+    naming it, as `checked_params` names one, before any other arithmetic."""
+    cx, cy, ct, a, b, _ = params
+    axis_sum = a + b
+    near = np.abs(axis_sum) < _MIN_AXIS_SUM
+    if near.any():
+        i = int(np.argmax(near))
+        raise ValueError(f"tube {i} {tuple(params[:, i].tolist())} too close to the line "
+                         f"(s,-s,0): |a+b| = {abs(axis_sum[i])} < 0.5")
+    return (a - b) / axis_sum, cx - cy, ct + 0.25 * (cx * cx - cy * cy), 0.5 * (cx + cy)
 
 
 def tube_draws(delta: float, n: int, seed: int | tuple[int, ...] = 0):
@@ -119,22 +122,66 @@ def tube_points_sample(tube: HTube, n: int, seed: int | tuple[int, ...] = 0) -> 
     return _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z).T
 
 
-def projection_containment_ratio(tube: HTube, s: np.ndarray, z: np.ndarray) -> float:
+def projection_containment_ratio(tube, s: np.ndarray, z: np.ndarray, counts=None):
     """Max over the points core(s) * z of T inside B(0,1) of the vertical
     distance of the projection to the projected-curve graph, divided by delta^2.
 
     s and z are draws as `tube_draws(tube.delta, ...)` returns them.  The
     asserted content of the containment statement is that this stays below an
-    absolute constant; points outside the unit ball are discarded.
+    absolute constant; points outside the unit ball are discarded, and a tube
+    none of whose points is inside has ratio 0.0.
+
+    Table form: a (6, n) `tubes.tube_params` table, the draws of all n tubes
+    laid end to end (s, and z as three rows) and each tube's count give the n
+    ratios; the one-tube call is this code on `tube_params([tube])` with
+    count len(s).  The points go through in blocks of at most `FIBER_BLOCK`,
+    each tube's maximum folded across blocks.  A table that `checked_params`
+    refuses or with a column |a + b| < 1/2 (as `tube_to_curve`), a count
+    below 1, counts that do not sum to len(s), a z of shape other than
+    (3, len(s)), or a non-finite draw raises ValueError before any
+    arithmetic.
     """
-    curve = tube_to_curve(tube)
-    rows = _bulk.tube_points(tube.center.as_tuple(), tube.dir.a, tube.dir.b, s, z)
-    x, y, t = rows.compress(_bulk.norm4(rows.T) <= 1.0, axis=1)
-    if len(x) == 0:
-        return 0.0
-    # `project_W_batch`'s operations, on the rows
-    theta, height = 0.5 * (x + y), t + 0.25 * (x ** 2 - y ** 2)
-    return float(np.max(np.abs(height - curve(theta)))) / (tube.delta ** 2)
+    if isinstance(tube, HTube):
+        return float(_containment_ratios(tube_params([tube]), s, z, [len(s)])[0])
+    return _containment_ratios(tube, s, z, counts)
+
+
+def _containment_ratios(params, s, z, counts) -> np.ndarray:
+    params = checked_params(params)
+    n = params.shape[1]
+    s, z = np.asarray(s, dtype=np.float64), np.asarray(z, dtype=np.float64)
+    if s.ndim != 1 or z.shape != (3, len(s)):
+        raise ValueError(f"need draws s of shape (m,) and z of shape (3, m), "
+                         f"got {s.shape} and {z.shape}")
+    counts = np.asarray([] if counts is None else counts)
+    if (counts.shape != (n,) or counts.dtype.kind not in "iu" or not (counts >= 1).all()
+            or counts.sum() != len(s)):
+        raise ValueError(f"need one integer count >= 1 per tube, summing to {len(s)} "
+                         f"draws; got {counts.size} counts ({counts.dtype}) for {n} tubes")
+    if not (np.isfinite(s).all() and np.isfinite(z).all()):
+        raise ValueError("draws s and z must be finite")
+    kappa, slope, offset, theta0 = _curve_rows(params)
+    owner = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    worst = np.zeros(n)
+    for first in range(0, len(s), FIBER_BLOCK):
+        block = slice(first, first + FIBER_BLOCK)
+        tube = owner[block]
+        pts = _bulk.tube_points(params[:3].take(tube, axis=1), params[3].take(tube),
+                                params[4].take(tube), s[block], z[:, block])
+        x, y, t = pts
+        # `project_W_batch`'s operations, on the rows, and `ProjectedCurve`'s;
+        # each per-point row is gathered where it is used, to keep few alive
+        u = 0.5 * (x + y) - theta0.take(tube)
+        height = t + 0.25 * (x ** 2 - y ** 2)
+        dist = np.abs(height - ((kappa.take(tube) * u + slope.take(tube)) * u + offset.take(tube)))
+        # a point outside B(0, 1) counts 0, which no kept distance is below
+        dist[_bulk.norm4(pts.T) > 1.0] = 0.0
+        # the block's run of each of its tubes, none empty since every count is >= 1
+        ids = np.arange(tube[0], tube[-1] + 1)
+        heads = np.maximum(starts.take(ids) - first, 0)
+        worst[ids] = np.maximum(worst[ids], np.maximum.reduceat(dist, heads))
+    return worst / params[5] ** 2
 
 
 def exact_containment_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:

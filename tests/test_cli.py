@@ -744,6 +744,15 @@ def test_opposed_pair_scaling_refuses_a_grid_res_above_one_half(tmp_path, capsys
     assert not out.exists()
 
 
+def test_opposed_pair_scaling_refuses_a_grid_too_fine_to_allocate(tmp_path, capsys):
+    # 1e-9 passed the option check and asked numpy for 10^9 cells per axis
+    out = tmp_path / "o.csv"
+    assert main(["run", "opposed-pair-scaling", "--grid-res", "1e-9", "--out", str(out)]) == 1
+    assert ("curve grid with delta 0.0625 and resolution 1e-09 needs more than 65536 cells "
+            "per axis") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_opposed_pair_scaling_rows_are_the_curve_integral_at_the_set_grid_res(tmp_path):
     from heislab.families import build_opposed_pair
     from heislab.integrals import bilinear_curve_integral
@@ -791,15 +800,19 @@ def test_fiber_length_kernel_calls_hold_at_most_a_block(monkeypatch):
     assert sum(blocks) == sum(calls)
 
 
-def test_projection_containment_makes_one_ratio_call_per_tube(monkeypatch):
+def test_projection_containment_makes_one_ratio_call_per_rung(monkeypatch):
     from heislab import cli
 
     calls = []
     ratio = cli.projection_containment_ratio
-    monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
+
+    def counted(params, s, z, counts):
+        calls.append((params.shape, len(s), list(counts)))
+        return ratio(params, s, z, counts)
+
+    monkeypatch.setattr(cli, "projection_containment_ratio", counted)
     EXPERIMENTS["projection-containment"](delta_exps=[4, 5], samples=400, seed=0)
-    assert calls == [20] * 40
+    assert calls == [((6, 20), 400, [20] * 20)] * 2
 
 
 def test_projection_containment_draws_once_per_tube_index(monkeypatch):
@@ -814,12 +827,16 @@ def test_projection_containment_draws_once_per_tube_index(monkeypatch):
                         lambda *a: tube_sets.append(a[1:]) or random_tubes(*a))
     monkeypatch.setattr(cli, "tube_draws",
                         lambda *a: draws.append(a) or tube_draws(*a))
-    monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
+
+    def counted(params, s, z, counts):
+        calls.append((params[5].tolist(), list(counts)))
+        return ratio(params, s, z, counts)
+
+    monkeypatch.setattr(cli, "projection_containment_ratio", counted)
     EXPERIMENTS["projection-containment"](delta_exps=range(4, 9), samples=400, seed=3)
     assert tube_sets == [(2.0 ** -4, 20, 0.5)]
     assert draws == [(1.0, 20, (3, i)) for i in range(20)]
-    assert calls == [20] * 100
+    assert calls == [([2.0 ** -k] * 20, [20] * 20) for k in range(4, 9)]
 
 
 def test_projection_containment_measures_every_sample(monkeypatch):
@@ -828,11 +845,14 @@ def test_projection_containment_measures_every_sample(monkeypatch):
 
     calls = []
     ratio = cli.projection_containment_ratio
-    monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda tube, s, z: calls.append(len(s)) or ratio(tube, s, z))
+
+    def counted(params, s, z, counts):
+        calls.append((len(s), list(counts)))
+        return ratio(params, s, z, counts)
+
+    monkeypatch.setattr(cli, "projection_containment_ratio", counted)
     EXPERIMENTS["projection-containment"](delta_exps=[4], samples=39, seed=0)
-    assert calls == [2] * 19 + [1]
-    assert sum(calls) == 39
+    assert calls == [(39, [2] * 19 + [1])]
 
 
 def test_projection_containment_reports_the_exact_ratio_at_every_rung():

@@ -1,6 +1,7 @@
 """Exponent fitting, right sides, the two integral estimators, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,32 @@ def test_curve_integral_rejects_a_delta_not_finite_and_positive(monkeypatch, del
     q = [Quadratic(0.0, 0.0, 0.5)]
     with pytest.raises(ValueError, match="delta"):
         bilinear_curve_integral(q, q, delta, 0.75, resolution)
+
+
+@pytest.mark.parametrize("delta, resolution, spacing", [
+    # the default spacing delta/4 of delta = 1e-9 asked numpy for 29.8 GiB
+    (1e-9, None, "2.5e-10"),
+    (2.0 ** -3, 1e-9, "1e-09"),
+    # one ulp under the finest grid, 2^-16
+    (2.0 ** -14 * (1 - 2 ** -53), None, repr(2.0 ** -16 * (1 - 2 ** -53))),
+])
+def test_curve_integral_refuses_a_grid_too_fine_to_allocate(delta, resolution, spacing):
+    q = [Quadratic(0.0, 0.0, 0.5)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"delta {delta!r} and resolution {spacing} needs "
+                                             f"more than 65536 cells per axis"):
+            bilinear_curve_integral(q, q, delta, 0.75, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_curve_integral_takes_the_finest_grid():
+    # a spacing of 2^-16 is the cap itself: 65,536 cells per axis
+    q = [Quadratic(0.0, 0.0, 0.5)]
+    assert bilinear_curve_integral(q, q, 2.0 ** -14, 0.75).samples == 2 ** 32
 
 
 def test_curve_integral_takes_a_resolution_of_one_half():

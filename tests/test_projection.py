@@ -1,6 +1,7 @@
 """Plane projection, projected curves, containment ratio, fiber lengths."""
 
 import math
+import types
 
 import broadness_reference
 import numpy as np
@@ -24,7 +25,7 @@ from heislab.projection import (
     tube_to_curve,
 )
 from heislab.quadratics import tau
-from heislab.tubes import HTube, tube_params
+from heislab.tubes import HTube, tube_params, tubes_from_params
 
 
 def test_projection_closed_form():
@@ -208,6 +209,115 @@ def test_exact_containment_ratio_is_nearly_attained_by_a_million_points(rng):
     for i, (tube, exact) in enumerate(zip(tubes, exact_of(tubes).tolist())):
         sampled = projection_containment_ratio(tube, *tube_draws(d, 10 ** 6, seed=(9, i)))
         assert 0.99 * exact <= sampled <= exact
+
+
+def containment_table(rng, counts, far=()):
+    """A table of len(counts) tubes at random radii in (2^-12, 1/2), tube i's
+    draws from the stream (i, 30), laid end to end; the tubes in `far` sit at
+    x = 3, so that none of their points lies in B(0, 1)."""
+    tubes = containment_tubes(rng, len(counts) - 3, 0.5)
+    params = tube_params(tubes)
+    params[5] = rng.uniform(2.0 ** -12, 0.5, len(counts))
+    params[0, list(far)] = 3.0
+    draws = [tube_draws(d, n, seed=(i, 30)) for i, (d, n) in enumerate(zip(params[5], counts))]
+    return params, np.concatenate([s for s, _ in draws]), np.hstack([z for _, z in draws])
+
+
+class _CheckedMaximum:
+    """`np.maximum`, whose `reduceat` asserts that no segment is empty and
+    records the number of segments."""
+
+    def __init__(self):
+        self.segments = []
+
+    def __call__(self, *args):
+        return np.maximum(*args)
+
+    def reduceat(self, values, heads):
+        assert len(heads) and heads[0] == 0 and (np.diff(heads) > 0).all()
+        assert heads[-1] < len(values)
+        self.segments.append(len(heads))
+        return np.maximum.reduceat(values, heads)
+
+
+def checked_reduceat(monkeypatch):
+    """The segment counts of every `np.maximum.reduceat` call in `projection`."""
+    checked = types.ModuleType("numpy")
+    checked.__dict__.update(vars(np))
+    checked.maximum = _CheckedMaximum()
+    monkeypatch.setattr(projection, "np", checked)
+    return checked.maximum.segments
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_containment_table_equals_the_one_tube_calls(monkeypatch, seed):
+    # ragged counts of 1-300 points: about 6,000 points, so a tube's run
+    # spans the first block boundary; tube 7 has no point in B(0, 1)
+    rng = np.random.default_rng([seed, 30])
+    counts = rng.integers(1, 301, size=40)
+    params, s, z = containment_table(rng, counts, far=[7])
+    ends = np.cumsum(counts)
+    assert ((ends - counts < FIBER_BLOCK) & (FIBER_BLOCK < ends)).any()
+    segments = checked_reduceat(monkeypatch)
+    got = projection_containment_ratio(params, s, z, counts)
+    monkeypatch.undo()
+    # one segment per tube and block: the spanning tube has one in each
+    assert len(segments) == 2 and sum(segments) == 41
+    want = [projection_containment_ratio(tube, s_i, z_i) for tube, s_i, z_i in zip(
+        tubes_from_params(params), np.split(s, ends[:-1]), np.split(z, ends[:-1], axis=1))]
+    assert got.dtype == np.float64 and got.tolist() == want
+    assert got[7] == 0.0 and (got > 0).sum() >= 35
+
+
+def test_containment_table_of_tubes_outside_the_unit_ball_reads_zero(monkeypatch):
+    # no point is kept, yet every segment is a tube's nonempty run: tube 0
+    # fills the first block, and the second holds its rest and tubes 1 and 2
+    rng = np.random.default_rng(31)
+    counts = np.array([5000, 1, 300])
+    params, s, z = containment_table(rng, counts, far=[0, 1, 2])
+    segments = checked_reduceat(monkeypatch)
+    assert projection_containment_ratio(params, s, z, counts).tolist() == [0.0, 0.0, 0.0]
+    assert segments == [1, 3]
+
+
+def near_the_fiber_line(params, s, z, counts):
+    params[3:5, 1] = math.sqrt(0.5), -math.sqrt(0.5)
+    return params, s, z, counts
+
+
+def not_finite(params, s, z, counts):
+    params[2, 1] = math.nan
+    return params, s, z, counts
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda p, s, z, c: (p, s, z, [2, 0, 4]), "count >= 1"),
+    (lambda p, s, z, c: (p, s, z, [3, -1, 4]), "count >= 1"),
+    (lambda p, s, z, c: (p, s, z, [2, 3, 2]), "summing to 6"),
+    (lambda p, s, z, c: (p, s, z, [3, 3]), "per tube"),
+    (lambda p, s, z, c: (p, s, z, [2.0, 3.0, 1.0]), "count"),
+    (lambda p, s, z, c: (p, s, z, None), "count"),
+    (lambda p, s, z, c: (p, s, z[:, :5], c), r"\(3, 5\)"),
+    (lambda p, s, z, c: (p, s, z[:2], c), r"\(2, 6\)"),
+    (lambda p, s, z, c: (p, s, z.T, c), r"\(6, 3\)"),
+    (lambda p, s, z, c: (p, s, z[0], c), r"\(6,\)"),
+    (lambda p, s, z, c: (p, s, np.hstack([z, z]), c), r"\(3, 12\)"),
+    (lambda p, s, z, c: (p, s[:, None], z, c), r"\(6, 1\)"),
+    (lambda p, s, z, c: (p, np.where(s > 0, np.inf, s), z, c), "finite"),
+    (lambda p, s, z, c: (p, s, np.where(z > 0, np.nan, z), c), "finite"),
+    (near_the_fiber_line, r"tube 1 \(0\.1, 0\.0, 0\.0, 0\.7071067811865476, "
+                          r"-0\.7071067811865476, 0\.015625\) too close"),
+    (not_finite, r"tube 1 \(0\.1, 0\.0, nan"),
+], ids=["count 0", "count -1", "sum 7", "two counts", "float counts", "no counts",
+        "z short", "z two rows", "z transposed", "z one row", "z long", "s 2-D",
+        "s inf", "z nan", "near the fiber line", "nan center"])
+def test_containment_table_refuses_bad_input_before_any_arithmetic(monkeypatch, spoil, match):
+    # three tubes with counts 2, 3 and 1, spoiled in one place
+    params = tube_params([HTube(HPoint(0.1 * i, 0.0, 0.0), E1, 2.0 ** -6) for i in range(3)])
+    s, z = tube_draws(2.0 ** -6, 6, seed=4)
+    monkeypatch.setattr(_bulk, "tube_points", lambda *a: pytest.fail("points formed"))
+    with pytest.raises(ValueError, match=match):
+        projection_containment_ratio(*spoil(params, s, z, [2, 3, 1]))
 
 
 def test_projected_height_above_the_graph_is_z2_plus_the_quadratic_form(rng):

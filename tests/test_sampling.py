@@ -132,7 +132,8 @@ def drawn_tubes_and_offsets(monkeypatch, name, seed, **options):
 
     monkeypatch.setattr(_bulk, "sample_gauge_ball", draw)
     monkeypatch.setattr(cli, "projection_containment_ratio",
-                        lambda tube, s, z: seen(tube) or ratio(tube, s, z))
+                        lambda params, s, z, counts: seen(*tubes_from_params(params))
+                        or ratio(params, s, z, counts))
     monkeypatch.setattr(cli, "fiber_length", fibers)
     cli.EXPERIMENTS[name](seed=seed, **options)
     monkeypatch.undo()
